@@ -17,7 +17,11 @@ from repro.errors import ProtectionFault, SegmentationFault
 from repro.kernel.costs import WorkCounters
 from repro.kernel.process import MappedFrame, MemoryDescriptor, Process
 from repro.kernel.thp import ThpController
+from repro.kernel.vma import Vma
+from repro.mem.frame import Frame
 from repro.mem.physmem import PhysicalMemory
+from repro.paging.levels import LEAF_LEVEL, level_index
+from repro.paging.pagetable import PageTablePage
 from repro.paging.pte import pte_writable
 from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE
 
@@ -94,17 +98,149 @@ class PageFaultHandler:
         if allow_huge and self.thp.eligible(mm, vma, va):
             frame = self.thp.alloc(node)
             if frame is not None:
-                base = va & ~(HUGE_PAGE_SIZE - 1)
-                with mm.lock():
-                    mm.tree.map_page(base, frame.pfn, vma.prot, huge=True, node_hint=socket)
-                mm.frames[base] = MappedFrame(va=base, frame=frame, huge=True)
+                self._map_huge(mm, vma, va, frame, socket)
                 work.pages_zeroed_2m += 1
                 return FaultResult(va=va, mapped_bytes=HUGE_PAGE_SIZE, huge=True, work=work)
 
         frame = self.physmem.alloc_frame_fallback(node)
-        base = va & ~(PAGE_SIZE - 1)
         with mm.lock():
-            mm.tree.map_page(base, frame.pfn, vma.prot, huge=False, node_hint=socket)
-        mm.frames[base] = MappedFrame(va=base, frame=frame, huge=False)
+            table = mm.tree.leaf_table(base, LEAF_LEVEL, socket)
+            self._map_leaves(mm, vma, table, base, [frame])
         work.pages_zeroed_4k += 1
         return FaultResult(va=va, mapped_bytes=PAGE_SIZE, huge=False, work=work)
+
+    def populate(
+        self,
+        process: Process,
+        start: int,
+        end: int,
+        socket: int,
+        allow_huge: bool = True,
+    ) -> WorkCounters:
+        """Write-fault ``[start, end)`` in ascending order from ``socket``
+        (MAP_POPULATE, or a thread first-touching its init partition).
+
+        The result is exactly that of one ``handle(is_write=True)`` per
+        page, each advancing by what it mapped (so a huge page faulted
+        mid-window resumes 2 MiB past the fault): swapped pages are
+        swapped in, mapped pages are spurious faults (write-protection
+        check only), and every fresh page is one fault with its own
+        placement decision and data frame, allocated in the same order.
+        The difference is cost: THP eligibility is scanned once per 2 MiB
+        window, and each leaf table is descended to once and gets its run
+        of fresh PTEs in one PV-Ops call under one ``mm.lock()``.
+
+        Returns the pages zeroed. On an exception every page before the
+        failing one stays mapped, as with the per-page loop.
+
+        Raises:
+            ValueError: ``start`` is not page-aligned.
+            SegmentationFault: a page has no VMA.
+            ProtectionFault: a mapped page is read-only.
+        """
+        if start % PAGE_SIZE:
+            raise ValueError(f"populate start 0x{start:x} is not page-aligned")
+        mm = process.mm
+        work = WorkCounters()
+        pos = start
+        while pos < end:
+            vma = mm.vmas.find(pos)
+            if vma is None:
+                raise SegmentationFault(pos)
+            window_end = (pos | (HUGE_PAGE_SIZE - 1)) + 1
+            limit = min(end, vma.end, window_end)
+            pos = self._populate_window(process, vma, pos, limit, socket, allow_huge, work)
+        return work
+
+    def _populate_window(
+        self,
+        process: Process,
+        vma: Vma,
+        pos: int,
+        limit: int,
+        socket: int,
+        allow_huge: bool,
+        work: WorkCounters,
+    ) -> int:
+        """Fault the pages ``[pos, limit)`` of one VMA inside one 2 MiB
+        window (one leaf table); returns where the scan resumes."""
+        mm = process.mm
+        frames = mm.frames
+        head = frames.get(pos & ~(HUGE_PAGE_SIZE - 1))
+        if head is not None and head.huge:
+            # One 2 MiB leaf: every page of the window is the same spurious fault.
+            translation = mm.tree.translate(pos)
+            assert translation is not None
+            if not pte_writable(translation.flags):
+                raise ProtectionFault(pos, "write")
+            return head.va + HUGE_PAGE_SIZE
+        swapped = mm.swapped if self.swap is not None else {}
+        policy = vma.data_policy or mm.data_policy
+        try_huge = allow_huge
+        table: PageTablePage | None = None
+        run_start = pos
+        run: list[Frame] = []
+        with mm.lock():
+            try:
+                while pos < limit:
+                    mapped = frames.get(pos)
+                    if mapped is not None or pos in swapped:
+                        # Not a fresh page: it ends the current run.
+                        if run:
+                            self._map_leaves(mm, vma, table, run_start, run)
+                            run = []
+                        try_huge = False
+                        if mapped is None:
+                            self.handle(process, pos, socket, is_write=True)  # swap-in
+                        else:
+                            if table is None:
+                                location = mm.tree.leaf_location(pos)
+                                assert location is not None
+                                table = location.page
+                            if not pte_writable(table.entries[level_index(pos, LEAF_LEVEL)]):
+                                raise ProtectionFault(pos, "write")
+                        pos += PAGE_SIZE
+                        run_start = pos
+                        continue
+                    self.faults_handled += 1
+                    node = policy.choose_node(socket)
+                    if try_huge:
+                        # The window is empty here, so one scan decides it.
+                        try_huge = False
+                        if self.thp.eligible(mm, vma, pos):
+                            frame = self.thp.alloc(node)
+                            if frame is not None:
+                                self._map_huge(mm, vma, pos, frame, socket)
+                                work.pages_zeroed_2m += 1
+                                return pos + HUGE_PAGE_SIZE
+                    frame = self.physmem.alloc_frame_fallback(node)
+                    if table is None:
+                        # After the first page's data frame, as in handle().
+                        table = mm.tree.leaf_table(pos, LEAF_LEVEL, socket)
+                    run.append(frame)
+                    work.pages_zeroed_4k += 1
+                    pos += PAGE_SIZE
+            finally:
+                if run:
+                    self._map_leaves(mm, vma, table, run_start, run)
+        return pos
+
+    @staticmethod
+    def _map_huge(mm: MemoryDescriptor, vma: Vma, va: int, frame: Frame, socket: int) -> None:
+        """Map the 2 MiB window around ``va`` to ``frame``."""
+        base = va & ~(HUGE_PAGE_SIZE - 1)
+        with mm.lock():
+            mm.tree.map_page(base, frame.pfn, vma.prot, huge=True, node_hint=socket)
+        mm.frames[base] = MappedFrame(va=base, frame=frame, huge=True)
+
+    @staticmethod
+    def _map_leaves(
+        mm: MemoryDescriptor, vma: Vma, table: PageTablePage, base: int, frames: list[Frame]
+    ) -> None:
+        """Map ``frames`` at consecutive 4 KiB pages from ``base`` in the
+        leaf ``table`` with one run write, and record them in ``mm``.
+        The caller holds ``mm.lock()``."""
+        mm.tree.map_run(table, base, [frame.pfn for frame in frames], vma.prot)
+        for offset, frame in enumerate(frames):
+            va = base + offset * PAGE_SIZE
+            mm.frames[va] = MappedFrame(va=va, frame=frame, huge=False)

@@ -50,6 +50,14 @@ class NativePagingOps(PagingOps):
         self.apply_entry_write(page, index, value)
         self.stats.pte_writes += 1
 
+    def set_pte_run(
+        self, tree: PageTableTree, page: PageTablePage, start_index: int, values: list[int]
+    ) -> None:
+        apply = self.apply_entry_write
+        for offset, value in enumerate(values):
+            apply(page, start_index + offset, value)
+        self.stats.pte_writes += len(values)
+
     def read_pte(self, tree: PageTableTree, page: PageTablePage, index: int) -> int:
         self.stats.pte_reads += 1
         return page.entries[index]

@@ -72,21 +72,13 @@ class VmSyscalls:
         before = mm.tree.ops.stats.snapshot()
         work = WorkCounters()
         if populate:
-            allow_huge = self.sysctl.thp_enabled and use_huge
-            pos = va
-            socket = process.home_socket
-            while pos < va + length:
-                result = self.fault_handler.handle(
-                    process, pos, socket, is_write=True, allow_huge=allow_huge
-                )
-                if result.did_map:
-                    work.pages_zeroed_4k += result.work.pages_zeroed_4k
-                    work.pages_zeroed_2m += result.work.pages_zeroed_2m
-                    pos += result.mapped_bytes
-                else:
-                    mapped = mm.frame_at(pos)
-                    assert mapped is not None
-                    pos = mapped.va + mapped.frame.nbytes
+            work = self.fault_handler.populate(
+                process,
+                va,
+                va + length,
+                process.home_socket,
+                allow_huge=self.sysctl.thp_enabled and use_huge,
+            )
         delta = mm.tree.ops.stats.delta(before)
         return SyscallResult(value=va, cycles=syscall_cycles(delta, work))
 

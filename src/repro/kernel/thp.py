@@ -17,7 +17,7 @@ from repro.kernel.process import MemoryDescriptor
 from repro.kernel.vma import Vma
 from repro.mem.frame import Frame, FrameKind
 from repro.mem.physmem import PhysicalMemory
-from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE, PAGES_PER_HUGE_PAGE
+from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE
 
 
 @dataclass
@@ -47,15 +47,17 @@ class ThpController:
         """Can the 2 MiB window around ``va`` be THP-backed?
 
         Requires the VMA to cover the whole aligned window, THP allowed on
-        the VMA, and no 4 KiB page already mapped inside the window.
+        the VMA, and no 4 KiB page of the window already mapped or swapped
+        out (a huge mapping would cover the swapped page's swap-in).
         """
         if not vma.use_huge:
             return False
         window = va & ~(HUGE_PAGE_SIZE - 1)
         if window < vma.start or window + HUGE_PAGE_SIZE > vma.end:
             return False
-        for i in range(PAGES_PER_HUGE_PAGE):
-            if window + i * PAGE_SIZE in mm.frames:
+        frames, swapped = mm.frames, mm.swapped
+        for page in range(window, window + HUGE_PAGE_SIZE, PAGE_SIZE):
+            if page in frames or page in swapped:
                 return False
         return True
 

@@ -137,9 +137,13 @@ class PhysicalMemory:
         """Allocate a 4 KiB frame, preferring ``preferred`` but falling back
         to other nodes in id order — the behaviour of a non-strict Linux
         allocation."""
-        self.machine.validate_node(preferred)
-        order = [preferred] + [n for n in self.machine.node_ids() if n != preferred]
-        for node in order:
+        try:
+            return self.alloc_frame(preferred, kind=kind)
+        except OutOfMemoryError:
+            pass
+        for node in self.machine.node_ids():
+            if node == preferred:
+                continue
             try:
                 return self.alloc_frame(node, kind=kind)
             except OutOfMemoryError:

@@ -102,30 +102,43 @@ class MitosisPagingOps(PagingOps):
         N entry writes (the Fig. 8 optimisation over walking each replica
         tree, which would cost 4N).
         """
+        self.set_pte_run(tree, page, index, [value])
+
+    def set_pte_run(
+        self, tree: PageTableTree, page: PageTablePage, start_index: int, values: list[int]
+    ) -> None:
+        """Eagerly propagate consecutive PTE writes to every replica.
+
+        The ring is resolved once per run; the accounting stays per PTE
+        (N ring hops and N entry writes each), as if each were one
+        :meth:`set_pte`.
+        """
         members = ring_members(tree, page)
-        self.stats.ring_hops += len(members)
-        child_ring: list[PageTablePage] | None = None
-        if (
-            pte_present(value)
-            and page.level > LEAF_LEVEL
-            and not pte_huge(value)
-        ):
-            child = tree.registry.get(pte_pfn(value))
-            if child is not None:
-                child_ring = ring_members(tree, child)
-        for member in members:
-            member_value = value
-            if child_ring is not None:
-                local_child = _pick_for_socket(child_ring, member.node)
-                member_value = make_pte(local_child.pfn, pte_flags(value))
-            self.apply_entry_write(member, index, member_value)
-            self.stats.pte_writes += 1
-        # set_pte is the eager-propagation hot path: counters only, no
-        # event objects (see docs/observability.md on event volume).
+        copies = len(members)
+        writes = copies * len(values)
+        self.stats.ring_hops += writes
+        upper = page.level > LEAF_LEVEL
+        apply = self.apply_entry_write
+        for offset, value in enumerate(values):
+            index = start_index + offset
+            child_ring: list[PageTablePage] | None = None
+            if upper and pte_present(value) and not pte_huge(value):
+                child = tree.registry.get(pte_pfn(value))
+                if child is not None:
+                    child_ring = ring_members(tree, child)
+            for member in members:
+                member_value = value
+                if child_ring is not None:
+                    local_child = _pick_for_socket(child_ring, member.node)
+                    member_value = make_pte(local_child.pfn, pte_flags(value))
+                apply(member, index, member_value)
+        self.stats.pte_writes += writes
+        # The eager-propagation hot path: counters only, no event objects
+        # (see docs/observability.md on event volume).
         session = current_session()
         if session is not None:
-            session.count("mitosis.set_pte")
-            session.count("mitosis.set_pte_replica_writes", float(len(members)))
+            session.count("mitosis.set_pte", float(len(values)))
+            session.count("mitosis.set_pte_replica_writes", float(writes))
 
     def read_pte(self, tree: PageTableTree, page: PageTablePage, index: int) -> int:
         """OS-visible read: first copy's entry with all replicas' A/D bits

@@ -34,7 +34,7 @@ from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.backend import MitosisPagingOps, _pick_for_socket
 from repro.mitosis.ring import ring_members
 from repro.paging.levels import LEAF_LEVEL
-from repro.paging.pagetable import PageTablePage, PageTableTree
+from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
 from repro.paging.pte import (
     PTE_PRESENT,
     PTE_WRITABLE,
@@ -94,7 +94,7 @@ class LazyMitosisPagingOps(MitosisPagingOps):
                         queue.clear()
                         queue.extend(kept)
             self.lazy_stats.eager += 1
-            super().set_pte(tree, page, index, value)
+            super().set_pte_run(tree, page, index, [value])
             return
         child_ring: list[PageTablePage] | None = None
         if pte_present(value) and page.level > LEAF_LEVEL and not pte_huge(value):
@@ -116,6 +116,10 @@ class LazyMitosisPagingOps(MitosisPagingOps):
                     UpdateMessage(page_pfn=member.pfn, index=index, value=member_value)
                 )
                 self.lazy_stats.deferred += 1
+
+    # A run is one ``set_pte`` per value: each write decides on its own
+    # whether it is deferred or eager.
+    set_pte_run = PagingOps.set_pte_run
 
     @staticmethod
     def _is_destructive(old: int, new: int) -> bool:

@@ -26,14 +26,17 @@ class NaiveMitosisPagingOps(MitosisPagingOps):
     paging.
     """
 
-    def set_pte(self, tree: PageTableTree, page: PageTablePage, index: int, value: int) -> None:
+    def set_pte_run(
+        self, tree: PageTableTree, page: PageTablePage, start_index: int, values: list[int]
+    ) -> None:
+        # ``set_pte`` is the length-1 run, so this covers both.
         members = ring_members(tree, page)
-        super().set_pte(tree, page, index, value)
+        super().set_pte_run(tree, page, start_index, values)
         # Replace the ring-hop accounting with the naive walk accounting.
-        self.stats.ring_hops -= len(members)
+        self.stats.ring_hops -= len(members) * len(values)
         root_level = tree.geometry.root_level
         for member in members:
-            self.stats.pte_reads += root_level - member.level
+            self.stats.pte_reads += (root_level - member.level) * len(values)
 
     def clear_ad_bits(self, tree: PageTableTree, page: PageTablePage, index: int) -> None:
         members = ring_members(tree, page)

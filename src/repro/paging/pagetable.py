@@ -159,6 +159,16 @@ class PagingOps(abc.ABC):
     def set_pte(self, tree: "PageTableTree", page: PageTablePage, index: int, value: int) -> None:
         """Write one PTE, propagating to all physical copies."""
 
+    def set_pte_run(
+        self, tree: "PageTableTree", page: PageTablePage, start_index: int, values: list[int]
+    ) -> None:
+        """Write ``values`` to consecutive PTEs of ``page`` from
+        ``start_index``; same effect and counters as one :meth:`set_pte`
+        per value, in order. Backends override this to resolve per-page
+        state (the replica ring) once per run."""
+        for offset, value in enumerate(values):
+            self.set_pte(tree, page, start_index + offset, value)
+
     @abc.abstractmethod
     def read_pte(self, tree: "PageTableTree", page: PageTablePage, index: int) -> int:
         """Read one PTE as the OS must see it (A/D bits ORed across copies,
@@ -299,7 +309,20 @@ class PageTableTree:
         size = HUGE_PAGE_SIZE if huge else PAGE_SIZE
         if va % size:
             raise InvalidMappingError(f"va 0x{va:x} not aligned to {size}")
-        leaf_level = HUGE_LEAF_LEVEL if huge else LEAF_LEVEL
+        table = self.leaf_table(va, HUGE_LEAF_LEVEL if huge else LEAF_LEVEL, node_hint)
+        self.map_run(table, va, [data_pfn], flags)
+
+    def leaf_table(self, va: int, leaf_level: int = LEAF_LEVEL, node_hint: int = 0) -> PageTablePage:
+        """The table holding ``va``'s entry at ``leaf_level``, allocating
+        (and linking) any missing table on the way down.
+
+        One descent serves every page the returned table maps: a 4 KiB
+        leaf table covers one aligned 2 MiB window.
+
+        Raises:
+            InvalidMappingError: a 2 MiB mapping already covers ``va``.
+        """
+        self.geometry.check_va(va)
         page = self.root
         for level in range(self.geometry.root_level, leaf_level, -1):
             index = level_index(va, level)
@@ -314,11 +337,29 @@ class PageTableTree:
                 )
             else:
                 page = self.registry[pte_pfn(entry)]
-        index = level_index(va, leaf_level)
-        if pte_present(page.entries[index]):
-            raise InvalidMappingError(f"va 0x{va:x} is already mapped")
-        leaf_flags = flags | PTE_PRESENT | (PTE_HUGE if huge else 0)
-        self.ops.set_pte(self, page, index, make_pte(data_pfn, leaf_flags))
+        return page
+
+    def map_run(self, table: PageTablePage, va: int, data_pfns: list[int], flags: int) -> None:
+        """Map consecutive pages from ``va`` to ``data_pfns`` in ``table``
+        (from :meth:`leaf_table`) with one PV-Ops run write.
+
+        The page size is the table's: 2 MiB leaves at L2, 4 KiB at L1.
+
+        Raises:
+            InvalidMappingError: the run leaves ``table``, or one of its
+                pages is already mapped.
+        """
+        start = level_index(va, table.level)
+        stop = start + len(data_pfns)
+        if stop > PTES_PER_TABLE:
+            raise InvalidMappingError(f"run of {len(data_pfns)} pages at 0x{va:x} leaves its table")
+        entries = table.entries
+        for index in range(start, stop):
+            if pte_present(entries[index]):
+                size = HUGE_PAGE_SIZE if table.level == HUGE_LEAF_LEVEL else PAGE_SIZE
+                raise InvalidMappingError(f"va 0x{va + (index - start) * size:x} is already mapped")
+        leaf_flags = flags | PTE_PRESENT | (PTE_HUGE if table.level == HUGE_LEAF_LEVEL else 0)
+        self.ops.set_pte_run(self, table, start, [make_pte(pfn, leaf_flags) for pfn in data_pfns])
 
     # protocol: defers[translation-visibility] -- caller owns the TLB shootdown
     def unmap_page(self, va: int) -> Translation:

@@ -30,7 +30,7 @@ from repro.paging.dump import PageTableDump, dump_tree
 from repro.paging.levels import PagingGeometry
 from repro.sim.engine import EngineConfig, Simulator
 from repro.sim.metrics import RunMetrics
-from repro.units import MIB, PAGE_SIZE
+from repro.units import MIB
 from repro.workloads.base import Workload
 from repro.workloads.registry import create
 
@@ -147,28 +147,13 @@ def _populate(kernel: Kernel, process: Process, workload: Workload, va_base: int
     """Fault the whole working set in, honouring each thread's init
     partition (who first-touches decides placement, §3.1)."""
     allow_huge = kernel.sysctl.thp_enabled
+    populate = kernel.fault_handler.populate
     n_threads = len(process.threads)
     for thread in process.threads:
         start, end = workload.init_partition(thread.tid, n_threads)
-        pos = va_base + start
-        limit = va_base + end
-        while pos < limit:
-            result = kernel.fault_handler.handle(
-                process, pos, thread.socket, is_write=True, allow_huge=allow_huge
-            )
-            pos += result.mapped_bytes if result.did_map else PAGE_SIZE
+        populate(process, va_base + start, va_base + end, thread.socket, allow_huge)
     # Partition rounding can leave a page unpopulated at region edges.
-    pos = va_base
-    limit = va_base + workload.footprint
-    while pos < limit:
-        mapped = process.mm.frame_at(pos)
-        if mapped is None:
-            result = kernel.fault_handler.handle(
-                process, pos, process.threads[0].socket, is_write=True, allow_huge=allow_huge
-            )
-            pos += result.mapped_bytes
-        else:
-            pos = mapped.va + mapped.frame.nbytes
+    populate(process, va_base, va_base + workload.footprint, process.threads[0].socket, allow_huge)
 
 
 def setup_multisocket(

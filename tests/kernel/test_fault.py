@@ -105,6 +105,18 @@ class TestThpFaults:
         result = kernel2.fault_handler.handle(thp_proc, va, socket=0, allow_huge=True)
         assert not result.huge
 
+    def test_swapped_page_blocks_huge(self, kernel2, thp_proc):
+        """A 2 MiB page must not cover a swapped-out page: its swap-in
+        would then find the window already mapped."""
+        va = thp_proc.mm.vmas.in_range(0, 1 << 40)[0].start
+        kernel2.fault_handler.handle(thp_proc, va, socket=0, allow_huge=False)
+        kernel2.swap.swap_out(thp_proc, va)
+        result = kernel2.fault_handler.handle(thp_proc, va + PAGE_SIZE, socket=0, allow_huge=True)
+        assert not result.huge
+        swap_in = kernel2.fault_handler.handle(thp_proc, va, socket=0, allow_huge=True)
+        assert swap_in.major
+        assert thp_proc.mm.tree.translate(va) is not None
+
     def test_vma_edge_blocks_huge(self, kernel2):
         kernel2.sysctl.thp_enabled = True
         process = kernel2.create_process("edge", socket=0)

@@ -17,23 +17,20 @@ sub-commands for the experiment harnesses, the analysis tools, the chaos
     python -m repro chaos --scenario replication-oom --seed 7 --json
     python -m repro fleet campaign --seeds 0-7 --intensities 0.5,1.0,2.0
     python -m repro fleet sweep --workloads gups,btree --seeds 1234
-    python -m repro fleet bench --accesses 6000 --no-pool
+    python -m repro fleet bench --accesses 6000
     python -m repro lint --format json
     python -m repro lint --whole-program --jobs 4 --changed
     python -m repro lint --explain
     python -m repro trace --out trace.json chaos --scenario replication-oom
     python -m repro perf --accesses 50000 --out BENCH_engine.json
-    python -m repro perf --fleet --check
 
 ``trace`` wraps any of the simulation sub-commands (``numactl``,
 ``scenario``, ``dump``, ``chaos``, ``fleet``) in a :mod:`repro.trace`
 session and exports the timeline — see docs/observability.md. ``fleet``
-shards a whole grid of cells across supervised worker processes (a
-persistent warm pool by default; ``--no-pool`` forks per attempt) with a
-crash-safe result cache — see docs/fleet.md. ``perf`` benchmarks the
-scalar-vs-vector interpreter tiers and writes ``BENCH_engine.json``;
-``perf --fleet`` benchmarks pooled-vs-per-attempt fleet dispatch and
-writes ``BENCH_fleet.json`` — see docs/performance.md.
+shards a whole grid of cells across a persistent warm pool of supervised
+worker processes with a crash-safe result cache — see docs/fleet.md.
+``perf`` benchmarks the scalar-vs-vector interpreter tiers and writes
+``BENCH_engine.json`` — see docs/performance.md.
 """
 
 from __future__ import annotations
@@ -162,16 +159,11 @@ def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=2,
-        help="supervised worker processes; 0 runs jobs inline (default: 2)",
-    )
-    parser.add_argument(
-        "--pool", action=argparse.BooleanOptionalAction, default=True,
-        help="dispatch through the persistent warm-worker pool (default); "
-        "--no-pool forks a fresh process per attempt instead",
+        help="warm-pool worker processes; 0 runs jobs inline (default: 2)",
     )
     parser.add_argument(
         "--timeout", type=float, default=60.0,
-        help="per-attempt wall-clock budget in seconds before the worker "
+        help="wall-clock budget per attempt, in seconds, before the worker "
         "is killed (default: 60)",
     )
     parser.add_argument(
@@ -291,37 +283,19 @@ def _add_perf_args(parser: argparse.ArgumentParser) -> None:
         help="run only this scenario (repeatable; default: all three)",
     )
     parser.add_argument(
-        "--out", default=None,
-        help="report path (default: BENCH_engine.json, or BENCH_fleet.json "
-        "with --fleet)",
+        "--out", default="BENCH_engine.json",
+        help="report path (default: BENCH_engine.json)",
     )
     parser.add_argument(
         "--check", action="store_true",
         help="exit non-zero if engines disagree on metrics, or the vector "
         "tier is slower than scalar on the GUPS gate scenario or the "
-        "escape-heavy gate scenarios (redis-faults, memcached-traced); "
-        "with --fleet: if pooled dispatch is < 1.5x per-attempt or the "
-        "two modes' outcomes differ",
+        "escape-heavy gate scenarios (redis-faults, memcached-traced)",
     )
     parser.add_argument(
         "--json", action="store_true",
-        help="print the full report (repro-bench-engine/2, or "
-        "repro-bench-fleet/1 with --fleet) to stdout instead of the "
-        "summary table",
-    )
-    parser.add_argument(
-        "--fleet", action="store_true",
-        help="benchmark fleet dispatch throughput (pooled vs per-attempt "
-        "workers over a many-small-jobs campaign) instead of the engine "
-        "tiers; writes BENCH_fleet.json",
-    )
-    parser.add_argument(
-        "--fleet-jobs", type=int, default=240,
-        help="--fleet: cells per campaign (default: 240)",
-    )
-    parser.add_argument(
-        "--fleet-workers", type=int, default=4,
-        help="--fleet: worker processes per mode (default: 4)",
+        help="print the full report (repro-bench-engine/2) to stdout "
+        "instead of the summary table",
     )
 
 
@@ -560,18 +534,19 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             plan.worker_crash(probability=args.inject_crash)
         if args.inject_hang > 0:
             plan.worker_crash(hang=True, every=args.inject_hang)
-    config = FleetConfig(
-        workers=args.workers,
-        pool=args.pool,
-        timeout=args.timeout,
-        max_attempts=args.max_attempts,
-        trace_dir=args.trace_dir,
-        fault_plan=plan,
-    )
+    try:
+        config = FleetConfig(
+            workers=args.workers,
+            timeout=args.timeout,
+            max_attempts=args.max_attempts,
+            trace_dir=args.trace_dir,
+            fault_plan=plan,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     fleet = Fleet(config, ResultCache(args.cache_dir))
-    mode_label = (
-        "inline" if args.workers == 0 else ("pooled" if args.pool else "per-attempt")
-    )
+    mode_label = "inline" if args.workers == 0 else "pooled"
     print(f"fleet {args.mode}: {len(specs)} cell(s), workers={args.workers} "
           f"({mode_label}), cache={args.cache_dir}", file=sys.stderr)
     report = fleet.run(specs)
@@ -776,19 +751,11 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     gate: non-zero exit when the engines' metrics differ anywhere, or
     the vector tier is slower than scalar on the GUPS scenario or the
     escape-heavy redis-faults / memcached-traced scenarios.
-
-    ``--fleet`` benchmarks the *fleet* instead (:mod:`repro.fleet.bench`):
-    pooled vs per-attempt dispatch throughput over a many-small-jobs
-    campaign plus a chaos-hardened equivalence campaign, written to
-    ``BENCH_fleet.json`` (``repro-bench-fleet/1``); ``--check`` then
-    gates pooled ≥ 1.5x per-attempt with identical outcomes.
     """
     import json
 
     from repro.sim.bench import check_report, run_bench, write_report
 
-    if args.fleet:
-        return _cmd_perf_fleet(args)
     try:
         report = run_bench(
             accesses=args.accesses, repeat=args.repeat, scenarios=args.scenario
@@ -796,7 +763,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = args.out or "BENCH_engine.json"
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -815,53 +781,11 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                 f"  vector {latency['vector']['p50_us']:,.0f}/{latency['vector']['p99_us']:,.0f}"
                 f"  ({latency['accesses_per_batch']} accesses/batch)"
             )
-    write_report(report, out)
+    write_report(report, args.out)
     if not args.json:
-        print(f"report written to {out}")
+        print(f"report written to {args.out}")
     if args.check:
         problems = check_report(report)
-        for problem in problems:
-            print(f"check failed: {problem}", file=sys.stderr)
-        return 1 if problems else 0
-    return 0
-
-
-def _cmd_perf_fleet(args: argparse.Namespace) -> int:
-    """``repro perf --fleet``: pooled vs per-attempt dispatch throughput
-    (jobs/s, per-job dispatch-overhead p50/p99) plus the chaos-hardened
-    mode-equivalence campaign; writes ``BENCH_fleet.json``."""
-    import json
-
-    from repro.fleet.bench import check_fleet_report, run_fleet_bench
-    from repro.sim.bench import write_report
-
-    report = run_fleet_bench(jobs=args.fleet_jobs, workers=args.fleet_workers)
-    out = args.out or "BENCH_fleet.json"
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for section in ("campaign", "chaos"):
-            data = report[section]
-            print(f"{section:>10}: {data['jobs']} job(s), "
-                  f"workers={report['workers']}")
-            for mode in ("per-attempt", "pooled"):
-                stats = data[mode]
-                overhead = stats["dispatch_overhead"]
-                print(
-                    f"{'':>10}  {mode:>11}: {stats['jobs_per_second']:>8,.0f} jobs/s"
-                    f"  overhead p50/p99 (us) "
-                    f"{overhead['p50_us']:,.0f}/{overhead['p99_us']:,.0f}"
-                    f"  recycles {stats['worker_recycles']}"
-                )
-            print(
-                f"{'':>10}  speedup {data['speedup']:.2f}x, outcomes "
-                + ("identical" if data["outcomes_identical"] else "DIFFER")
-            )
-    write_report(report, out)
-    if not args.json:
-        print(f"report written to {out}")
-    if args.check:
-        problems = check_fleet_report(report)
         for problem in problems:
             print(f"check failed: {problem}", file=sys.stderr)
         return 1 if problems else 0

@@ -10,23 +10,20 @@ into sweeps that survive crashing, hanging and flaky cells:
 * :mod:`repro.fleet.cache` — the crash-safe :class:`ResultCache`
   (atomic write-rename, per-entry checksums, corrupt-entry eviction)
   that doubles as the resume checkpoint;
-* :mod:`repro.fleet.supervisor` — one supervised worker process per
-  attempt, with wall-clock timeouts and SIGTERM→SIGKILL escalation;
 * :mod:`repro.fleet.pool` — the persistent warm-worker pool
   (:class:`WorkerPool`): long-lived processes that import once and loop
-  pulling jobs over a duplex pipe, recycled on timeout or crash;
+  pulling jobs over a duplex pipe, with wall-clock timeouts,
+  SIGTERM→SIGKILL escalation, and recycling on timeout or crash;
 * :mod:`repro.fleet.dispatcher` — :class:`Fleet`: sharding, bounded
   retries with backoff + jitter, poisoned-job quarantine, graceful
-  SIGINT shutdown, event-driven wakeup, and self-hosted chaos at
-  ``fleet.worker.crash``;
+  SIGINT shutdown, event-driven wakeup, self-hosted chaos at
+  ``fleet.worker.crash``, and the in-process ``workers=0`` mode;
 * :mod:`repro.fleet.report` — :class:`FleetReport`: merged outcomes,
-  chaos-campaign aggregation, failing-cell reproducers;
-* :mod:`repro.fleet.bench` — the dispatch-throughput benchmark behind
-  ``python -m repro.cli perf --fleet`` (``BENCH_fleet.json``).
+  chaos-campaign aggregation, failing-cell reproducers.
 """
 
 from repro.fleet.cache import CacheStats, ResultCache
-from repro.fleet.dispatcher import Fleet, FleetConfig
+from repro.fleet.dispatcher import Fleet, FleetConfig, run_attempt_inline
 from repro.fleet.jobs import (
     KEY_SCHEMA,
     ProbeSpec,
@@ -38,7 +35,16 @@ from repro.fleet.jobs import (
     scenario_grid,
     spec_from_dict,
 )
-from repro.fleet.pool import PoolWorker, WorkerPool
+from repro.fleet.pool import (
+    OUTCOME_CRASH,
+    OUTCOME_ERROR,
+    OUTCOME_OK,
+    OUTCOME_TIMEOUT,
+    AttemptOutcome,
+    PoolWorker,
+    WorkerPool,
+    execute_job,
+)
 from repro.fleet.report import (
     STATUS_CACHED,
     STATUS_COMPUTED,
@@ -46,16 +52,6 @@ from repro.fleet.report import (
     TERMINAL_STATUSES,
     FleetReport,
     JobOutcome,
-)
-from repro.fleet.supervisor import (
-    OUTCOME_CRASH,
-    OUTCOME_ERROR,
-    OUTCOME_OK,
-    OUTCOME_TIMEOUT,
-    AttemptOutcome,
-    WorkerHandle,
-    execute_job,
-    run_attempt_inline,
 )
 
 __all__ = [
@@ -78,7 +74,6 @@ __all__ = [
     "PoolWorker",
     "ProbeSpec",
     "ResultCache",
-    "WorkerHandle",
     "WorkerPool",
     "bench_grid",
     "canonical_json",

@@ -7,19 +7,17 @@ terminal state:
 1. **Cache first** — each spec content-hashes to a key
    (:func:`repro.fleet.jobs.job_key`); a verified cache entry is a
    ``cached`` outcome and costs nothing.
-2. **Supervised execution** — misses fan out across up to
-   ``workers`` child processes, each attempt with a wall-clock timeout
-   and SIGTERM→SIGKILL escalation. By default the workers are a
-   **persistent warm pool** (:class:`~repro.fleet.pool.WorkerPool`):
-   long-lived processes that import once and then loop pulling jobs over
-   a duplex pipe, with a timed-out or crashed worker killed and
-   *recycled* (a fresh process takes over the slot). ``pool=False``
-   restores the legacy one-fresh-process-per-attempt mode
-   (:class:`~repro.fleet.supervisor.WorkerHandle`); ``workers=0`` runs
-   inline (tests, tiny sweeps). Either way the dispatcher sleeps
-   **event-driven** — :func:`multiprocessing.connection.wait` over every
-   running worker's pipe/sentinel with the earliest deadline as the
-   timeout — never on a fixed poll interval.
+2. **Supervised execution** — misses fan out across a **persistent
+   warm pool** of ``workers`` child processes
+   (:class:`~repro.fleet.pool.WorkerPool`): long-lived processes that
+   import once and then loop pulling jobs over a duplex pipe. Each
+   attempt has a wall-clock timeout with SIGTERM→SIGKILL escalation, and
+   a timed-out or crashed worker is killed and *recycled* (a fresh
+   process takes over the slot). ``workers=0`` runs inline instead
+   (tests, tiny sweeps). The dispatcher sleeps **event-driven** —
+   :func:`multiprocessing.connection.wait` over every running worker's
+   pipe/sentinel with the earliest deadline as the timeout — never on a
+   fixed poll interval.
 3. **Bounded retries** — a failed attempt (error, crash, timeout)
    requeues with exponential backoff plus deterministic jitter (the
    backoff shape of :class:`~repro.mitosis.daemon.MitosisDaemon`, in
@@ -55,22 +53,21 @@ from typing import Callable
 from repro._version import __version__
 from repro.fleet.cache import ResultCache
 from repro.fleet.jobs import JobSpecLike, job_key
-from repro.fleet.pool import WorkerPool
+from repro.fleet.pool import (
+    OUTCOME_CRASH,
+    OUTCOME_ERROR,
+    OUTCOME_OK,
+    OUTCOME_TIMEOUT,
+    AttemptOutcome,
+    PoolWorker,
+    WorkerPool,
+)
 from repro.fleet.report import (
     STATUS_CACHED,
     STATUS_COMPUTED,
     STATUS_QUARANTINED,
     FleetReport,
     JobOutcome,
-)
-from repro.fleet.supervisor import (
-    OUTCOME_CRASH,
-    OUTCOME_ERROR,
-    OUTCOME_OK,
-    OUTCOME_TIMEOUT,
-    AttemptOutcome,
-    WorkerHandle,
-    run_attempt_inline,
 )
 from repro.inject.plan import SITE_WORKER_CRASH, FaultPlan
 from repro.trace.integrate import publish_fleet_report
@@ -82,16 +79,38 @@ def _now() -> float:
     return time.monotonic()  # lint: allow[DET001] -- fleet scheduling is real time
 
 
+def run_attempt_inline(spec: JobSpecLike, attempt: int) -> AttemptOutcome:
+    """Run one attempt in-process (``workers=0`` mode).
+
+    No isolation — a genuinely crashing or hanging job takes the
+    dispatcher with it — but exact determinism and zero fork overhead,
+    which is what tests and tiny sweeps want. Injected crashes/hangs
+    (site ``fleet.worker.crash``) are simulated by the dispatcher before
+    this is reached, so the fleet's failure handling stays testable even
+    inline.
+    """
+    start = _now()
+    try:
+        payload = spec.run(attempt=attempt)
+    except KeyboardInterrupt:
+        raise
+    except Exception as exc:  # noqa: BLE001 - the outcome *is* the handler
+        return AttemptOutcome(
+            status=OUTCOME_ERROR,
+            detail=f"{type(exc).__name__}: {exc}",
+            seconds=_now() - start,
+        )
+    return AttemptOutcome(
+        status=OUTCOME_OK, payload=payload, seconds=_now() - start
+    )
+
+
 @dataclass
 class FleetConfig:
     """Tunables of one dispatch."""
 
-    #: Concurrent worker processes; 0 = run jobs inline in this process.
+    #: Warm pool size; 0 = run jobs inline in this process.
     workers: int = 2
-    #: Dispatch through the persistent warm-worker pool (default). False
-    #: restores the legacy fresh-process-per-attempt mode. Irrelevant
-    #: when ``workers=0``.
-    pool: bool = True
     #: Per-attempt wall-clock budget before the SIGKILL escalation.
     timeout: float = 60.0
     #: SIGTERM → SIGKILL grace, and how long to wait for a clean exit.
@@ -117,6 +136,14 @@ class FleetConfig:
     #: (``multiprocessing.connection.wait``), so this no longer quantizes
     #: attempt-settlement latency.
     poll_interval: float = 0.005
+
+    def __post_init__(self) -> None:
+        if self.workers < 0:
+            raise ValueError(
+                f"workers must be >= 0 (0 runs inline), got {self.workers}"
+            )
+        if self.timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout:g}s")
 
 
 @dataclass
@@ -156,10 +183,7 @@ class Fleet:
         """
         config = self.config
         report = FleetReport(engine=config.engine, code_version=config.code_version)
-        if config.workers == 0:
-            report.dispatch_mode = "inline"
-        else:
-            report.dispatch_mode = "pooled" if config.pool else "per-attempt"
+        report.dispatch_mode = "inline" if config.workers == 0 else "pooled"
         session = current_session()
         start = _now()
         if session is None:
@@ -211,11 +235,11 @@ class Fleet:
             self._trace_root.mkdir(parents=True, exist_ok=True)
 
         pool: WorkerPool | None = None
-        if config.workers > 0 and config.pool and pending:
+        if config.workers > 0 and pending:
             pool = WorkerPool(
                 size=min(config.workers, len(pending)), grace=config.grace
             )
-        running: list[tuple[_JobState, object]] = []
+        running: list[tuple[_JobState, PoolWorker]] = []
         try:
             while pending or running:
                 launched = self._launch_eligible(
@@ -228,8 +252,8 @@ class Fleet:
             # Graceful shutdown: drain anything already finished (their
             # results are checkpointed in the cache), kill the rest.
             self._poll_running(running, pending, report, progress=None)
-            for _, handle in running:
-                handle.abort()
+            for _, worker in running:
+                worker.abort()
             report.interrupted = True
         finally:
             if pool is not None:
@@ -247,10 +271,10 @@ class Fleet:
             if state.not_before > now:
                 remaining = state.not_before - now
                 timeout = remaining if timeout is None else min(timeout, remaining)
-        for _, handle in running:
-            remaining = handle.deadline - now
+        for _, worker in running:
+            remaining = worker.deadline - now
             timeout = remaining if timeout is None else min(timeout, remaining)
-        objects = [obj for _, handle in running for obj in handle.wait_objects]
+        objects = [obj for _, worker in running for obj in worker.wait_objects]
         if objects:
             mp_connection.wait(objects, max(timeout, 0.0) if timeout is not None else None)
         elif timeout is not None:
@@ -263,10 +287,9 @@ class Fleet:
         config = self.config
         launched = False
         now = _now()
-        slots = pool.size if pool is not None else max(config.workers, 1)
-        capacity = slots - len(running)
+        capacity = pool.size - len(running) if pool is not None else 0
         index = 0
-        while index < len(pending) and (config.workers == 0 or capacity > 0):
+        while index < len(pending) and (pool is None or capacity > 0):
             state = pending[index]
             if state.not_before > now:
                 index += 1
@@ -278,32 +301,18 @@ class Fleet:
             if injected is not None:
                 self._settle_attempt(state, injected, pending, report, progress)
                 continue
-            if config.workers == 0:
+            if pool is None:
                 outcome = run_attempt_inline(state.spec, state.attempts)
                 self._settle_attempt(state, outcome, pending, report, progress)
                 continue
-            if pool is not None:
-                worker = pool.idle_worker()
-                worker.submit(
-                    state.spec,
-                    state.attempts,
-                    timeout=config.timeout,
-                    trace_path=self._trace_path(state),
-                )
-                running.append((state, worker))
-            else:
-                running.append(
-                    (
-                        state,
-                        WorkerHandle(
-                            state.spec,
-                            state.attempts,
-                            timeout=config.timeout,
-                            grace=config.grace,
-                            trace_path=self._trace_path(state),
-                        ),
-                    )
-                )
+            worker = pool.idle_worker()
+            worker.submit(
+                state.spec,
+                state.attempts,
+                timeout=config.timeout,
+                trace_path=self._trace_path(state),
+            )
+            running.append((state, worker))
             capacity -= 1
         return launched
 
@@ -312,12 +321,11 @@ class Fleet:
         settled = False
         index = 0
         while index < len(running):
-            state, handle = running[index]
-            outcome = handle.poll()
+            state, worker = running[index]
+            outcome = worker.poll()
             if outcome is None:
                 index += 1
                 continue
-            handle.release()  # pool: slot stays warm; per-attempt: pipe closed
             running.pop(index)
             settled = True
             # Requeue-or-terminal goes through the same path as inline.

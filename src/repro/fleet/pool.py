@@ -1,35 +1,41 @@
 """Persistent warm-worker pool: import once, run many jobs.
 
-The per-attempt supervisor (:class:`~repro.fleet.supervisor.WorkerHandle`)
-pays fork + interpreter state + ``import repro`` for *every* cell of a
-sweep — fine for long cells, ruinous for the many-small-jobs campaigns
-the ablation matrices need. A :class:`WorkerPool` amortizes that cost:
-``workers`` long-lived child processes each run
-:func:`_pool_worker_main`, a loop that pulls job messages off a duplex
-pipe, executes them via :func:`~repro.fleet.supervisor.execute_job`
-(fresh per-job :class:`~repro.trace.session.TraceSession`, so trace
-bundles are identical to per-attempt mode), and streams results back.
+Forking a fresh process per attempt would pay fork + interpreter state +
+``import repro`` for *every* cell of a sweep — fine for long cells,
+ruinous for the many-small-jobs campaigns the ablation matrices need. A
+:class:`WorkerPool` amortizes that cost: ``workers`` long-lived child
+processes each run :func:`_pool_worker_main`, a loop that pulls job
+messages off a duplex pipe, executes them via :func:`execute_job` (fresh
+per-job :class:`~repro.trace.session.TraceSession`, so every job gets its
+own trace bundle), and streams results back.
 
-Supervision semantics survive intact — the parent still never trusts the
-child:
+The parent never trusts the child:
 
 * **timeout** — the per-job wall-clock deadline is enforced by the
-  dispatcher's poll; a stuck worker is killed with the same
-  SIGTERM → SIGKILL escalation and the slot is **recycled** (a fresh
-  process replaces it before the next job);
+  dispatcher's poll; a stuck worker is killed with SIGTERM → SIGKILL
+  escalation and the slot is **recycled** (a fresh process replaces it
+  before the next job);
 * **crash** — a worker that dies mid-job is detected by its dead pipe /
   process sentinel, reported as a ``crash`` outcome, and recycled;
 * **idle death** — a worker that dies between jobs is replaced on the
   next submit, invisibly to the job.
 
+Attempt outcomes are a closed set:
+
+* ``ok`` — the worker sent a payload;
+* ``error`` — the worker caught a job-level exception and reported it
+  (the job is retryable; the worker itself behaved);
+* ``crash`` — the worker died without reporting (killed, ``os._exit``,
+  segfault-shaped);
+* ``timeout`` — the deadline passed; the dispatcher killed the worker.
+
 Pool workers ignore SIGINT (the standard :mod:`multiprocessing` pool
 convention): Ctrl-C belongs to the dispatcher, which drains finished
 results and shuts the pool down cleanly.
 
-While busy, a :class:`PoolWorker` presents the same surface as
-:class:`WorkerHandle` (``poll``/``deadline``/``wait_objects``/
-``release``/``abort``), so the dispatcher drives both modes through one
-code path.
+Wall-clock use here is deliberate and annotated: supervision is about
+*real* time (a hung worker hangs in real seconds), and nothing measured
+here feeds back into simulated state.
 """
 
 from __future__ import annotations
@@ -37,22 +43,64 @@ from __future__ import annotations
 import multiprocessing
 import signal
 import time
+from dataclasses import dataclass
 from multiprocessing.connection import Connection
 
-from repro.fleet.jobs import JobSpecLike
-from repro.fleet.supervisor import (
-    OUTCOME_CRASH,
-    OUTCOME_ERROR,
-    OUTCOME_OK,
-    OUTCOME_TIMEOUT,
-    AttemptOutcome,
-    execute_job,
-)
+from repro.fleet.jobs import JobSpecLike, spec_from_dict
+
+#: Attempt outcome statuses.
+OUTCOME_OK = "ok"
+OUTCOME_ERROR = "error"
+OUTCOME_CRASH = "crash"
+OUTCOME_TIMEOUT = "timeout"
+
+
+@dataclass
+class AttemptOutcome:
+    """What one worker attempt came to."""
+
+    status: str
+    payload: dict | None = None
+    detail: str = ""
+    seconds: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return self.status == OUTCOME_OK
 
 
 def _now() -> float:
     """Wall clock for supervision deadlines only."""
     return time.monotonic()  # lint: allow[DET001] -- supervision timeouts are real time
+
+
+def execute_job(spec_dict: dict, attempt: int, trace_path: str | None) -> dict:
+    """Run one job body and return its payload (raises on job error).
+
+    With ``trace_path`` set, the job runs under its own fresh
+    :class:`~repro.trace.session.TraceSession` whose Chrome export lands
+    at that path — the per-job trace bundle of a fleet run. The session
+    is opened and closed *per job*, so a long-lived pool worker produces
+    one self-contained bundle per job it runs.
+    """
+    from contextlib import nullcontext
+
+    from repro.trace.session import TraceSession, tracing
+    from repro.trace.sinks import ChromeTraceSink
+
+    spec = spec_from_dict(spec_dict)
+    if trace_path:
+        sink = ChromeTraceSink(trace_path)
+        session = TraceSession(
+            sinks=[sink],
+            metadata={"fleet-job": spec.label(), "attempt": attempt},
+        )
+        sink.open_session(session)
+        scope = tracing(session)
+    else:
+        scope = nullcontext()
+    with scope:
+        return spec.run(attempt=attempt)
 
 
 # protocol: receives[job] -- pulls job messages off the duplex pipe
@@ -94,12 +142,11 @@ class PoolWorker:
     """One warm slot: a long-lived process + duplex pipe + lease state.
 
     The worker is either *idle* (warm, waiting for a job) or *busy*
-    (leased to one attempt, with a wall-clock deadline). ``poll`` mirrors
-    :meth:`WorkerHandle.poll` — a reported result wins over an exit code,
-    a result arriving in the same tick as the deadline still counts — but
-    a timeout or crash additionally **recycles** the slot: the process is
-    killed (SIGTERM → SIGKILL) and a fresh one spawned, so the next job
-    on this slot starts clean.
+    (leased to one attempt, with a wall-clock deadline). In ``poll`` a
+    reported result wins over an exit code, and a result arriving in the
+    same tick as the deadline still counts; a timeout or crash
+    **recycles** the slot: the process is killed (SIGTERM → SIGKILL) and
+    a fresh one spawned, so the next job on this slot starts clean.
     """
 
     def __init__(
@@ -261,10 +308,6 @@ class PoolWorker:
             pass
         self.recycles += 1
         self._spawn()
-
-    def release(self) -> None:
-        """Dispatcher hook after a settled attempt: the slot stays warm
-        (``poll`` already returned it to idle)."""
 
     def abort(self) -> None:
         """Dispatcher hook on interrupt: kill the process, no respawn."""

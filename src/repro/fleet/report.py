@@ -84,9 +84,8 @@ class FleetReport:
     outcomes: list[JobOutcome] = field(default_factory=list)
     engine: str = "vector"
     code_version: str = ""
-    #: How attempts ran: ``inline`` (workers=0), ``pooled`` (warm-worker
-    #: pool) or ``per-attempt`` (fresh process per attempt); ``mixed``
-    #: after merging shards that disagree.
+    #: How attempts ran: ``inline`` (workers=0) or ``pooled`` (warm-worker
+    #: pool); ``mixed`` after merging shards that disagree.
     dispatch_mode: str = ""
     #: Pool mode only: worker processes killed and replaced (timeout,
     #: crash, or idle death).

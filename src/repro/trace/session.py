@@ -111,7 +111,7 @@ class _SpanHandle:
 
 # concurrency: not-fork-inheritable -- sinks hold open file handles; a forked
 # child would interleave writes with the parent. Workers open a fresh session
-# per job (see repro.fleet.supervisor.execute_job).
+# per job (see repro.fleet.pool.execute_job).
 class TraceSession:
     """Ring-buffered event store + metric registry + sinks.
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.fleet import (
+    OUTCOME_ERROR,
+    OUTCOME_OK,
     Fleet,
     FleetConfig,
     ProbeSpec,
@@ -11,6 +13,7 @@ from repro.fleet import (
     STATUS_COMPUTED,
     STATUS_QUARANTINED,
     job_key,
+    run_attempt_inline,
 )
 from repro.inject import FaultPlan
 
@@ -26,6 +29,40 @@ def inline_config(**overrides):
 
 def make_fleet(tmp_path, **overrides):
     return Fleet(inline_config(**overrides), ResultCache(tmp_path / "cache"))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("workers", [-1, -2])
+    def test_negative_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            FleetConfig(workers=workers)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            FleetConfig(timeout=timeout)
+
+
+class TestInline:
+    def test_inline_ok(self):
+        outcome = run_attempt_inline(ProbeSpec(value=9), attempt=1)
+        assert outcome.status == OUTCOME_OK
+        assert outcome.payload["value"] == 9
+
+    def test_inline_error(self):
+        outcome = run_attempt_inline(ProbeSpec(behavior="fail"), attempt=1)
+        assert outcome.status == OUTCOME_ERROR
+        assert "RuntimeError" in outcome.detail
+
+    def test_inline_propagates_keyboard_interrupt(self):
+        class Interrupting:
+            kind = "probe"
+
+            def run(self, attempt=1):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_attempt_inline(Interrupting(), attempt=1)
 
 
 class TestTerminalOutcomes:

@@ -1,8 +1,8 @@
 """The warm-worker pool: reuse, recycle-on-timeout/crash, escalation,
-mode equivalence.
+and pooled-vs-inline equivalence under chaos.
 
-Real child processes again (the pool's whole point is their lifecycle),
-so aggressive timeouts keep these fast.
+Real child processes (the pool's whole point is their lifecycle), so
+aggressive timeouts keep these fast.
 """
 
 import time
@@ -10,17 +10,20 @@ import time
 import pytest
 
 from repro.fleet import (
+    OUTCOME_CRASH,
+    OUTCOME_ERROR,
+    OUTCOME_OK,
+    OUTCOME_TIMEOUT,
+    STATUS_QUARANTINED,
     Fleet,
     FleetConfig,
+    FleetReport,
     ProbeSpec,
     ResultCache,
     WorkerPool,
+    canonical_json,
 )
-from repro.fleet.supervisor import (
-    OUTCOME_CRASH,
-    OUTCOME_OK,
-    OUTCOME_TIMEOUT,
-)
+from repro.inject import FaultPlan
 
 
 def wait_for_outcome(worker, deadline=30.0):
@@ -59,10 +62,12 @@ class TestWarmReuse:
         """A job-level exception is a result, not a worker death."""
         worker = pool.workers[0]
         pid = worker.process.pid
-        worker.submit(ProbeSpec(behavior="fail"), attempt=1, timeout=20.0)
+        worker.submit(ProbeSpec(behavior="fail"), attempt=2, timeout=20.0)
         outcome = wait_for_outcome(worker)
-        assert not outcome.ok and "RuntimeError" in outcome.detail
-        worker.submit(ProbeSpec(value=3), attempt=2, timeout=20.0)
+        assert outcome.status == OUTCOME_ERROR
+        assert "RuntimeError" in outcome.detail
+        assert "attempt 2" in outcome.detail
+        worker.submit(ProbeSpec(value=3), attempt=3, timeout=20.0)
         assert wait_for_outcome(worker).ok
         assert worker.process.pid == pid and worker.recycles == 0
 
@@ -79,7 +84,7 @@ class TestRecycle:
         )
         outcome = wait_for_outcome(worker)
         assert outcome.status == OUTCOME_TIMEOUT
-        assert "killed after" in outcome.detail
+        assert "killed after 0.4s" in outcome.detail
         assert worker.recycles == 1
         assert worker.process.pid != stuck_pid  # a fresh process
         assert worker.process.is_alive()
@@ -132,6 +137,31 @@ class TestRecycle:
         assert worker.recycles == 1
 
 
+class TestAbort:
+    def test_poll_is_none_while_running(self, pool):
+        worker = pool.workers[0]
+        worker.submit(
+            ProbeSpec(behavior="hang", hang_seconds=60.0),
+            attempt=1, timeout=30.0,
+        )
+        try:
+            assert worker.poll() is None
+            assert worker.busy
+        finally:
+            worker.abort()
+
+    def test_abort_reaps_a_busy_hung_worker(self, pool):
+        worker = pool.workers[0]
+        worker.submit(
+            ProbeSpec(behavior="hang", hang_seconds=60.0),
+            attempt=1, timeout=30.0,
+        )
+        worker.abort()
+        assert not worker.busy
+        assert not worker.process.is_alive()
+        assert worker.process.exitcode is not None
+
+
 class TestShutdown:
     def test_close_reaps_every_worker(self):
         pool = WorkerPool(size=2, grace=0.3)
@@ -154,7 +184,7 @@ class TestShutdown:
 
 class TestDispatcherIntegration:
     def test_pooled_fleet_reuses_workers(self, tmp_path):
-        config = FleetConfig(workers=2, pool=True, timeout=20.0)
+        config = FleetConfig(workers=2, timeout=20.0)
         fleet = Fleet(config, ResultCache(tmp_path / "cache"))
         report = fleet.run([ProbeSpec(value=n) for n in range(12)])
         assert report.computed == 12 and report.ok
@@ -163,7 +193,7 @@ class TestDispatcherIntegration:
 
     def test_pool_recycle_counted_in_report(self, tmp_path):
         config = FleetConfig(
-            workers=1, pool=True, timeout=0.4, grace=0.3, max_attempts=2,
+            workers=1, timeout=0.4, grace=0.3, max_attempts=2,
             backoff_base=0.0, backoff_cap=0.0,
         )
         fleet = Fleet(config, ResultCache(tmp_path / "cache"))
@@ -177,25 +207,6 @@ class TestDispatcherIntegration:
         by_label = {o.label: o for o in report.outcomes}
         assert by_label["probe:ok/2"].ok  # ran on a recycled slot
 
-    def test_pooled_and_per_attempt_outcomes_are_identical(self, tmp_path):
-        from repro.fleet.bench import outcome_signature
-
-        specs = [
-            ProbeSpec(value=1),
-            ProbeSpec(behavior="flaky", succeed_after=2, value=2),
-            ProbeSpec(behavior="fail", value=3),
-            ProbeSpec(behavior="crash", value=4),
-        ]
-        signatures = {}
-        for mode, pooled in (("pooled", True), ("per-attempt", False)):
-            config = FleetConfig(
-                workers=2, pool=pooled, timeout=20.0, max_attempts=2,
-                backoff_base=0.0, backoff_cap=0.0,
-            )
-            fleet = Fleet(config, ResultCache(tmp_path / mode))
-            signatures[mode] = outcome_signature(fleet.run(specs))
-        assert signatures["pooled"] == signatures["per-attempt"]
-
     def test_per_job_trace_bundles_from_reused_workers(self, tmp_path):
         """A reused worker opens and closes a fresh TraceSession per job:
         every cell gets its own non-empty bundle."""
@@ -203,7 +214,7 @@ class TestDispatcherIntegration:
 
         trace_dir = tmp_path / "traces"
         config = FleetConfig(
-            workers=1, pool=True, timeout=20.0, trace_dir=str(trace_dir)
+            workers=1, timeout=20.0, trace_dir=str(trace_dir)
         )
         fleet = Fleet(config, ResultCache(tmp_path / "cache"))
         report = fleet.run([ProbeSpec(value=n) for n in range(3)])
@@ -215,27 +226,106 @@ class TestDispatcherIntegration:
             assert events, f"empty trace bundle {bundle.name}"
 
 
-class TestSupervisorEscalation:
-    def test_per_attempt_stubborn_worker_is_sigkilled(self):
-        """Satellite: the legacy supervisor's escalation against a
-        SIGTERM-ignoring worker still lands."""
-        from repro.fleet.supervisor import WorkerHandle
 
-        handle = WorkerHandle(
-            ProbeSpec(behavior="stubborn", hang_seconds=60.0),
-            attempt=1, timeout=0.4, grace=0.2,
+#: Cells whose value hits these residues (mod ``INJECT_MOD``) get an
+#: injected crash / hang on their first attempt.
+INJECT_MOD = 9
+CRASH_RESIDUE = 3
+HANG_RESIDUE = 6
+#: Every 37th-ish cell is flaky (fails once, then succeeds).
+FLAKY_MOD = 37
+#: One always-crashing and one always-hanging cell: deterministic
+#: quarantines that exercise the recycle path for real.
+CRASH_VALUE = 13
+HANG_VALUE = 77
+
+
+def probe_value(context: dict) -> int:
+    """The cell value back out of a probe label (``probe:<behavior>/<n>``)."""
+    return int(context["label"].rsplit("/", 1)[1])
+
+
+def chaos_plan() -> FaultPlan:
+    """Order-independent injection: fires on (value, attempt) only, never
+    on call counts or plan RNG draws, so pooled and inline dispatch inject
+    identically however their launches interleave."""
+    plan = FaultPlan(seed=0)
+    plan.worker_crash(
+        predicate=lambda ctx: ctx["attempt"] == 1
+        and probe_value(ctx) % INJECT_MOD == CRASH_RESIDUE
+    )
+    plan.worker_crash(
+        hang=True,
+        predicate=lambda ctx: ctx["attempt"] == 1
+        and probe_value(ctx) % INJECT_MOD == HANG_RESIDUE,
+    )
+    return plan
+
+
+def chaos_specs(jobs: int) -> list[ProbeSpec]:
+    """Mostly ok-cells plus deterministic trouble."""
+    specs: list[ProbeSpec] = []
+    for n in range(jobs):
+        if n == CRASH_VALUE:
+            specs.append(ProbeSpec(behavior="crash", value=n))
+        elif n == HANG_VALUE:
+            specs.append(ProbeSpec(behavior="hang", hang_seconds=60.0, value=n))
+        elif n % FLAKY_MOD == 5:
+            specs.append(ProbeSpec(behavior="flaky", succeed_after=2, value=n))
+        else:
+            specs.append(ProbeSpec(value=n))
+    return specs
+
+
+def outcome_signature(outcomes) -> list[tuple]:
+    """The dispatch-independent fingerprint of a run: every cell's label,
+    terminal status, attempt count, verdict and payload."""
+    return sorted(
+        (o.label, o.status, o.attempts, o.ok, canonical_json(o.payload or {}))
+        for o in outcomes
+    )
+
+
+class TestChaosCampaign:
+    """The pooled fleet under injected and real worker faults, checked
+    against the in-process reference dispatch."""
+
+    JOBS = 80
+
+    @staticmethod
+    def run(cache_dir, specs, workers):
+        config = FleetConfig(
+            workers=workers, timeout=0.5, backoff_base=0.0, backoff_cap=0.0,
+            fault_plan=chaos_plan(),
         )
-        start = time.monotonic()  # lint: allow[DET001] -- test harness real time
-        while True:
-            outcome = handle.poll()
-            if outcome is not None:
-                break
-            if time.monotonic() - start > 30.0:  # lint: allow[DET001] -- ditto
-                handle.stop()
-                pytest.fail("stubborn worker never settled")
-            time.sleep(0.01)
-        handle.close()
-        assert outcome.status == OUTCOME_TIMEOUT
-        assert not handle.process.is_alive()
-        # SIGTERM alone cannot have done it: the handler ignores it.
-        assert handle.process.exitcode == -9  # SIGKILL
+        return Fleet(config, ResultCache(cache_dir)).run(specs)
+
+    def test_pooled_outcomes_match_inline_under_chaos(self, tmp_path):
+        specs = chaos_specs(self.JOBS)
+        pooled = self.run(tmp_path / "pooled", specs, workers=2)
+
+        # Inline dispatch cannot survive a real crash or hang: compare
+        # the other 78 cells (ok, flaky, injected crashes and hangs).
+        fatal = {CRASH_VALUE, HANG_VALUE}
+        inline = self.run(
+            tmp_path / "inline",
+            [spec for spec in specs if spec.value not in fatal],
+            workers=0,
+        )
+        fatal_labels = {spec.label() for spec in specs if spec.value in fatal}
+        survivors = [o for o in pooled.outcomes if o.label not in fatal_labels]
+        assert inline.jobs == len(survivors) == self.JOBS - 2
+        assert outcome_signature(survivors) == outcome_signature(inline.outcomes)
+
+        quarantined = [o for o in pooled.outcomes if o.label in fatal_labels]
+        assert [o.status for o in quarantined] == [STATUS_QUARANTINED] * 2
+        assert [o.attempts for o in quarantined] == [FleetConfig.max_attempts] * 2
+
+        assert pooled.dispatch_mode == "pooled"
+        assert (pooled.computed, pooled.quarantined) == (78, 2)
+        assert pooled.retries == 24
+        # Nine injected plus three real ones per fault kind.
+        assert (pooled.timeouts, pooled.crashes, pooled.errors) == (12, 12, 2)
+        assert (pooled.injected_crashes, pooled.injected_hangs) == (9, 9)
+        # Only the real crash and hang kill (and so recycle) a worker.
+        assert pooled.worker_recycles == 6

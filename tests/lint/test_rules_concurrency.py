@@ -16,7 +16,6 @@ from repro.lint import lint_paths
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 POOL_SOURCE = SRC / "fleet" / "pool.py"
-SUPERVISOR_SOURCE = SRC / "fleet" / "supervisor.py"
 
 
 def _findings(path, rule):
@@ -95,28 +94,6 @@ class TestRealCodeRegression:
         assert "_pool_worker_main" in found[0].message
         assert "`conn`" in found[0].message
         assert "still open" in found[0].message
-
-    def test_pristine_supervisor_module_is_clean(self, tmp_path):
-        copy = tmp_path / "supervisor.py"
-        copy.write_text(SUPERVISOR_SOURCE.read_text())
-        result = lint_paths([copy], whole_program=True)
-        concurrency = [
-            f
-            for f in result.findings
-            if f.rule in {"FORK001", "FORK002", "SIG001", "PIPE001", "PIPE002"}
-        ]
-        assert concurrency == []
-
-    def test_removing_worker_entry_close_is_caught(self, tmp_path):
-        source = SUPERVISOR_SOURCE.read_text()
-        target = "    finally:\n        conn.close()"
-        assert target in source  # _worker_entry's report-then-close
-        broken = source.replace(target, "    finally:\n        pass")
-        copy = tmp_path / "supervisor.py"
-        copy.write_text(broken)
-        found = _findings(copy, "PIPE001")
-        assert len(found) == 1
-        assert "_worker_entry" in found[0].message
 
 
 class TestAdjudication:

@@ -4,7 +4,7 @@ fleet code when a real discipline is broken.
 Same contract as ``test_rules_protocol.py``: each fixture pairs the
 seeded violation with a correct twin, so the rule must fire exactly once
 and the conforming code next to it must stay clean. The regression half
-mutates pristine copies of the fleet supervisor and result cache and
+mutates pristine copies of the fleet worker pool and result cache and
 asserts the rules catch the exact disciplines those modules document.
 """
 
@@ -78,24 +78,26 @@ class TestRealCodeRegression:
     )
     ATOMIC_PUBLISH = "        os.replace(tmp, path)\n"
 
-    def test_pristine_supervisor_is_clean(self, tmp_path):
-        copy = tmp_path / "supervisor.py"
-        copy.write_text((SRC / "fleet" / "supervisor.py").read_text())
+    def test_pristine_pool_is_clean(self, tmp_path):
+        copy = tmp_path / "pool.py"
+        copy.write_text((SRC / "fleet" / "pool.py").read_text())
         result = lint_paths([copy], whole_program=True)
         assert result.findings == []
 
     def test_dejoined_terminate_is_caught(self, tmp_path):
-        source = (SRC / "fleet" / "supervisor.py").read_text()
-        assert self.JOIN_AFTER_TERMINATE in source
+        source = (SRC / "fleet" / "pool.py").read_text()
+        assert source.count(self.JOIN_AFTER_TERMINATE) == 1  # _stop_process
         broken = source.replace(
             self.JOIN_AFTER_TERMINATE, "        self.process.terminate()\n"
         )
-        copy = tmp_path / "supervisor.py"
+        copy = tmp_path / "pool.py"
         copy.write_text(broken)
         found = _findings(copy, "RES001")
         assert len(found) == 1
         assert "terminate" in found[0].message
         assert "join" in found[0].message
+        terminate_line = broken.splitlines().index("        self.process.terminate()") + 1
+        assert found[0].line == terminate_line
 
     def test_pristine_result_cache_is_clean(self, tmp_path):
         copy = tmp_path / "cache.py"

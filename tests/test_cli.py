@@ -244,6 +244,26 @@ class TestFleet:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--workers", "-1", "workers must be >= 0"),
+            ("--timeout", "0", "timeout must be positive"),
+            ("--timeout", "-1", "timeout must be positive"),
+        ],
+    )
+    def test_invalid_dispatch_settings_rejected(
+        self, capsys, tmp_path, flag, value, message
+    ):
+        code, out, err = run(
+            capsys, "fleet", "sweep", "--workloads", "gups", "--configs", "F",
+            "--cache-dir", str(tmp_path / "cache"), flag, value,
+        )
+        assert code == 2
+        assert f"error: {message}" in err
+        assert out == ""  # rejected before any cell ran
+        assert not (tmp_path / "cache").exists()
+
     def test_traced_fleet_exports_fleet_spans(self, capsys, tmp_path):
         import json
 

@@ -137,6 +137,23 @@ class TestRecycle:
         assert worker.recycles == 1
 
 
+class TestSupervisorEscalation:
+    def test_per_attempt_stubborn_worker_is_sigkilled(self, pool):
+        """The process of an attempt that ignores SIGTERM dies by SIGKILL:
+        the escalation, not the polite signal, ends it."""
+        worker = pool.workers[0]
+        stubborn = worker.process
+        worker.submit(
+            ProbeSpec(behavior="stubborn", hang_seconds=60.0),
+            attempt=1, timeout=0.4,
+        )
+        outcome = wait_for_outcome(worker)
+        assert outcome.status == OUTCOME_TIMEOUT
+        assert not stubborn.is_alive()
+        # SIGTERM alone cannot have done it: the handler ignores it.
+        assert stubborn.exitcode == -9  # SIGKILL
+
+
 class TestAbort:
     def test_poll_is_none_while_running(self, pool):
         worker = pool.workers[0]

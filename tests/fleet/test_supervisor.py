@@ -1,121 +1,87 @@
-"""Supervised workers: real child processes crashing, hanging, reporting.
+"""Supervising one worker process: a lone :class:`PoolWorker` slot as the
+parent's handle on a child that reports, fails, crashes or hangs.
 
-These tests fork actual processes (the whole point of the supervisor), so
-they use aggressive timeouts to stay fast.
+These tests fork actual processes (supervision is about real process
+lifecycles), so they use aggressive timeouts to stay fast. Each test
+drives the first job of a fresh slot; reuse across jobs is pinned in
+``test_pool.py``.
 """
 
+import json
 import time
 
 import pytest
 
-from repro.fleet.jobs import ProbeSpec
-from repro.fleet.supervisor import (
+from repro.fleet import (
     OUTCOME_CRASH,
     OUTCOME_ERROR,
     OUTCOME_OK,
     OUTCOME_TIMEOUT,
-    WorkerHandle,
-    run_attempt_inline,
+    ProbeSpec,
 )
+from repro.fleet.pool import PoolWorker
 
 
-def wait_for_outcome(handle, deadline=30.0):
+def wait_for_outcome(worker, deadline=30.0):
     start = time.monotonic()  # lint: allow[DET001] -- test harness real time
     while time.monotonic() - start < deadline:  # lint: allow[DET001] -- ditto
-        outcome = handle.poll()
+        outcome = worker.poll()
         if outcome is not None:
-            handle.close()
             return outcome
         time.sleep(0.01)
-    handle.stop()
-    handle.close()
+    worker.abort()
     pytest.fail("worker never produced an outcome")
 
 
+@pytest.fixture
+def worker():
+    worker = PoolWorker(0, grace=0.2)
+    yield worker
+    worker.shutdown()
+
+
 class TestWorkerHandle:
-    def test_ok_worker_reports_payload(self):
-        handle = WorkerHandle(ProbeSpec(value=5), attempt=1, timeout=20.0)
-        outcome = wait_for_outcome(handle)
+    def test_ok_worker_reports_payload(self, worker):
+        worker.submit(ProbeSpec(value=5), attempt=1, timeout=20.0)
+        outcome = wait_for_outcome(worker)
         assert outcome.status == OUTCOME_OK and outcome.ok
         assert outcome.payload == {"ok": True, "value": 5, "attempt": 1}
         assert outcome.seconds > 0
 
-    def test_job_exception_comes_back_as_error(self):
-        handle = WorkerHandle(ProbeSpec(behavior="fail"), attempt=2, timeout=20.0)
-        outcome = wait_for_outcome(handle)
+    def test_job_exception_comes_back_as_error(self, worker):
+        worker.submit(ProbeSpec(behavior="fail"), attempt=2, timeout=20.0)
+        outcome = wait_for_outcome(worker)
         assert outcome.status == OUTCOME_ERROR and not outcome.ok
         assert "RuntimeError" in outcome.detail
         assert "attempt 2" in outcome.detail
 
-    def test_dying_worker_is_a_crash_with_exit_code(self):
-        handle = WorkerHandle(ProbeSpec(behavior="crash"), attempt=1, timeout=20.0)
-        outcome = wait_for_outcome(handle)
-        assert outcome.status == OUTCOME_CRASH
+    def test_dying_worker_is_a_crash_with_exit_code(self, worker):
+        dying = worker.process
+        worker.submit(ProbeSpec(behavior="crash"), attempt=1, timeout=20.0)
+        outcome = wait_for_outcome(worker)
+        assert outcome.status == OUTCOME_CRASH and not outcome.ok
         assert "exit code 23" in outcome.detail
+        assert dying.exitcode == 23
 
-    def test_hung_worker_is_killed_at_the_deadline(self):
-        handle = WorkerHandle(
+    def test_hung_worker_is_killed_at_the_deadline(self, worker):
+        hung = worker.process
+        worker.submit(
             ProbeSpec(behavior="hang", hang_seconds=60.0),
-            attempt=1, timeout=0.4, grace=0.2,
+            attempt=1, timeout=0.4,
         )
-        outcome = wait_for_outcome(handle)
+        outcome = wait_for_outcome(worker)
         assert outcome.status == OUTCOME_TIMEOUT
         assert "0.4s" in outcome.detail
-        assert not handle.process.is_alive()
+        assert outcome.seconds >= 0.4
+        assert not hung.is_alive()
 
-    def test_poll_is_none_while_running(self):
-        handle = WorkerHandle(
-            ProbeSpec(behavior="hang", hang_seconds=60.0),
-            attempt=1, timeout=30.0,
-        )
-        try:
-            assert handle.poll() is None
-        finally:
-            handle.stop()
-            handle.close()
-        assert not handle.process.is_alive()
-
-    def test_stop_escalates_and_reaps(self):
-        handle = WorkerHandle(
-            ProbeSpec(behavior="hang", hang_seconds=60.0),
-            attempt=1, timeout=30.0, grace=0.2,
-        )
-        handle.stop()
-        handle.close()
-        assert not handle.process.is_alive()
-        assert handle.process.exitcode is not None
-
-    def test_per_job_trace_bundle_is_written(self, tmp_path):
+    def test_per_job_trace_bundle_is_written(self, worker, tmp_path):
         trace_path = tmp_path / "job.trace.json"
-        handle = WorkerHandle(
+        worker.submit(
             ProbeSpec(value=1), attempt=1, timeout=20.0,
             trace_path=str(trace_path),
         )
-        outcome = wait_for_outcome(handle)
+        outcome = wait_for_outcome(worker)
         assert outcome.ok
-        import json
-
         events = json.loads(trace_path.read_text())["traceEvents"]
         assert events, "trace bundle is empty"
-
-
-class TestInline:
-    def test_inline_ok(self):
-        outcome = run_attempt_inline(ProbeSpec(value=9), attempt=1)
-        assert outcome.status == OUTCOME_OK
-        assert outcome.payload["value"] == 9
-
-    def test_inline_error(self):
-        outcome = run_attempt_inline(ProbeSpec(behavior="fail"), attempt=1)
-        assert outcome.status == OUTCOME_ERROR
-        assert "RuntimeError" in outcome.detail
-
-    def test_inline_propagates_keyboard_interrupt(self):
-        class Interrupting:
-            kind = "probe"
-
-            def run(self, attempt=1):
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            run_attempt_inline(Interrupting(), attempt=1)

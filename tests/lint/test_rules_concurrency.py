@@ -16,6 +16,7 @@ from repro.lint import lint_paths
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 POOL_SOURCE = SRC / "fleet" / "pool.py"
+DISPATCHER_SOURCE = SRC / "fleet" / "dispatcher.py"
 
 
 def _findings(path, rule):
@@ -94,6 +95,33 @@ class TestRealCodeRegression:
         assert "_pool_worker_main" in found[0].message
         assert "`conn`" in found[0].message
         assert "still open" in found[0].message
+
+    def test_pristine_supervisor_module_is_clean(self, tmp_path):
+        """The dispatcher supervises the pool's workers (leases,
+        deadlines, ``connection.wait`` over pipes and sentinels)."""
+        copy = tmp_path / "dispatcher.py"
+        copy.write_text(DISPATCHER_SOURCE.read_text())
+        result = lint_paths([copy], whole_program=True)
+        concurrency = [
+            f
+            for f in result.findings
+            if f.rule in {"FORK001", "FORK002", "SIG001", "PIPE001", "PIPE002"}
+        ]
+        assert concurrency == []
+
+    def test_removing_worker_entry_close_is_caught(self, tmp_path):
+        """An early ``return`` out of the worker entry skips its close on
+        the shutdown path only; PIPE001 is path-sensitive enough to see it."""
+        source = POOL_SOURCE.read_text()
+        target = "            break  # shutdown (or anything unrecognized)"
+        assert source.count(target) == 1  # _pool_worker_main's shutdown exit
+        broken = source.replace(target, "            return  # shutdown")
+        copy = tmp_path / "pool.py"
+        copy.write_text(broken)
+        found = _findings(copy, "PIPE001")
+        assert len(found) == 1
+        assert "_pool_worker_main" in found[0].message
+        assert "`conn`" in found[0].message
 
 
 class TestAdjudication:

@@ -47,7 +47,7 @@ from repro.machine.topology import Machine
 from repro.mitosis.policy import parse_socket_list
 from repro.sim.chaos import SCENARIOS as CHAOS_SCENARIOS
 from repro.sim.chaos import run_chaos
-from repro.sim.engine import EngineConfig, Simulator
+from repro.sim.engine import EngineConfig, Simulator, resolve_engine
 from repro.sim.scenario import (
     MIGRATION_CONFIGS,
     MULTISOCKET_CONFIGS,
@@ -535,6 +535,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         if args.inject_hang > 0:
             plan.worker_crash(hang=True, every=args.inject_hang)
     try:
+        resolve_engine()  # an invalid REPRO_ENGINE fails before any job runs
         config = FleetConfig(
             workers=args.workers,
             timeout=args.timeout,

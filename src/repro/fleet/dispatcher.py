@@ -70,6 +70,7 @@ from repro.fleet.report import (
     JobOutcome,
 )
 from repro.inject.plan import SITE_WORKER_CRASH, FaultPlan
+from repro.sim.engine import resolve_engine
 from repro.trace.integrate import publish_fleet_report
 from repro.trace.session import current_session
 
@@ -124,8 +125,6 @@ class FleetConfig:
     backoff_cap: float = 2.0
     #: Seed for the jitter RNG (mixed with each job key).
     seed: int = 0
-    #: Engine tier baked into every cache key.
-    engine: str = "vector"
     #: Code version baked into every cache key.
     code_version: str = __version__
     #: Directory for per-job Chrome trace bundles (worker mode only).
@@ -182,7 +181,9 @@ class Fleet:
         raising ``KeyboardInterrupt`` from it).
         """
         config = self.config
-        report = FleetReport(engine=config.engine, code_version=config.code_version)
+        # The tier the workers will run (they inherit REPRO_ENGINE), so the
+        # cache keys and the report name what was actually computed.
+        report = FleetReport(engine=resolve_engine(), code_version=config.code_version)
         report.dispatch_mode = "inline" if config.workers == 0 else "pooled"
         session = current_session()
         start = _now()
@@ -211,7 +212,7 @@ class Fleet:
         pending: list[_JobState] = []
         seen: set[str] = set()
         for spec in specs:
-            key = job_key(spec, engine=config.engine, code_version=config.code_version)
+            key = job_key(spec, engine=report.engine, code_version=config.code_version)
             if key in seen:
                 continue  # identical cell listed twice: one outcome
             seen.add(key)

@@ -516,13 +516,13 @@ def lint_paths(
     :mod:`repro.lint.dataflow`). ``None`` analyzes in memory only; the
     CLI passes :func:`repro.lint.dataflow.default_cache_dir` by default.
 
-    ``jobs`` shards the three parallel phases — per-file rule visits,
-    dataflow IR extraction, and the whole-program rule sweep — across
-    that many forked workers (:mod:`repro.lint.parallel`). Workers
-    inherit the parsed ASTs and the project index through copy-on-write
-    memory and send back only findings, so results are byte-identical to
-    ``jobs=1``; parsing, cache publication, the interprocedural summary
-    solve, and suppression handling stay in this process.
+    ``jobs`` shards the two parallel phases — per-file rule visits and
+    the whole-program rule sweep — across that many forked workers
+    (:mod:`repro.lint.parallel`). Workers inherit the parsed ASTs and the
+    project index through copy-on-write memory and send back only
+    findings, so results are byte-identical to ``jobs=1``; parsing,
+    dataflow IR extraction, cache publication, the interprocedural
+    summary solve, and suppression handling stay in this process.
     """
     from repro.lint.parallel import fork_map
 
@@ -568,7 +568,6 @@ def lint_paths(
         index = build_index(parsed_modules)
         if dataflow_cache_dir is not None:
             index.dataflow_cache_dir = Path(dataflow_cache_dir)  # type: ignore[attr-defined]
-        index.lint_jobs = jobs  # type: ignore[attr-defined]
         timings["index"] = _clock() - phase
 
         # Dataflow-backed rules all read one shared solved analysis.

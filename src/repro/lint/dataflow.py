@@ -83,7 +83,6 @@ from repro.lint.core import (
     register_whole_program_rule,
 )
 from repro.lint.flow import Cfg, build_cfg, executed_exprs, iter_statements
-from repro.lint.parallel import fork_map
 from repro.lint.rules_determinism import _BANNED_CALLS, _is_unordered_expr
 
 #: Cache entry schema — part of every entry and of the ABI digest, so an
@@ -1005,12 +1004,9 @@ class ProjectDataflow:
         by_path: dict[str, list[FunctionInfo]] = {}
         for fn in self.index.functions.values():
             by_path.setdefault(fn.path, []).append(fn)
-        # Cache probes stay serial in this process (they're cheap and the
-        # cache object owns its hit/miss counters); only the misses — the
-        # expensive AST lowering — are sharded across forked workers,
-        # which inherit the parsed modules and the index through
-        # copy-on-write memory. The parent alone publishes cache entries,
-        # so the ``.lint-cache`` write discipline is unchanged.
+        # Every cache probe runs before any miss is extracted and
+        # published. Extraction is serial: sharding it across forked
+        # workers cost more than it saved.
         misses: list[tuple[str, ParsedModule, list[FunctionInfo]]] = []
         for parsed in sorted(self.index.modules, key=lambda m: m.path):
             self.stats["modules"] += 1
@@ -1026,20 +1022,12 @@ class ProjectDataflow:
             self.stats["summary_misses"] += 1
             misses.append((key, parsed, fns))
 
-        def _extract_module(
-            item: tuple[str, ParsedModule, list[FunctionInfo]]
-        ) -> list[dict]:
-            _, parsed, fns = item
+        for key, parsed, fns in misses:
             aliases = _tracked_aliases(parsed.tree)
-            return [
+            extracted = [
                 _FunctionExtractor(self.index, fn, parsed, aliases).extract()
                 for fn in fns
             ]
-
-        jobs = getattr(self.index, "lint_jobs", 1)
-        for (key, parsed, _), extracted in zip(
-            misses, fork_map(_extract_module, misses, jobs)
-        ):
             self.stats["functions"] += len(extracted)
             if self.cache is not None:
                 self.cache.put(

@@ -116,6 +116,18 @@ class EngineConfig:
     engine: str | None = None
 
 
+def resolve_engine(engine: str | None = None) -> str:
+    """The interpreter tier a run uses: ``engine`` if given, else the
+    ``REPRO_ENGINE`` environment variable, else ``"vector"``."""
+    engine = engine or os.environ.get("REPRO_ENGINE") or "vector"
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; choose from {', '.join(ENGINES)} "
+            "(EngineConfig.engine or REPRO_ENGINE)"
+        )
+    return engine
+
+
 def _chain_sum(carry: float, costs: np.ndarray) -> float:
     """Left-to-right IEEE-754 sum of ``carry + costs[0] + costs[1] + ...``.
 
@@ -440,13 +452,7 @@ class Simulator:
     def __init__(self, kernel: Kernel, config: EngineConfig | None = None):
         self.kernel = kernel
         self.config = config or EngineConfig()
-        engine = self.config.engine or os.environ.get("REPRO_ENGINE") or "vector"
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {', '.join(ENGINES)} "
-                "(EngineConfig.engine or REPRO_ENGINE)"
-            )
-        self.engine = engine
+        self.engine = resolve_engine(self.config.engine)
         machine = kernel.machine
         # Homogeneous PFN partition -> O(1) node-of-pfn.
         self._frames_per_node = machine.sockets[0].memory_bytes // 4096
@@ -671,6 +677,15 @@ class Simulator:
         totals_l1 = tlb.totals.l1
         escape = EscapeRunner(ex)
 
+        def as_lists(lo: int, hi: int) -> tuple[list, list, list, list]:
+            """Python-list copies of ``[lo, hi)`` for the escape interpreter."""
+            return (
+                vas[lo:hi].tolist(),
+                writes[lo:hi].tolist(),
+                hit_rolls[lo:hi].tolist(),
+                pollution_rolls[lo:hi].tolist(),
+            )
+
         snap_token: tuple[int, int] | None = None
         snap_walks = -1
         lut_4k: _ResidencyLut | None = None
@@ -700,13 +715,7 @@ class Simulator:
                     # the token stays stale (it never un-stales), so
                     # every access up to the horizon escapes anyway.
                     stop = min(cooldown, chunk_hi)
-                    if chunk_lists is None:
-                        chunk_lists = (
-                            vas[chunk_lo:chunk_hi].tolist(),
-                            writes[chunk_lo:chunk_hi].tolist(),
-                            hit_rolls[chunk_lo:chunk_hi].tolist(),
-                            pollution_rolls[chunk_lo:chunk_hi].tolist(),
-                        )
+                    chunk_lists = chunk_lists or as_lists(chunk_lo, chunk_hi)
                     escape.run(*chunk_lists, i - chunk_lo, stop - chunk_lo, chunk_lo)
                     i = stop
                     continue
@@ -733,13 +742,7 @@ class Simulator:
                 # A maximal run of will-miss accesses: one escape span.
                 stops = np.flatnonzero(ok[rel:])
                 k = int(stops[0]) if stops.size else int(ok.size) - rel
-                if chunk_lists is None:
-                    chunk_lists = (
-                        vas[chunk_lo:chunk_hi].tolist(),
-                        writes[chunk_lo:chunk_hi].tolist(),
-                        hit_rolls[chunk_lo:chunk_hi].tolist(),
-                        pollution_rolls[chunk_lo:chunk_hi].tolist(),
-                    )
+                chunk_lists = chunk_lists or as_lists(chunk_lo, chunk_hi)
                 escape.run(*chunk_lists, rel, rel + k, chunk_lo)
                 i += k
                 continue
@@ -750,13 +753,7 @@ class Simulator:
                 # Deliberately not counted as fast progress: a slice made
                 # of short scattered runs loses to mask-rebuild overhead
                 # and should bail out of mask-building entirely.
-                if chunk_lists is None:
-                    chunk_lists = (
-                        vas[chunk_lo:chunk_hi].tolist(),
-                        writes[chunk_lo:chunk_hi].tolist(),
-                        hit_rolls[chunk_lo:chunk_hi].tolist(),
-                        pollution_rolls[chunk_lo:chunk_hi].tolist(),
-                    )
+                chunk_lists = chunk_lists or as_lists(chunk_lo, chunk_hi)
                 escape.run(*chunk_lists, rel, rel + k, chunk_lo)
                 i += k
                 continue
@@ -797,10 +794,6 @@ class Simulator:
             i += k
         if i < n:
             # Adaptive bail-out: escape interpreter for the whole tail.
-            escape.run(
-                vas[i:].tolist(), writes[i:].tolist(),
-                hit_rolls[i:].tolist(), pollution_rolls[i:].tolist(),
-                0, n - i, i,
-            )
+            escape.run(*as_lists(i, n), 0, n - i, i)
         escape.close()
         ex.finish(out, n)

@@ -192,7 +192,8 @@ class EscapeRunner:
         Semantics are access-for-access identical to
         ``_ThreadExecution.run_span`` over the same elements: the TLB
         hierarchy probes are inlined (same probe order, same counter and
-        LRU transitions as :meth:`TlbHierarchy.lookup`), walks enter
+        LRU transitions as :meth:`TlbHierarchy.lookup`, pinned by
+        ``tests/sim/test_escape.py``), walks enter
         through :meth:`HardwareWalker.walk_into`, faults take the
         unchanged kernel path (after a trace flush — fault sites emit
         instants inline), and every accumulator folds in the same order.
@@ -234,6 +235,12 @@ class EscapeRunner:
         out_pfns = self.out_pfns
         out_nodes = self.out_nodes
         out_lines = self.out_lines
+        if tracebuf is not None:
+            # Bound once per span: flush() clears these lists in place.
+            tb_level = tracebuf.l_levels.append
+            tb_node = tracebuf.l_nodes.append
+            tb_hit = tracebuf.l_hits.append
+            tb_cost = tracebuf.l_costs.append
         # Accumulators mirror the reference loop's locals.
         data_cycles = ex.data_cycles
         walk_cycles = ex.walk_cycles
@@ -242,7 +249,10 @@ class EscapeRunner:
         walk_llc_hits = ex.walk_llc_hits
         faults = ex.faults
         fault_cycles = ex.fault_cycles
-        bailouts = ex.escape_bailout
+        # Every L1 hit handled here is a bail-out: the batching mask ceded
+        # it for economic reasons (short run / cooldown / bail-out), never
+        # for correctness. Folded once, as the span's L1-hit delta.
+        l1_hits_start = totals_l1.hits
 
         for i in range(lo, hi):
             va = vas[i]
@@ -265,10 +275,6 @@ class EscapeRunner:
                     st1_2.misses += 1
             if translation is not None:
                 totals_l1.hits += 1
-                # An L1 hit handled on the escape side: the batching mask
-                # ceded it for economic reasons (short run / cooldown /
-                # bail-out), never for correctness.
-                bailouts += 1
             else:
                 totals_l1.misses += 1
                 # -- L2 probe ---------------------------------------------------
@@ -320,44 +326,28 @@ class EscapeRunner:
                         )
                         assert translation is not None
                     last = n_levels - 1
-                    if tracebuf is None:
-                        for j in range(n_levels):
-                            hit = llc_access(out_lines[j])
-                            if hit and j == last and pollution_rolls[i]:
-                                # Data traffic evicted this leaf PTE line
-                                # since the last walk that used it.
-                                hit = False
-                            if hit:
-                                walk_llc_hits += 1
-                                walk_cycles += walk_llc_hit_cost
-                            else:
-                                walk_cycles += walk_cost[out_nodes[j]]
-                            if out_levels[j] > 1:
-                                mmu_insert(va, registry[out_pfns[j]])
-                        tlb_insert(va, translation)
-                    else:
-                        walk_start = walk_cycles
-                        tb_levels = tracebuf.l_levels
-                        tb_nodes = tracebuf.l_nodes
-                        tb_hits = tracebuf.l_hits
-                        tb_costs = tracebuf.l_costs
-                        for j in range(n_levels):
-                            hit = llc_access(out_lines[j])
-                            if hit and j == last and pollution_rolls[i]:
-                                hit = False
-                            if hit:
-                                walk_llc_hits += 1
-                                cost = walk_llc_hit_cost
-                            else:
-                                cost = walk_cost[out_nodes[j]]
-                            walk_cycles += cost
-                            tb_levels.append(out_levels[j])
-                            tb_nodes.append(out_nodes[j])
-                            tb_hits.append(hit)
-                            tb_costs.append(cost)
-                            if out_levels[j] > 1:
-                                mmu_insert(va, registry[out_pfns[j]])
-                        tlb_insert(va, translation)
+                    walk_start = walk_cycles
+                    for j in range(n_levels):
+                        hit = llc_access(out_lines[j])
+                        if hit and j == last and pollution_rolls[i]:
+                            # Data traffic evicted this leaf PTE line
+                            # since the last walk that used it.
+                            hit = False
+                        if hit:
+                            walk_llc_hits += 1
+                            cost = walk_llc_hit_cost
+                        else:
+                            cost = walk_cost[out_nodes[j]]
+                        walk_cycles += cost
+                        if tracebuf is not None:
+                            tb_level(out_levels[j])
+                            tb_node(out_nodes[j])
+                            tb_hit(hit)
+                            tb_cost(cost)
+                        if out_levels[j] > 1:
+                            mmu_insert(va, registry[out_pfns[j]])
+                    tlb_insert(va, translation)
+                    if tracebuf is not None:
                         tracebuf.walk(va, faulted, walk_cycles - walk_start, n_levels)
                     walk_refs += n_levels
             # -- the data access itself ----------------------------------------
@@ -375,7 +365,7 @@ class EscapeRunner:
         ex.walk_llc_hits = walk_llc_hits
         ex.faults = faults
         ex.fault_cycles = fault_cycles
-        ex.escape_bailout = bailouts
+        ex.escape_bailout += totals_l1.hits - l1_hits_start
 
     def close(self) -> None:
         """End-of-slice flush: no walk span may outlive its slice (the

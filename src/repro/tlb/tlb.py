@@ -150,17 +150,16 @@ class HierarchyStats:
 class TlbHierarchy:
     """One core's two-level TLB (split-L1 + unified L2).
 
-    Besides the hardware structures, the hierarchy keeps a
-    **generation-stamped translation cache**: per-page ``vpn -> (pfn,
-    generation)`` maps (one per page size) filled on every walk fill. The
-    ``generation`` counter is bumped by *every* path that can remove a
-    translation — :meth:`flush` and :meth:`invalidate_page`, through which
-    all shootdown/replication/migration invalidations funnel (see
+    Besides the hardware structures, the hierarchy keeps a ``generation``
+    counter, bumped by *every* path that can remove a translation —
+    :meth:`flush` and :meth:`invalidate_page`, through which all
+    shootdown/replication/migration invalidations funnel (see
     ``repro.tlb.shootdown``). A consumer that captured translations at
     generation *G* can therefore validate an entire batch in O(1): while
-    ``generation == G`` nothing has been removed, so every captured entry
-    is still live (new fills only *add*). This is what makes the vector
-    engine's batched runs sound (docs/performance.md).
+    ``generation == G`` nothing has been invalidated (new fills only
+    *add*; :meth:`fastpath_token` also counts capacity evictions). This
+    is what makes the vector engine's batched runs sound
+    (docs/performance.md).
     """
 
     def __init__(self, config: TlbConfig | None = None):
@@ -174,11 +173,6 @@ class TlbHierarchy:
         #: Bumped on every invalidation (shootdowns, replication mask
         #: changes, page migration all end in flush()/invalidate_page()).
         self.generation = 0
-        #: vpn -> (pfn, generation-at-fill). For huge pages the stored pfn
-        #: is the last-walked 4 KiB subframe's; its node
-        #: (pfn // frames_per_node) is invariant across the huge page.
-        self._xlate_4k: dict[int, tuple[int, int]] = {}
-        self._xlate_2m: dict[int, tuple[int, int]] = {}
 
     def lookup(self, va: int) -> Translation | None:
         """Probe L1 then L2 (both page sizes); fills L1 on an L2 hit."""
@@ -205,10 +199,8 @@ class TlbHierarchy:
         self._fill_l1(va, translation)
         if translation.level == HUGE_LEAF_LEVEL:
             self.l2_2m.insert(va, translation)
-            self._xlate_2m[va >> HUGE_PAGE_SHIFT] = (translation.pfn, self.generation)
         else:
             self.l2_4k.insert(va, translation)
-            self._xlate_4k[va >> PAGE_SHIFT] = (translation.pfn, self.generation)
 
     def _fill_l1(self, va: int, translation: Translation) -> None:
         if translation.level == HUGE_LEAF_LEVEL:
@@ -220,35 +212,13 @@ class TlbHierarchy:
     def invalidate_page(self, va: int) -> None:
         for tlb in (self.l1_4k, self.l1_2m, self.l2_4k, self.l2_2m):
             tlb.invalidate(va)
-        self._xlate_4k.pop(va >> PAGE_SHIFT, None)
-        self._xlate_2m.pop(va >> HUGE_PAGE_SHIFT, None)
         self.generation += 1
 
     # protocol: mutates[tlb-generation] -- drops every cached translation; must stamp a new generation
     def flush(self) -> None:
         for tlb in (self.l1_4k, self.l1_2m, self.l2_4k, self.l2_2m):
             tlb.flush()
-        self._xlate_4k.clear()
-        self._xlate_2m.clear()
         self.generation += 1
-
-    def cached_translation(self, va: int) -> int | None:
-        """O(1) generation-validated translation-cache probe.
-
-        Returns the cached pfn for ``va`` (4 KiB probe first, like the
-        hardware lookup) or ``None`` when the record is missing or was
-        stamped before the last invalidation. Never touches LRU state or
-        hit/miss counters — this is the *software* cache the batch engine
-        validates against, not a hardware structure.
-        """
-        gen = self.generation
-        record = self._xlate_4k.get(va >> PAGE_SHIFT)
-        if record is not None and record[1] == gen:
-            return record[0]
-        record = self._xlate_2m.get(va >> HUGE_PAGE_SHIFT)
-        if record is not None and record[1] == gen:
-            return record[0]
-        return None
 
     def fastpath_token(self) -> tuple[int, int]:
         """Validity token for batched-run snapshots.
@@ -266,22 +236,12 @@ class TlbHierarchy:
         """Capture every L1-resident translation as ``(vpn, pfn)`` pairs.
 
         Returns ``(token, pairs_4k, pairs_2m)`` where ``token`` is the
-        :meth:`fastpath_token` the snapshot is valid under. Also re-stamps
-        the translation-cache records of the captured entries to the
-        current generation: residency in L1 proves liveness (every
-        invalidation path removes the entry from the sets), so entries
-        that survived a selective ``invalidate_page`` become O(1)
-        validatable again.
+        :meth:`fastpath_token` the snapshot is valid under. For a huge page
+        the pfn is the last-walked 4 KiB subframe's; its node
+        (pfn // frames_per_node) is invariant across the huge page.
         """
-        gen = self.generation
-        pairs_4k = []
-        for vpn, translation in self.l1_4k.resident_items():
-            self._xlate_4k[vpn] = (translation.pfn, gen)
-            pairs_4k.append((vpn, translation.pfn))
-        pairs_2m = []
-        for vpn, translation in self.l1_2m.resident_items():
-            self._xlate_2m[vpn] = (translation.pfn, gen)
-            pairs_2m.append((vpn, translation.pfn))
+        pairs_4k = [(vpn, t.pfn) for vpn, t in self.l1_4k.resident_items()]
+        pairs_2m = [(vpn, t.pfn) for vpn, t in self.l1_2m.resident_items()]
         return self.fastpath_token(), pairs_4k, pairs_2m
 
     @property

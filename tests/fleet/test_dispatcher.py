@@ -43,6 +43,27 @@ class TestConfigValidation:
             FleetConfig(timeout=timeout)
 
 
+class TestEngineTier:
+    """Cache keys and the report name the tier the jobs actually ran on."""
+
+    def test_scalar_engine_reported_and_keyed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "scalar")
+        spec = ProbeSpec(value=5)
+        fleet = make_fleet(tmp_path)
+        report = fleet.run([spec])
+        assert report.engine == "scalar"
+        assert report.computed == 1
+        assert fleet.cache.get(job_key(spec, engine="scalar")) is not None
+        assert fleet.cache.get(job_key(spec, engine="vector")) is None
+
+    def test_invalid_engine_fails_before_any_job(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "turbo")
+        fleet = make_fleet(tmp_path)
+        with pytest.raises(ValueError, match="unknown engine 'turbo'"):
+            fleet.run([ProbeSpec(value=5)])
+        assert fleet.cache.stats.stores == 0 and fleet.cache.stats.misses == 0
+
+
 class TestInline:
     def test_inline_ok(self):
         outcome = run_attempt_inline(ProbeSpec(value=9), attempt=1)

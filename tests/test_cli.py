@@ -264,6 +264,17 @@ class TestFleet:
         assert out == ""  # rejected before any cell ran
         assert not (tmp_path / "cache").exists()
 
+    def test_invalid_engine_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "turbo")
+        code, out, err = run(
+            capsys, "fleet", "sweep", "--workloads", "gups", "--configs", "F",
+            "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert code == 2
+        assert "error: unknown engine 'turbo'" in err
+        assert out == ""  # rejected before any cell ran
+        assert not (tmp_path / "cache").exists()
+
     def test_traced_fleet_exports_fleet_spans(self, capsys, tmp_path):
         import json
 

@@ -1,11 +1,12 @@
-"""The generation-stamped translation cache (docs/performance.md).
+"""The TLB generation counter and the batch-validity token
+(docs/performance.md).
 
 The vector engine validates whole batches against
 ``TlbHierarchy.fastpath_token()``; soundness requires that *every*
 invalidation path — direct flushes, shootdown IPIs, replication mask
 changes, page-table migration — bumps the generation. These tests pin
-that contract, plus the O(1) ``cached_translation`` probe semantics and
-the snapshot re-stamping behaviour.
+that contract, plus the ``lookup()`` probe semantics the batch tier
+mirrors and the L1 residency ``fastpath_snapshot()`` captures.
 """
 
 from __future__ import annotations
@@ -32,22 +33,29 @@ class TestCachedTranslation:
     def test_insert_fills_and_probe_returns_pfn(self):
         tlb = TlbHierarchy()
         tlb.insert(0x5000, small(pfn=42))
-        assert tlb.cached_translation(0x5000) == 42
+        assert tlb.lookup(0x5000).pfn == 42
 
     def test_probe_prefers_4k_like_hardware_lookup(self):
         tlb = TlbHierarchy()
         va = 0x200000
         tlb.insert(va, huge(pfn=900))
         tlb.insert(va, small(pfn=13))
-        assert tlb.cached_translation(va) == 13
+        assert tlb.lookup(va).pfn == 13
+        assert tlb.l1_4k.stats.hits == 1
+        assert tlb.l1_2m.stats.accesses == 0
 
     def test_huge_record_covers_the_whole_page(self):
         tlb = TlbHierarchy()
         tlb.insert(0x200000, huge(pfn=900))
-        assert tlb.cached_translation(0x200000 + 17 * PAGE_SIZE) == 900
+        assert tlb.lookup(0x200000 + 17 * PAGE_SIZE).pfn == 900
+        # The 4 KiB structure is probed (and misses) first.
+        assert tlb.l1_4k.stats.misses == 1
+        assert tlb.l1_2m.stats.hits == 1
 
     def test_miss_returns_none(self):
-        assert TlbHierarchy().cached_translation(0x5000) is None
+        tlb = TlbHierarchy()
+        assert tlb.lookup(0x5000) is None
+        assert tlb.totals.walks == 1
 
 
 class TestGenerationBumps:
@@ -57,7 +65,8 @@ class TestGenerationBumps:
         before = tlb.generation
         tlb.flush()
         assert tlb.generation == before + 1
-        assert tlb.cached_translation(0x5000) is None
+        _, pairs_4k, pairs_2m = tlb.fastpath_snapshot()
+        assert pairs_4k == [] and pairs_2m == []
 
     def test_invalidate_page_bumps_and_drops_the_page(self):
         tlb = TlbHierarchy()
@@ -66,10 +75,9 @@ class TestGenerationBumps:
         before = tlb.generation
         tlb.invalidate_page(0x5000)
         assert tlb.generation == before + 1
-        assert tlb.cached_translation(0x5000) is None
-        # The surviving record is stale only because of the stamp; a
-        # fresh snapshot may re-validate it (see TestSnapshot).
-        assert tlb.cached_translation(0x8000) is None
+        _, pairs_4k, _ = tlb.fastpath_snapshot()
+        # Only the invalidated page leaves; the other stays resident.
+        assert pairs_4k == [(0x8, 2)]
 
     def test_shootdown_flush_all_bumps_every_core(self):
         cores = [(TlbHierarchy(), MmuCaches()) for _ in range(3)]
@@ -79,7 +87,7 @@ class TestGenerationBumps:
         TlbShootdown().flush_all(cores)
         for (tlb, _), gen in zip(cores, before):
             assert tlb.generation > gen
-            assert tlb.cached_translation(0x5000) is None
+            assert tlb.fastpath_snapshot()[1] == []
 
     def test_shootdown_flush_page_bumps_every_core(self):
         cores = [(TlbHierarchy(), MmuCaches()) for _ in range(2)]
@@ -122,15 +130,15 @@ class TestSnapshot:
         tlb = TlbHierarchy()
         tlb.insert(0x5000, small(pfn=1))
         tlb.insert(0x8000, small(pfn=2))
+        stale = tlb.fastpath_token()
         tlb.invalidate_page(0x5000)
-        assert tlb.cached_translation(0x8000) is None  # stale stamp
         token, pairs_4k, pairs_2m = tlb.fastpath_snapshot()
-        assert token == tlb.fastpath_token()
+        assert token == tlb.fastpath_token() != stale
         assert (0x8, 2) in pairs_4k  # vpn 0x8000 >> 12, survivor
         assert all(vpn != 0x5 for vpn, _ in pairs_4k)
         assert pairs_2m == []
-        # L1 residency proved liveness: the record is O(1) valid again.
-        assert tlb.cached_translation(0x8000) == 2
+        # The survivor is still a live L1 hit, not merely a snapshot row.
+        assert tlb.lookup(0x8000).pfn == 2
 
 
 class TestKernelPathsBumpGeneration:

@@ -171,12 +171,15 @@ class PoolWorker:
 
     def _spawn(self) -> None:
         parent, child = self._ctx.Pipe(duplex=True)
-        self.conn = parent
-        self.process = self._ctx.Process(
-            target=_pool_worker_main, args=(child,), daemon=True
-        )
-        self.process.start()
-        child.close()  # the parent keeps only its own end
+        try:
+            self.conn = parent
+            self.process = self._ctx.Process(
+                target=_pool_worker_main, args=(child,), daemon=True
+            )
+            self.process.start()
+        finally:
+            # The parent keeps only its own end, even when the fork fails.
+            child.close()
 
     # -- lease ----------------------------------------------------------------
 

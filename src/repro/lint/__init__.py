@@ -7,19 +7,21 @@ faults. Neither was defended by tooling — only by docstring convention.
 This package is that tooling, in two halves:
 
 * **static**: an AST-based analyzer (:mod:`repro.lint.core`) with named
-  per-file rules — ``PVOPS001``/``PVOPS002`` (PV-Ops bypasses),
-  ``DET001``–``DET003`` (reproducibility hazards) and ``FAULT001``
-  (unregistered fault-injection sites) — plus whole-program protocol
-  rules (``TLBGEN001``/``TLBGEN002``, ``SHOOT001``, ``PROV001``,
-  ``SPAN001``) that combine a project call graph
-  (:mod:`repro.lint.callgraph`) with per-function CFG reachability
+  per-file rules — ``PVOPS001``/``PVOPS002`` (PV-Ops bypasses, including
+  stores through local aliases of ``.entries``), ``DET001``–``DET003``
+  (reproducibility hazards) and ``FAULT001`` (unregistered
+  fault-injection sites) — plus whole-program protocol rules
+  (``TLBGEN001``/``TLBGEN002``, ``SHOOT001``, ``SPAN001``) that combine a
+  project call graph and its one least-fixpoint helper
+  (:mod:`repro.lint.callgraph`) with the one CFG path search
   (:mod:`repro.lint.flow`), interprocedural dataflow rules
   (``DETFLOW001``/``DETFLOW002`` determinism taint, ``RES001``/``RES002``
-  resource lifecycles) solved by :mod:`repro.lint.dataflow` with an
-  incremental, content-hash-keyed summary cache, and concurrency /
-  process-lifecycle rules (``FORK001``/``FORK002`` fork-safety,
-  ``SIG001`` signal-handler safety, ``PIPE001``/``PIPE002`` pipe
-  typestates — :mod:`repro.lint.concurrency`); run via
+  resource lifecycles, ``RES001`` the one proof that pipe ends close)
+  solved by :mod:`repro.lint.dataflow` with an incremental,
+  content-hash-keyed summary cache, and concurrency / process-lifecycle
+  rules (``FORK001``/``FORK002`` fork-safety, ``SIG001`` signal-handler
+  safety, ``PIPE001`` Process-target parameters and message pairing,
+  ``PIPE002`` pipe typestate — :mod:`repro.lint.concurrency`); run via
   ``python -m repro.cli lint`` (``--whole-program`` for the cross-module
   pass, ``--jobs N`` to shard across forked workers
   (:mod:`repro.lint.parallel`), ``--changed [REF]`` to scope reporting
@@ -31,7 +33,7 @@ This package is that tooling, in two halves:
   originate inside ``apply_entry_write`` (or a hardware walker).
 
 See ``docs/static-analysis.md`` for the rule catalogue and the
-suppression policy (``# lint: allow[RULE] -- justification``).
+suppression policy (``# lint: allow[<RULE>] -- justification``).
 """
 
 from repro.lint.baseline import (

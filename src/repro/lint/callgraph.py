@@ -8,7 +8,9 @@ things no single-file AST can give them:
    (``# protocol: mutates[tlb-generation] -- why``);
 2. **who calls whom** — each call site resolved to the set of functions
    it may dispatch to;
-3. **who calls me** — the reverse edges, for provenance in messages.
+3. **who calls me** — the reverse edges, which the one call-graph
+   fixpoint (:meth:`ProjectIndex.least_fixpoint`) and ``--changed``
+   follow.
 
 Call resolution is deliberately conservative and type-driven.  A tiny
 flow-insensitive inferencer types receivers from parameter annotations,
@@ -65,9 +67,10 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
-from repro.lint.core import ParsedModule
-from repro.lint.flow import executed_exprs, iter_statements
+from repro.lint.core import Finding, ParsedModule
+from repro.lint.flow import Cfg, build_cfg, executed_exprs, iter_statements
 
 _MARKER_RE = re.compile(
     r"#\s*(?:protocol|dataflow|concurrency):\s*"
@@ -172,6 +175,14 @@ class ProjectIndex:
     callers: dict[str, list[tuple[FunctionInfo, CallSite]]] = field(
         default_factory=dict
     )
+    #: qualname -> CFG, built on first use and shared by every rule.
+    cfgs: dict[str, Cfg] = field(default_factory=dict)
+
+    def cfg(self, fn: FunctionInfo) -> Cfg:
+        cfg = self.cfgs.get(fn.qualname)
+        if cfg is None:
+            cfg = self.cfgs[fn.qualname] = build_cfg(fn.node)
+        return cfg
 
     # -- class hierarchy -----------------------------------------------------
 
@@ -219,22 +230,65 @@ class ProjectIndex:
                 found.append(info.methods[method])
         return found
 
-    # -- provenance ----------------------------------------------------------
+    # -- call-graph fixpoint ------------------------------------------------
 
-    def caller_chain(self, qualname: str, depth: int = 3) -> list[str]:
-        """One shortest chain of callers reaching ``qualname`` (for
-        finding messages), outermost first."""
-        chain: list[str] = []
-        current, seen = qualname, {qualname}
-        for _ in range(depth):
-            sites = self.callers.get(current, [])
-            nxt = next((fn for fn, _ in sites if fn.qualname not in seen), None)
-            if nxt is None:
-                break
-            chain.append(nxt.qualname)
-            seen.add(nxt.qualname)
-            current = nxt.qualname
-        return chain
+    def least_fixpoint(
+        self,
+        seeds: Iterable[str],
+        joins: Callable[[FunctionInfo, set[str]], bool],
+    ) -> set[str]:
+        """The least set of qualnames holding ``seeds`` and every function
+        for which ``joins(fn, members)`` is true.
+
+        ``joins`` must be monotone and may read ``members`` only through
+        ``fn``'s callees ("every path hits a sink, counting calls to
+        members", "some call reaches a member"). Every function is
+        checked once; when one joins, only its callers are re-checked.
+        """
+        members = set(seeds)
+        pending = [q for q in self.functions if q not in members]
+        queued = set(pending)
+        while pending:
+            qualname = pending.pop()
+            queued.discard(qualname)
+            if qualname in members or not joins(self.functions[qualname], members):
+                continue
+            members.add(qualname)
+            for caller, _ in self.callers.get(qualname, ()):
+                if caller.qualname not in members and caller.qualname not in queued:
+                    queued.add(caller.qualname)
+                    pending.append(caller.qualname)
+        return members
+
+    @staticmethod
+    def calls_member(fn: FunctionInfo, members: set[str]) -> bool:
+        """The caller closure's ``joins``: some call in ``fn`` may reach a
+        member."""
+        return any(q in members for site in fn.calls for q in site.resolutions)
+
+    # -- findings ------------------------------------------------------------
+
+    def source_line(self, path: str, line: int) -> str:
+        """The stripped source line: a finding's baseline context."""
+        parsed = self.modules_by_path.get(path)
+        if parsed is not None and 1 <= line <= len(parsed.source_lines):
+            return parsed.source_lines[line - 1].strip()
+        return ""
+
+    def finding(
+        self, rule: str, fn: FunctionInfo, anchor: ast.AST, message: str
+    ) -> Finding:
+        """A finding in ``fn`` at ``anchor``'s line (the def line when the
+        anchor has none), its message prefixed with ``fn``'s qualname."""
+        line = getattr(anchor, "lineno", fn.lineno)
+        return Finding(
+            rule=rule,
+            path=fn.path,
+            line=line,
+            col=getattr(anchor, "col_offset", 0),
+            message=f"{fn.qualname}: {message}",
+            context=self.source_line(fn.path, line),
+        )
 
 
 # -- annotation parsing -------------------------------------------------------
@@ -459,10 +513,7 @@ def _resolve_call(
     index: ProjectIndex, typer: _Typer, fn: FunctionInfo, call: ast.Call
 ) -> tuple[str, tuple[str, ...]]:
     func = call.func
-    try:
-        repr_text = ast.unparse(func)
-    except Exception:  # pragma: no cover - unparse is total on valid ASTs
-        repr_text = "<call>"
+    repr_text = ast.unparse(func)
     if isinstance(func, ast.Name):
         if index._unique_class(func.id) is not None:
             return repr_text, ()  # constructor; not a protocol participant

@@ -9,9 +9,10 @@ module computes that scope in two steps:
    that still exist under the linted roots.
 2. **Reverse call-graph dependents** — a project index is built over
    the *full* file set (resolution needs every definition), then every
-   function defined in a touched file seeds a BFS over the reverse call
-   edges (:attr:`~repro.lint.callgraph.ProjectIndex.callers`); any file
-   containing a transitive caller joins the scope. A caller can only be
+   function defined in a touched file seeds the caller closure
+   (:meth:`~repro.lint.callgraph.ProjectIndex.least_fixpoint`, which
+   walks the reverse call edges); any file containing a transitive
+   caller joins the scope. A caller can only be
    broken by its callees, so findings *about* unchanged files cannot be
    introduced outside this closure — with the caveat below.
 
@@ -80,23 +81,12 @@ def changed_files(ref: str = "HEAD", root: Path | None = None) -> list[Path] | N
 
 def dependent_closure(index: ProjectIndex, touched_paths: set[str]) -> set[str]:
     """Display paths of ``touched_paths`` plus every file holding a
-    transitive caller of a function defined in them (BFS over the
-    reverse call edges)."""
-    scope = set(touched_paths)
-    frontier = [
-        fn.qualname
-        for fn in index.functions.values()
-        if fn.path in touched_paths
-    ]
-    seen = set(frontier)
-    while frontier:
-        qualname = frontier.pop()
-        for caller, _site in index.callers.get(qualname, ()):
-            scope.add(caller.path)
-            if caller.qualname not in seen:
-                seen.add(caller.qualname)
-                frontier.append(caller.qualname)
-    return scope
+    transitive caller of a function defined in them."""
+    callers = index.least_fixpoint(
+        (fn.qualname for fn in index.functions.values() if fn.path in touched_paths),
+        ProjectIndex.calls_member,
+    )
+    return set(touched_paths) | {index.functions[q].path for q in callers}
 
 
 def changed_scope(

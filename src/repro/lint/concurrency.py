@@ -32,28 +32,32 @@ assignments). Adjudicated helpers are flagged
 ``# concurrency: signal-safe -- why``.
 
 ``PIPE001`` / ``PIPE002`` — **pipe-protocol typestate**: each tracked
-``Connection`` (a ``Pipe()`` end bound to a local, or a
+``Connection`` (a ``Pipe()`` end or ``Connection``-annotated local, or a
 ``Connection``-annotated parameter of a ``Process`` target) is modeled
 as a typestate machine over the CFG: *open -> send/recv -> closed/EOF*.
-``PIPE001`` proves every normal path closes the connection or hands it
-off (stored, returned, passed to ``Process``/a callee) — plus the
-cross-process pairing check: every ``# protocol: sends[k]`` needs a
-``receives[k]`` peer somewhere in the linted project, so the pool's
-job/result message protocol cannot silently lose one side. ``PIPE002``
-proves no path uses a connection after closing it or closes it twice.
+``PIPE001`` proves that a child-process main closes or hands off
+(stores, returns, passes on) its ``Connection`` parameters on every
+normal path — plus the cross-process pairing check: every
+``# protocol: sends[k]`` needs a ``receives[k]`` peer somewhere in the
+linted project, so the pool's job/result message protocol cannot
+silently lose one side. ``PIPE002`` proves no path uses a connection
+after closing it or closes it twice. That locally created pipe ends are
+released on every path is proved once, by the dataflow layer's
+``RES001``.
 
 Scope notes (also the soundness caveats): connection typestate tracks
 *local names* — attribute state machines that span methods
 (``self.conn`` across ``submit``/``poll``/``abort``) are out of scope,
 as are exception paths for PIPE001 (process teardown reaps fds; the
 normal-path close discipline is what the pool protocol demands).
-Suppress any rule with ``# lint: allow[RULE] -- why``.
+Suppress any rule with ``# lint: allow[<RULE>] -- why``.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Container
 
 from repro.lint.callgraph import (
     FunctionInfo,
@@ -69,9 +73,9 @@ from repro.lint.core import (
 )
 from repro.lint.flow import (
     Cfg,
-    build_cfg,
     executed_exprs,
     find_unprotected_path,
+    iter_paths,
     iter_statements,
 )
 
@@ -198,10 +202,13 @@ def _is_process_ctor(call: ast.Call, al: _Aliases) -> bool:
     return isinstance(func, ast.Attribute) and func.attr == "Process"
 
 
-def _is_pipe_ctor(call: ast.Call, al: _Aliases) -> bool:
+def _is_pipe_ctor(call: ast.Call, pipe_names: Container[str]) -> bool:
+    """``Pipe(...)`` through a name bound to ``multiprocessing.Pipe``, or
+    any ``<expr>.Pipe(...)`` (contexts flow through too many locals and
+    attributes to type). The pipe typestate and RES001 both use it."""
     func = call.func
     if isinstance(func, ast.Name):
-        return func.id in al.pipe
+        return func.id in pipe_names
     return isinstance(func, ast.Attribute) and func.attr == "Pipe"
 
 
@@ -259,31 +266,6 @@ def _resolve_function_ref(
         if receiver is not None and receiver[0] == "class":
             return index.method_candidates(receiver[1], expr.attr)
     return []
-
-
-def _context(index: ProjectIndex, path: str, line: int) -> str:
-    parsed = index.modules_by_path.get(path)
-    if parsed is not None and 1 <= line <= len(parsed.source_lines):
-        return parsed.source_lines[line - 1].strip()
-    return ""
-
-
-def _finding(
-    index: ProjectIndex,
-    rule: str,
-    fn: FunctionInfo,
-    anchor: ast.AST,
-    message: str,
-) -> Finding:
-    line = getattr(anchor, "lineno", fn.lineno)
-    return Finding(
-        rule=rule,
-        path=fn.path,
-        line=line,
-        col=getattr(anchor, "col_offset", 0),
-        message=f"{fn.qualname}: {message}",
-        context=_context(index, fn.path, line),
-    )
 
 
 def _process_targets(index: ProjectIndex) -> set[str]:
@@ -380,17 +362,13 @@ class ForkInheritanceRule(WholeProgramRule):
                             or inferred[1] not in marked
                         ):
                             continue
-                        try:
-                            what = ast.unparse(sub)
-                        except Exception:  # pragma: no cover
-                            what = inferred[1]
+                        what = ast.unparse(sub)
                         key = (fn.path, site.stmt.lineno, inferred[1], what)
                         if key in seen:
                             continue
                         seen.add(key)
                         findings.append(
-                            _finding(
-                                index,
+                            index.finding(
                                 self.name,
                                 fn,
                                 site.stmt,
@@ -578,24 +556,15 @@ class LockAcrossSpawnRule(WholeProgramRule):
         self, index: ProjectIndex, aliases: dict[str, _Aliases]
     ) -> set[str]:
         """Least fixpoint of "calling this function spawns a process"."""
-        spawning = {
-            fn.qualname
-            for fn in index.functions.values()
-            if (al := aliases.get(fn.path)) is not None
-            and self._direct_spawn_stmts(index, fn, al)
-        }
-        changed = True
-        while changed:
-            changed = False
-            for fn in index.functions.values():
-                if fn.qualname in spawning:
-                    continue
-                for site in fn.calls:
-                    if any(q in spawning for q in site.resolutions):
-                        spawning.add(fn.qualname)
-                        changed = True
-                        break
-        return spawning
+        return index.least_fixpoint(
+            (
+                fn.qualname
+                for fn in index.functions.values()
+                if (al := aliases.get(fn.path)) is not None
+                and self._direct_spawn_stmts(index, fn, al)
+            ),
+            ProjectIndex.calls_member,
+        )
 
     def _spawn_stmts(
         self,
@@ -634,12 +603,11 @@ class LockAcrossSpawnRule(WholeProgramRule):
         spawn_stmts: dict[int, str],
     ) -> list[Finding]:
         findings: list[Finding] = []
-        cfg: Cfg | None = None
         for stmt in iter_statements(fn.node):
             # `with lock:` — a spawn anywhere in the body is held-across.
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 if not any(
-                    self._unparse(item.context_expr) in lock_keys
+                    ast.unparse(item.context_expr) in lock_keys
                     for item in stmt.items
                 ):
                     continue
@@ -647,8 +615,7 @@ class LockAcrossSpawnRule(WholeProgramRule):
                 if hit is not None:
                     inner, how = hit
                     findings.append(
-                        _finding(
-                            index,
+                        index.finding(
                             self.name,
                             fn,
                             inner,
@@ -663,8 +630,7 @@ class LockAcrossSpawnRule(WholeProgramRule):
             acquired = self._acquire_key(stmt, lock_keys)
             if acquired is None:
                 continue
-            if cfg is None:
-                cfg = build_cfg(fn.node)
+            cfg = index.cfg(fn)
             release_nodes = self._event_nodes(
                 fn, cfg, acquired, "release"
             )
@@ -674,15 +640,15 @@ class LockAcrossSpawnRule(WholeProgramRule):
                 for node in cfg.stmt_nodes.get(sid, [])
             }
             for node in cfg.nodes_for(stmt):
-                reached = self._reaches(cfg, node, spawn_nodes, release_nodes)
-                if reached is None:
+                path = next(iter_paths(cfg, node, spawn_nodes, release_nodes), None)
+                if path is None:
                     continue
+                reached = path[-1]
                 how = spawn_stmts.get(
                     id(cfg.nodes[reached]), "a spawn point"
                 )
                 findings.append(
-                    _finding(
-                        index,
+                    index.finding(
                         self.name,
                         fn,
                         cfg.nodes[reached],
@@ -695,16 +661,9 @@ class LockAcrossSpawnRule(WholeProgramRule):
                 break
         return findings
 
-    @staticmethod
-    def _unparse(expr: ast.AST) -> str:
-        try:
-            return ast.unparse(expr)
-        except Exception:  # pragma: no cover
-            return ""
-
     def _lock_name(self, stmt: ast.With, lock_keys: set[str]) -> str:
         for item in stmt.items:
-            name = self._unparse(item.context_expr)
+            name = ast.unparse(item.context_expr)
             if name in lock_keys:
                 return name
         return "the lock"  # pragma: no cover
@@ -729,9 +688,9 @@ class LockAcrossSpawnRule(WholeProgramRule):
                     isinstance(sub, ast.Call)
                     and isinstance(sub.func, ast.Attribute)
                     and sub.func.attr == "acquire"
-                    and self._unparse(sub.func.value) in lock_keys
+                    and ast.unparse(sub.func.value) in lock_keys
                 ):
-                    return self._unparse(sub.func.value)
+                    return ast.unparse(sub.func.value)
         return None
 
     def _event_nodes(
@@ -747,33 +706,10 @@ class LockAcrossSpawnRule(WholeProgramRule):
                         isinstance(sub, ast.Call)
                         and isinstance(sub.func, ast.Attribute)
                         and sub.func.attr == method
-                        and self._unparse(sub.func.value) == key
+                        and ast.unparse(sub.func.value) == key
                     ):
                         nodes.update(cfg.nodes_for(stmt))
         return nodes
-
-    @staticmethod
-    def _reaches(
-        cfg: Cfg, start: int, goals: set[int], blockers: set[int]
-    ) -> int | None:
-        """First goal node reachable from ``start`` without passing a
-        blocker, or ``None``. ``start`` itself is not re-checked."""
-        frontier = sorted(cfg.successors(start), reverse=True)
-        visited: set[int] = set()
-        while frontier:
-            node = frontier.pop()
-            if node in visited or node in blockers:
-                continue
-            visited.add(node)
-            if node in goals:
-                return node
-            if node in (Cfg.EXIT, Cfg.RAISE):
-                continue
-            frontier.extend(
-                s for s in sorted(cfg.successors(node), reverse=True)
-                if s not in visited
-            )
-        return None
 
 
 # -- SIG001: async-signal-safe handlers ---------------------------------------
@@ -869,8 +805,7 @@ class SignalHandlerSafetyRule(WholeProgramRule):
                     continue
                 flagged.add(key)
                 findings.append(
-                    _finding(
-                        index,
+                    index.finding(
                         self.name,
                         fn,
                         site.stmt,
@@ -893,10 +828,9 @@ class _ConnEvents:
     """Typestate events for one tracked connection variable."""
 
     var: str
-    #: How the variable entered scope: "pipe" (a Pipe() end bound here)
-    #: or "param" (a Connection-annotated parameter).
-    origin: str
-    acquire_stmt: ast.stmt | None  # the Pipe() statement (origin "pipe")
+    #: The statement binding a local end; ``None`` for a
+    #: Connection-annotated parameter.
+    acquire_stmt: ast.stmt | None
     uses: list[tuple[ast.stmt, str]] = field(default_factory=list)
     closes: list[ast.stmt] = field(default_factory=list)
     handoffs: list[ast.stmt] = field(default_factory=list)
@@ -907,7 +841,7 @@ class _ConnScan:
     """Per-function scan classifying every statement's effect on each
     tracked ``Connection`` local."""
 
-    def __init__(self, index: ProjectIndex, fn: FunctionInfo, al: _Aliases):
+    def __init__(self, fn: FunctionInfo, al: _Aliases):
         self.fn = fn
         self.events: dict[str, _ConnEvents] = {}
         self._track_params(fn)
@@ -919,27 +853,21 @@ class _ConnScan:
         args = fn.node.args
         for arg in args.posonlyargs + args.args + args.kwonlyargs:
             if parse_annotation(arg.annotation) == ("class", "Connection"):
-                self.events[arg.arg] = _ConnEvents(
-                    var=arg.arg, origin="param", acquire_stmt=None
-                )
+                self.events[arg.arg] = _ConnEvents(arg.arg, None)
 
     def _track_locals(self, fn: FunctionInfo, al: _Aliases) -> None:
         for stmt in iter_statements(fn.node):
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
+            if (
+                isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and parse_annotation(stmt.annotation) == ("class", "Connection")
             ):
-                if parse_annotation(stmt.annotation) == (
-                    "class",
-                    "Connection",
-                ):
-                    self.events[stmt.target.id] = _ConnEvents(
-                        var=stmt.target.id, origin="pipe", acquire_stmt=stmt
-                    )
+                self.events[stmt.target.id] = _ConnEvents(stmt.target.id, stmt)
             if not isinstance(stmt, ast.Assign):
                 continue
             if not (
                 isinstance(stmt.value, ast.Call)
-                and _is_pipe_ctor(stmt.value, al)
+                and _is_pipe_ctor(stmt.value, al.pipe)
             ):
                 continue
             for target in stmt.targets:
@@ -950,9 +878,7 @@ class _ConnScan:
                 )
                 for elt in elts:
                     if isinstance(elt, ast.Name):
-                        self.events[elt.id] = _ConnEvents(
-                            var=elt.id, origin="pipe", acquire_stmt=stmt
-                        )
+                        self.events[elt.id] = _ConnEvents(elt.id, stmt)
 
     def _classify(self, fn: FunctionInfo) -> None:
         tracked = set(self.events)
@@ -1045,10 +971,10 @@ def _pipe_analysis(index: ProjectIndex) -> dict[str, list[Finding]]:
         al = aliases.get(fn.path)
         if al is None:
             continue
-        scan = _ConnScan(index, fn, al)
+        scan = _ConnScan(fn, al)
         if not scan.events:
             continue
-        cfg = build_cfg(fn.node)
+        cfg = index.cfg(fn)
         for ev in scan.events.values():
             _check_lifecycle(index, fn, cfg, ev, targets, findings["PIPE001"])
             _check_typestate(index, fn, cfg, ev, findings["PIPE002"])
@@ -1072,39 +998,24 @@ def _check_lifecycle(
     targets: set[str],
     out: list[Finding],
 ) -> None:
-    """PIPE001: every normal path closes or hands off the connection."""
+    """PIPE001: a child-process main closes or hands off its Connection
+    parameter on every normal path. Only Process targets own their
+    Connection parameters; a borrowed connection (a helper that just
+    sends) has no obligation, and locally created ends are RES001's."""
+    if ev.acquire_stmt is not None or fn.qualname not in targets:
+        return
     sinks = _stmt_nodes(cfg, ev.closes + ev.handoffs + ev.rebinds)
-    if ev.origin == "param":
-        # Only child-process mains own their Connection parameters; a
-        # borrowed connection (helper that just sends) has no obligation.
-        if fn.qualname not in targets:
-            return
-        path = find_unprotected_path(
-            cfg, cfg.entry, sinks, inclusive=True
-        )
-        anchor: ast.AST = fn.node
-        role = f"Connection parameter `{ev.var}` of Process target"
-    else:
-        if ev.acquire_stmt is None:
-            return
-        path = None
-        for node in cfg.nodes_for(ev.acquire_stmt):
-            path = find_unprotected_path(cfg, node, sinks)
-            if path is not None:
-                break
-        anchor = ev.acquire_stmt
-        role = f"Connection `{ev.var}` from Pipe()"
+    path = find_unprotected_path(cfg, cfg.entry, sinks, inclusive=True)
     if path is None:
         return
-    where = " -> ".join(cfg.describe(n) for n in path)
     out.append(
-        _finding(
-            index,
+        index.finding(
             "PIPE001",
             fn,
-            anchor,
-            f"{role} can reach function exit still open "
-            f"(unprotected path: {where}); every pool/supervisor path "
+            fn.node,
+            f"Connection parameter `{ev.var}` of Process target can reach "
+            f"function exit still open (unprotected path: "
+            f"{cfg.describe_path(path)}); every pool/supervisor path "
             f"must .close() it or hand it off (store/return/pass on)",
         )
     )
@@ -1128,42 +1039,29 @@ def _check_typestate(
         # Looping back through the Pipe() acquisition binds a fresh end.
         blockers |= set(cfg.nodes_for(ev.acquire_stmt))
     reported: set[tuple] = set()
+    bad_states = close_nodes | set(use_nodes)
     for start in sorted(close_nodes):
-        frontier = sorted(cfg.successors(start), reverse=True)
-        visited: set[int] = set()
-        while frontier:
-            node = frontier.pop()
-            if node in visited or node in blockers:
-                continue
-            visited.add(node)
-            if node in (Cfg.EXIT, Cfg.RAISE):
-                continue
-            hit: str | None = None
+        # A bad state ends its path: nothing past it is searched.
+        for path in iter_paths(cfg, start, bad_states, blockers):
+            node = path[-1]
             if node in use_nodes:
                 hit = f".{use_nodes[node]}() after .close()"
-            elif node in close_nodes:
+            else:
                 hit = "second .close() (double close)"
-            if hit is not None:
-                stmt = cfg.nodes[node]
-                key = (ev.var, getattr(stmt, "lineno", 0), hit)
-                if key not in reported:
-                    reported.add(key)
-                    out.append(
-                        _finding(
-                            index,
-                            "PIPE002",
-                            fn,
-                            stmt,
-                            f"Connection `{ev.var}`: {hit} — the "
-                            f"typestate open -> send/recv -> closed "
-                            f"admits no transition out of closed",
-                        )
+            stmt = cfg.nodes[node]
+            key = (ev.var, getattr(stmt, "lineno", 0), hit)
+            if key not in reported:
+                reported.add(key)
+                out.append(
+                    index.finding(
+                        "PIPE002",
+                        fn,
+                        stmt,
+                        f"Connection `{ev.var}`: {hit} — the "
+                        f"typestate open -> send/recv -> closed "
+                        f"admits no transition out of closed",
                     )
-                continue  # a bad state is its own stop: report once
-            frontier.extend(
-                s for s in sorted(cfg.successors(node), reverse=True)
-                if s not in visited
-            )
+                )
 
 
 def _check_pairing(index: ProjectIndex) -> list[Finding]:
@@ -1181,8 +1079,7 @@ def _check_pairing(index: ProjectIndex) -> list[Finding]:
     for key in sorted(set(senders) - set(receivers)):
         for fn in senders[key]:
             findings.append(
-                _finding(
-                    index,
+                index.finding(
                     "PIPE001",
                     fn,
                     fn.node,
@@ -1194,8 +1091,7 @@ def _check_pairing(index: ProjectIndex) -> list[Finding]:
     for key in sorted(set(receivers) - set(senders)):
         for fn in receivers[key]:
             findings.append(
-                _finding(
-                    index,
+                index.finding(
                     "PIPE001",
                     fn,
                     fn.node,
@@ -1209,23 +1105,24 @@ def _check_pairing(index: ProjectIndex) -> list[Finding]:
 
 @register_whole_program_rule
 class ConnectionLifecycleRule(WholeProgramRule):
-    """PIPE001: every pool/supervisor path closes or hands off each
-    tracked ``Connection``.
+    """PIPE001: every child-process main closes or hands off its
+    ``Connection`` parameters, and every message marker has a peer.
 
-    Tracked connections: ``Pipe()`` ends bound to locals, and
-    ``Connection``-annotated parameters of functions used as
-    ``Process(target=...)`` — the child-process mains, which own their
-    end of the duplex pipe by the pool protocol. On every **normal**
-    path (exception paths are excused: process teardown reaps fds, and
-    the supervisor detects the EOF) the connection must be ``.close()``d
-    or handed off — stored on an attribute, returned, or passed onward
-    (``Process`` ``args=``, a callee).
+    The functions used as ``Process(target=...)`` own their
+    ``Connection``-annotated parameters — their end of the duplex pipe,
+    by the pool protocol. On every **normal** path (exception paths are
+    excused: process teardown reaps fds, and the parent's dispatcher
+    sees the EOF) such a parameter must be ``.close()``d or handed off —
+    stored on an attribute, returned, or passed onward (``Process``
+    ``args=``, a callee). Pipe ends a function creates itself are
+    ``RES001``'s: it proves them released on every path, raise edges
+    included.
 
     The rule also enforces the cross-process pairing discipline: a
     function marked ``# protocol: sends[job]`` requires a
     ``receives[job]`` peer somewhere in the linted project (and
-    ``receives`` requires ``sends``), extending the PR-5 call-pairing
-    rule across the process boundary.
+    ``receives`` requires ``sends``), extending the protocol layer's
+    call-pairing rule across the process boundary.
 
     Caveat: only local names are tracked — ``self.conn`` state machines
     spanning methods are out of scope. Suppress with
@@ -1234,9 +1131,9 @@ class ConnectionLifecycleRule(WholeProgramRule):
 
     name = "PIPE001"
     description = (
-        "a Connection (Pipe() end or Process-target parameter) can reach "
-        "function exit neither closed nor handed off, or a "
-        "sends[k]/receives[k] protocol marker has no peer"
+        "a Process target's Connection parameter can reach function exit "
+        "neither closed nor handed off, or a sends[k]/receives[k] "
+        "protocol marker has no peer"
     )
 
     def run(self, index: ProjectIndex) -> list[Finding]:

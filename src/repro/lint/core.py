@@ -28,9 +28,11 @@ Suppressions are comments of the form::
     page.entries[i] = v  # lint: allow[PVOPS001] -- hardware A/D write, no PV-Ops by design
 
 The justification after ``--`` is **required**: an allow-comment without
-one does not suppress anything and is itself reported as ``LINT000``.  A
-suppression on its own comment line applies to the next code line, so
-long statements can keep their annotation above them.
+one does not suppress anything and is itself reported as ``LINT000``, as
+is one naming a rule id nobody registered (a typo, or a retired rule),
+which suppresses nothing for that id.  A suppression on its own comment
+line applies to the next code line, so long statements can keep their
+annotation above them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.lint.callgraph import ProjectIndex
 
-#: Meta-rule name for malformed suppressions (missing justification).
+#: Meta-rule name for malformed suppressions (missing justification,
+#: unknown rule id) and syntax errors.
 META_RULE = "LINT000"
 
 _SUPPRESS_RE = re.compile(
@@ -316,14 +319,15 @@ def apply_suppressions(
     source_lines: list[str],
     path: str,
     *,
-    report_unjustified: bool = True,
+    report_malformed: bool = True,
 ) -> list[Finding]:
     """Drop findings covered by a justified allow-comment on the same line
-    or on a standalone comment line directly above; report unjustified
-    allow-comments as ``LINT000``.
+    or on a standalone comment line directly above; report allow-comments
+    without a justification, or naming an unregistered rule id, as
+    ``LINT000``.
 
     The whole-program pass runs this a second time over files the
-    per-file pass already checked; it passes ``report_unjustified=False``
+    per-file pass already checked; it passes ``report_malformed=False``
     so each malformed allow-comment is reported exactly once.
     """
     allows = _parse_allows(source_lines)
@@ -341,27 +345,32 @@ def apply_suppressions(
             break
         if not suppressed:
             kept.append(finding)
-    if report_unjustified:
+    if report_malformed:
+        known = RULE_REGISTRY.keys() | WHOLE_PROGRAM_REGISTRY.keys() | {META_RULE}
         for lineno, allow in sorted(allows.items()):
+            messages = [
+                f"suppression names unknown rule id {rule}; it suppresses "
+                "nothing (lint --explain lists the registered rules)"
+                for rule in sorted(allow.rules - known)
+            ]
             if not allow.justified:
-                kept.append(
-                    Finding(
-                        rule=META_RULE,
-                        path=path,
-                        line=lineno,
-                        col=0,
-                        message=(
-                            "suppression without justification: write "
-                            "'# lint: allow[RULE] -- <why this site is exempt>'"
-                        ),
-                        context=source_lines[lineno - 1].strip(),
-                    )
+                messages.insert(
+                    0,
+                    "suppression without justification: write "
+                    "'# lint: allow[<RULE>] -- <why this site is exempt>'",
                 )
+            kept.extend(
+                Finding(
+                    rule=META_RULE,
+                    path=path,
+                    line=lineno,
+                    col=0,
+                    message=message,
+                    context=source_lines[lineno - 1].strip(),
+                )
+                for message in messages
+            )
     return kept
-
-
-#: Backward-compatible alias (pre-whole-program name).
-_apply_suppressions = apply_suppressions
 
 
 # -- running ------------------------------------------------------------------
@@ -610,7 +619,7 @@ def lint_paths(
             lines = parsed_for_path.source_lines if parsed_for_path else []
             result.findings.extend(
                 apply_suppressions(
-                    findings, lines, path, report_unjustified=False
+                    findings, lines, path, report_malformed=False
                 )
             )
     result.findings = result.sorted_findings()

@@ -3,7 +3,7 @@
 This is the third lint layer. The per-file rules (``DET001``–``DET003``)
 see *occurrences* — a ``time.perf_counter()`` call, a set iterated — but
 not where the value goes. The protocol layer (``TLBGEN``/``SHOOT``/
-``SPAN``/``PROV``) sees *call pairings* but not values at all. This
+``SPAN``) sees *call pairings* but not values at all. This
 module sees value flow: a fixed-point taint engine over the statement
 CFGs of :mod:`repro.lint.flow` and the call graph of
 :mod:`repro.lint.callgraph`, with per-function summaries computed
@@ -23,14 +23,16 @@ iteration over a ``set``/``frozenset`` expression, or ``list(set(...))``)
 reaches a determinism sink. ``sorted(...)`` kills order taint; nothing
 else does.
 
-``RES001`` — an acquired handle (``multiprocessing.Pipe`` ends, a
-started ``Process``, a bare ``open()`` file) has a CFG path — raise
-edges included — that reaches a terminal without the handle being
-released (``.close()`` / ``.join()``), escaping (stored on ``self``,
-returned, handed to an unknown callee or a callee whose summary releases
-it), or being managed by ``with``. The same rule pins the supervisor's
-reaping discipline: every ``.terminate()`` / ``.kill()`` must be
-followed by ``.join()`` on every normal path.
+``RES001`` — an acquired handle (pipe ends from a bare ``Pipe`` alias
+or any ``<expr>.Pipe(...)``, ``Connection``-annotated locals, a started
+``Process``, a bare ``open()`` file) has a CFG path — raise edges
+included — that reaches a terminal without the handle being released
+(``.close()`` / ``.join()``), escaping (stored on ``self``, returned,
+handed to an unknown callee or a callee whose summary releases it), or
+being managed by ``with``. It is the one proof that pipe ends close. The
+same rule pins the worker pool's reaping discipline: every
+``.terminate()`` / ``.kill()`` must be followed by ``.join()`` on every
+normal path.
 
 ``RES002`` — a temp file created for atomic publication (a path whose
 name contains ``.tmp``, written via ``open()``/``write_text``) must
@@ -75,19 +77,25 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.lint.callgraph import FunctionInfo, ProjectIndex
+from repro.lint.callgraph import FunctionInfo, ProjectIndex, parse_annotation
+from repro.lint.concurrency import _is_pipe_ctor
 from repro.lint.core import (
     Finding,
     ParsedModule,
     WholeProgramRule,
     register_whole_program_rule,
 )
-from repro.lint.flow import Cfg, build_cfg, executed_exprs, iter_statements
+from repro.lint.flow import (
+    Cfg,
+    executed_exprs,
+    find_unprotected_path,
+    iter_statements,
+)
 from repro.lint.rules_determinism import _BANNED_CALLS, _is_unordered_expr
 
 #: Cache entry schema — part of every entry and of the ABI digest, so an
 #: engine change invalidates every cached summary at once.
-IR_SCHEMA = "repro-lint-dataflow/1"
+IR_SCHEMA = "repro-lint-dataflow/2"
 
 #: Environment override for the summary-cache directory.
 CACHE_ENV = "REPRO_LINT_CACHE_DIR"
@@ -106,8 +114,6 @@ _NONDET_EXTRA: dict[str, frozenset[str]] = {
     "os": frozenset({"getpid", "getppid"}),
     "time": frozenset(),
 }
-
-_MP_ALIASES = {"multiprocessing", "multiprocessing.Pipe", "multiprocessing.Process"}
 
 #: Builtins whose result never carries taint from their arguments.
 _TAINT_STOPPERS = frozenset(
@@ -217,20 +223,19 @@ class _FunctionExtractor:
     """Lowers one function body into the serializable taint/resource IR."""
 
     def __init__(
-        self,
-        index: ProjectIndex,
-        fn: FunctionInfo,
-        parsed: ParsedModule,
-        aliases: dict[str, str],
+        self, index: ProjectIndex, fn: FunctionInfo, aliases: dict[str, str]
     ):
         from repro.lint.callgraph import _Typer
 
         self.index = index
         self.fn = fn
-        self.parsed = parsed
         self.aliases = aliases
+        self.pipe_names = {
+            name for name, target in aliases.items()
+            if target == "multiprocessing.Pipe"
+        }
         self.typer = _Typer(index, fn)
-        self.cfg = build_cfg(fn.node)
+        self.cfg = index.cfg(fn)
         self.call_sites = {id(site.call): site for site in fn.calls}
         self.edges: dict[str, set[str]] = {}
         self.kills: set[str] = set()
@@ -264,8 +269,7 @@ class _FunctionExtractor:
             self.edges.setdefault(dst, set()).update(srcs)
 
     def _context(self, line: int) -> str:
-        lines = self.parsed.source_lines
-        return lines[line - 1].strip() if 1 <= line <= len(lines) else ""
+        return self.index.source_line(self.fn.path, line)
 
     def _node_ids(self, stmt: ast.stmt) -> list[int]:
         return self.cfg.nodes_for(stmt)
@@ -302,23 +306,22 @@ class _FunctionExtractor:
         """"pipe"/"process" when ``expr`` constructs that mp object."""
         if not isinstance(expr, ast.Call):
             return None
+        if _is_pipe_ctor(expr, self.pipe_names):
+            return "pipe"
         func = expr.func
         if isinstance(func, ast.Name):
             target = self.aliases.get(func.id)
-            if target == "multiprocessing.Pipe":
-                return "pipe"
-            if target == "multiprocessing.Process":
-                return "process"
-            return None
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            base_is_mp = (
+            return "process" if target == "multiprocessing.Process" else None
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "Process"
+            and isinstance(func.value, ast.Name)
+            and (
                 self.aliases.get(func.value.id) == "multiprocessing"
                 or func.value.id in self.ctxvars
             )
-            if base_is_mp and func.attr == "Pipe":
-                return "pipe"
-            if base_is_mp and func.attr == "Process":
-                return "process"
+        ):
+            return "process"
         return None
 
     # -- expression lowering --------------------------------------------------
@@ -473,7 +476,7 @@ class _FunctionExtractor:
             "calls": self.calls,
             "sources": self.sources,
             "returns": self.returns,
-            "cfg": _serialize_cfg(self.cfg),
+            "cfg": self.cfg.to_dict(),
             "res": self.res,
         }
 
@@ -576,15 +579,23 @@ class _FunctionExtractor:
                 if isinstance(sub, ast.Call):
                     self._resource_call(stmt, sub, in_with=id(sub) in with_exprs)
         if isinstance(stmt, ast.Assign):
-            self._resource_assign(stmt)
+            self._resource_assign(stmt, stmt.targets)
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            if isinstance(stmt.target, ast.Name) and parse_annotation(
+                stmt.annotation
+            ) == ("class", "Connection"):
+                self._acquire(stmt, stmt.target.id, "pipe", "pipe end")
+            self._resource_assign(stmt, [stmt.target])
         elif isinstance(stmt, (ast.Return,)) and stmt.value is not None:
             for name in _names_in(stmt.value):
                 self._escape(stmt, name, "returned")
 
-    def _resource_assign(self, stmt: ast.Assign) -> None:
+    def _resource_assign(
+        self, stmt: ast.Assign | ast.AnnAssign, targets: list[ast.expr]
+    ) -> None:
         kind = self._mp_call_kind(stmt.value)
         if kind == "pipe":
-            for target in stmt.targets:
+            for target in targets:
                 elts = target.elts if isinstance(target, (ast.Tuple, ast.List)) else []
                 for elt in elts:
                     if isinstance(elt, ast.Name):
@@ -593,7 +604,7 @@ class _FunctionExtractor:
                     # escaped at birth — the object owns it now.
         # Escape by aliasing/containment: the raw value (or a container
         # holding it) now has a second name we don't track.
-        target = stmt.targets[0]
+        target = targets[0]
         if isinstance(target, (ast.Attribute, ast.Subscript)):
             for name in _names_in(stmt.value):
                 self._escape(stmt, name, "stored")
@@ -633,7 +644,7 @@ class _FunctionExtractor:
             return
         if isinstance(func, ast.Attribute):
             recv = func.value
-            recv_text = _safe_unparse(recv)
+            recv_text = ast.unparse(recv)
             if func.attr in ("terminate", "kill"):
                 self.res["terminates"].append(
                     {
@@ -780,60 +791,6 @@ def _container_names(expr: ast.AST) -> set[str]:
     return set()
 
 
-def _safe_unparse(expr: ast.AST) -> str:
-    try:
-        return ast.unparse(expr)
-    except Exception:  # pragma: no cover - unparse is total on valid ASTs
-        return "<expr>"
-
-
-def _serialize_cfg(cfg: Cfg) -> dict:
-    return {
-        "entry": cfg.entry,
-        "lines": {
-            str(nid): getattr(node, "lineno", 0) for nid, node in cfg.nodes.items()
-        },
-        "normal": {str(s): sorted(d) for s, d in cfg.normal.items()},
-        "raises": {str(s): sorted(d) for s, d in cfg.raises.items()},
-    }
-
-
-def _unprotected_path(
-    cfg: dict, start: int, sinks: set[int], *, count_exception_paths: bool
-) -> list[int] | None:
-    """:func:`repro.lint.flow.find_unprotected_path` over the *serialized*
-    CFG, so cached modules never need their ASTs re-lowered. Semantics
-    match the live version with ``inclusive=False``."""
-    normal = {int(k): v for k, v in cfg["normal"].items()}
-    raises = {int(k): v for k, v in cfg["raises"].items()}
-    goals = {Cfg.EXIT} | ({Cfg.RAISE} if count_exception_paths else set())
-
-    def successors(node: int, *, include_raise: bool) -> list[int]:
-        out = list(normal.get(node, []))
-        if include_raise:
-            out.extend(raises.get(node, []))
-        return sorted(set(out))
-
-    first = successors(start, include_raise=not count_exception_paths)
-    frontier = [(succ, (start, succ)) for succ in sorted(first, reverse=True)]
-    visited: set[int] = set()
-    while frontier:
-        node, path = frontier.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        if node in sinks:
-            continue
-        if node in goals:
-            return list(path)
-        if node in (Cfg.EXIT, Cfg.RAISE):
-            continue
-        for succ in sorted(successors(node, include_raise=True), reverse=True):
-            if succ not in visited:
-                frontier.append((succ, path + (succ,)))
-    return None
-
-
 # -- the on-disk summary cache ------------------------------------------------
 
 
@@ -931,7 +888,7 @@ def abi_digest(index: ProjectIndex) -> str:
         shape["functions"][qualname] = {
             "params": _param_names(fn.node),
             "markers": sorted((m.verb, m.key) for m in fn.markers),
-            "returns": _safe_unparse(fn.node.returns) if fn.node.returns else "",
+            "returns": ast.unparse(fn.node.returns) if fn.node.returns else "",
             "flags": sorted(fn.flags),
         }
     blob = json.dumps(shape, sort_keys=True, separators=(",", ":"))
@@ -1025,7 +982,7 @@ class ProjectDataflow:
         for key, parsed, fns in misses:
             aliases = _tracked_aliases(parsed.tree)
             extracted = [
-                _FunctionExtractor(self.index, fn, parsed, aliases).extract()
+                _FunctionExtractor(self.index, fn, aliases).extract()
                 for fn in fns
             ]
             self.stats["functions"] += len(extracted)
@@ -1088,60 +1045,52 @@ class ProjectDataflow:
                 break
         return env
 
+    def _tokens(self, deps: Iterable[str], env: dict[str, set[tuple]]) -> set[tuple]:
+        """Taint of dependency nodes: attributes from the shared attribute
+        environment, everything else from ``env``."""
+        out: set[tuple] = set()
+        for d in deps:
+            if d.startswith("a:"):
+                out |= self.attr_env.get(d, set())
+            else:
+                out |= env.get(d, set())
+        return out
+
     def _map_args(
         self, call: dict, callee_ir: dict, env: dict[str, set[tuple]]
     ) -> dict[str, set[tuple]]:
         """Caller-side taint per callee parameter name."""
-
-        def toks(deps: Iterable[str]) -> set[tuple]:
-            out: set[tuple] = set()
-            for d in deps:
-                if d.startswith("a:"):
-                    out |= self.attr_env.get(d, set())
-                else:
-                    out |= env.get(d, set())
-            return out
-
         params = callee_ir["params"]
         pos_params = list(params["pos"])
         mapping: dict[str, set[tuple]] = {}
         offset = 0
         if call["bound"] and callee_ir["cls"] is not None and pos_params:
-            mapping[pos_params[0]] = toks(call["recv"])
+            mapping[pos_params[0]] = self._tokens(call["recv"], env)
             offset = 1
         for i, deps in enumerate(call["pos"]):
             idx = i + offset
-            if idx < len(pos_params):
-                mapping.setdefault(pos_params[idx], set()).update(toks(deps))
-            elif params["vararg"]:
-                mapping.setdefault(params["vararg"], set()).update(toks(deps))
+            param = pos_params[idx] if idx < len(pos_params) else params["vararg"]
+            if param:
+                mapping.setdefault(param, set()).update(self._tokens(deps, env))
         for kw, deps in call["kw"].items():
+            taint = self._tokens(deps, env)
             if kw in pos_params or kw in params["kwonly"]:
-                mapping.setdefault(kw, set()).update(toks(deps))
+                mapping.setdefault(kw, set()).update(taint)
             elif params["kwarg"]:
-                mapping.setdefault(params["kwarg"], set()).update(toks(deps))
+                mapping.setdefault(params["kwarg"], set()).update(taint)
             elif kw == "**":
                 for p in pos_params + params["kwonly"]:
-                    mapping.setdefault(p, set()).update(toks(deps))
+                    mapping.setdefault(p, set()).update(taint)
         return mapping
 
     def _call_tokens(
         self, ir: dict, call: dict, env: dict[str, set[tuple]]
     ) -> set[tuple]:
-        def toks(deps: Iterable[str]) -> set[tuple]:
-            out: set[tuple] = set()
-            for d in deps:
-                if d.startswith("a:"):
-                    out |= self.attr_env.get(d, set())
-                else:
-                    out |= env.get(d, set())
-            return out
-
-        all_args: set[tuple] = toks(call["recv"])
+        all_args: set[tuple] = self._tokens(call["recv"], env)
         for deps in call["pos"]:
-            all_args |= toks(deps)
+            all_args |= self._tokens(deps, env)
         for deps in call["kw"].values():
-            all_args |= toks(deps)
+            all_args |= self._tokens(deps, env)
         refs = call["refs"]
         if not refs:
             return all_args  # unknown callee: conservative pass-through
@@ -1268,12 +1217,6 @@ class ProjectDataflow:
 
     # -- findings -------------------------------------------------------------
 
-    def _context_for(self, path: str, line: int) -> str:
-        parsed = self.index.modules_by_path.get(path)
-        if parsed is not None and 1 <= line <= len(parsed.source_lines):
-            return parsed.source_lines[line - 1].strip()
-        return ""
-
     def _collect_findings(self) -> None:
         seen: set[tuple] = set()
         for qualname in sorted(self.irs):
@@ -1305,7 +1248,7 @@ class ProjectDataflow:
                     f"{sink_desc} ({at}); replayed payloads and cache keys "
                     "must be pure functions of (config, seed)"
                 ),
-                context=self._context_for(path, line),
+                context=self.index.source_line(path, line),
             )
         )
 
@@ -1341,7 +1284,9 @@ class ProjectDataflow:
                             )
 
     def _resource_findings(self, qualname: str, ir: dict) -> None:
-        cfg = ir["cfg"]
+        if not ir["res"]["acquires"] and not ir["res"]["terminates"]:
+            return
+        cfg = Cfg.from_dict(ir["cfg"])
         params = set(ir["params"]["pos"] + ir["params"]["kwonly"])
         by_var_sinks: dict[str, set[int]] = {}
 
@@ -1380,14 +1325,14 @@ class ProjectDataflow:
             sinks = sinks_for(acq["var"])
             violation = None
             for node in acq["node_ids"]:
-                violation = _unprotected_path(
+                violation = find_unprotected_path(
                     cfg, node, sinks, count_exception_paths=count_exc
                 )
                 if violation is not None:
                     break
             if violation is None:
                 continue
-            where = _describe_path(cfg, violation)
+            where = cfg.describe_path(violation)
             if rule == "RES001":
                 message = (
                     f"{acq['desc']} `{acq['var']}` acquired here can leak: "
@@ -1422,9 +1367,7 @@ class ProjectDataflow:
             sinks = join_nodes.get(rec["recv"], set())
             violation = None
             for node in rec["node_ids"]:
-                violation = _unprotected_path(
-                    cfg, node, sinks, count_exception_paths=False
-                )
+                violation = find_unprotected_path(cfg, node, sinks)
                 if violation is not None:
                     break
             if violation is None:
@@ -1438,7 +1381,7 @@ class ProjectDataflow:
                     message=(
                         f"{rec['recv']}.{rec['word']}() is not followed by "
                         f"{rec['recv']}.join() on every path "
-                        f"({_describe_path(cfg, violation)}); a signalled "
+                        f"({cfg.describe_path(violation)}); a signalled "
                         "worker must still be reaped"
                     ),
                     context=rec["context"],
@@ -1461,18 +1404,6 @@ def _callpass_target(rec: dict, callee_ir: dict) -> str | None:
             return pos_params[idx]
         return params["vararg"]
     return None
-
-
-def _describe_path(cfg: dict, path: list[int]) -> str:
-    parts = []
-    for node in path:
-        if node == Cfg.EXIT:
-            parts.append("exit")
-        elif node == Cfg.RAISE:
-            parts.append("raise")
-        else:
-            parts.append(f"line {cfg['lines'].get(str(node), '?')}")
-    return " -> ".join(parts)
 
 
 def _thaw_ir(ir: dict) -> dict:
@@ -1608,17 +1539,21 @@ class OrderTaintReachesSinkRule(_DataflowRule):
 class HandleLeakRule(_DataflowRule):
     """RES001: an acquired handle may leak on some CFG path.
 
-    Acquires: ``multiprocessing.Pipe()`` ends bound to locals, a
+    Acquires: pipe ends bound to locals — from a bare ``Pipe`` alias or
+    any ``<expr>.Pipe(...)`` (``multiprocessing.Pipe()``,
+    ``self._ctx.Pipe()``) — and ``x: Connection = ...`` locals, a
     ``Process`` local that gets ``.start()``-ed, a bare ``open()`` bound
     to a local outside ``with``. Every acquire must, on **all** paths —
     raise edges included — reach a release (``.close()``/``.join()``), an
     ownership transfer (returned, stored on an attribute, handed to an
     unknown callee or to a callee whose summary releases/stores that
-    parameter), or be managed by ``with``.
+    parameter), or be managed by ``with``. This is the only rule that
+    proves a pipe end is closed; ``PIPE001`` keeps the Process-target
+    parameters RES001 cannot see.
 
     The same rule checks reaping: every ``.terminate()``/``.kill()``
     must be followed by ``.join()`` on the same receiver on every normal
-    path — the supervisor's SIGTERM -> SIGKILL escalation stays honest
+    path — the worker pool's SIGTERM -> SIGKILL escalation stays honest
     because both signals funnel into a ``join()``.
 
     Sanctioned patterns: ``with`` blocks; storing the handle on ``self``

@@ -9,6 +9,12 @@ synthetic terminals (``EXIT`` for falling off the end or returning,
 *"is there a path from this obligation to a terminal that avoids every
 sink?"* and returns the offending path for the finding message.
 
+Every path question the linter asks — protocol obligations, resource
+leaks (on live or cached graphs, via :meth:`Cfg.to_dict` /
+:meth:`Cfg.from_dict`), locks held across a spawn, pipe use after close
+— goes through the one blocker-aware depth-first search,
+:func:`iter_paths`.
+
 Design notes, in decreasing order of importance:
 
 * Nodes are individual ``ast.stmt`` objects at any nesting depth; a
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
+from typing import Collection, Iterator
 
 _TRY_TYPES = (ast.Try,) + ((ast.TryStar,) if hasattr(ast, "TryStar") else ())
 _FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -55,6 +62,9 @@ class Cfg:
     #: ``id(ast stmt)`` -> node ids (finally duplication means one
     #: statement can appear as several nodes).
     stmt_nodes: dict[int, list[int]] = field(default_factory=dict)
+    #: node id -> source line: what a path description needs, and all
+    #: that :meth:`to_dict` keeps of the nodes.
+    lines: dict[int, int] = field(default_factory=dict)
 
     def successors(self, node: int, *, include_raise: bool = True) -> set[int]:
         out = set(self.normal.get(node, ()))
@@ -70,7 +80,31 @@ class Cfg:
             return "exit"
         if node == Cfg.RAISE:
             return "raise"
-        return f"line {getattr(self.nodes[node], 'lineno', '?')}"
+        return f"line {self.lines.get(node, '?')}"
+
+    def describe_path(self, path: list[int]) -> str:
+        return " -> ".join(self.describe(node) for node in path)
+
+    def to_dict(self) -> dict:
+        """Edges and line numbers as JSON data. Keys are strings already,
+        so the form is the same before and after a JSON round trip."""
+        return {
+            "entry": self.entry,
+            "lines": {str(nid): line for nid, line in self.lines.items()},
+            "normal": {str(s): sorted(d) for s, d in self.normal.items()},
+            "raises": {str(s): sorted(d) for s, d in self.raises.items()},
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Cfg":
+        """A searchable graph from :meth:`to_dict` output: every path
+        query and description works; the AST maps stay empty."""
+        return cls(
+            normal={int(k): set(v) for k, v in data["normal"].items()},
+            raises={int(k): set(v) for k, v in data["raises"].items()},
+            entry=data["entry"],
+            lines={int(k): v for k, v in data["lines"].items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -94,6 +128,7 @@ class _Builder:
         nid = self._next_id
         self._next_id += 1
         self.cfg.nodes[nid] = stmt
+        self.cfg.lines[nid] = getattr(stmt, "lineno", 0)
         self.cfg.stmt_nodes.setdefault(id(stmt), []).append(nid)
         return nid
 
@@ -288,10 +323,51 @@ def iter_statements(func: ast.FunctionDef | ast.AsyncFunctionDef):
     yield from _walk(func.body)
 
 
+def iter_paths(
+    cfg: Cfg,
+    start: int,
+    goals: Collection[int],
+    blockers: Collection[int] = (),
+    *,
+    inclusive: bool = False,
+    first_raise: bool = True,
+) -> Iterator[list[int]]:
+    """Depth-first, one path from ``start`` to each goal node reachable
+    without passing a blocker, in a deterministic order (successors are
+    explored smallest node id first).
+
+    A goal ends its branch, and so do blockers and the two terminals.
+    ``start`` itself is tested only when ``inclusive``; otherwise the
+    search begins at its successors, following its raise edges only when
+    ``first_raise``.
+    """
+    if inclusive:
+        frontier = [(start, (start,))]
+    else:
+        first = cfg.successors(start, include_raise=first_raise)
+        frontier = [(succ, (start, succ)) for succ in sorted(first, reverse=True)]
+    visited: set[int] = set()
+    while frontier:
+        node, path = frontier.pop()
+        if node in visited:
+            continue
+        visited.add(node)
+        if node in blockers:
+            continue
+        if node in goals:
+            yield list(path)
+            continue
+        if node in (Cfg.EXIT, Cfg.RAISE):
+            continue
+        for succ in sorted(cfg.successors(node), reverse=True):
+            if succ not in visited:
+                frontier.append((succ, path + (succ,)))
+
+
 def find_unprotected_path(
     cfg: Cfg,
     start: int,
-    sinks: set[int],
+    sinks: Collection[int],
     *,
     inclusive: bool = False,
     count_exception_paths: bool = False,
@@ -312,24 +388,8 @@ def find_unprotected_path(
     exception path is exactly the SPAN001 bug).
     """
     goals = {Cfg.EXIT} | ({Cfg.RAISE} if count_exception_paths else set())
-    if inclusive:
-        frontier = [(start, (start,))]
-    else:
-        first = cfg.successors(start, include_raise=not count_exception_paths)
-        frontier = [(succ, (start, succ)) for succ in sorted(first, reverse=True)]
-    visited: set[int] = set()
-    while frontier:
-        node, path = frontier.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        if node in sinks:
-            continue  # this branch is protected
-        if node in goals:
-            return list(path)
-        if node in (Cfg.EXIT, Cfg.RAISE):
-            continue  # excused terminal
-        for succ in sorted(cfg.successors(node), reverse=True):
-            if succ not in visited:
-                frontier.append((succ, path + (succ,)))
-    return None
+    paths = iter_paths(
+        cfg, start, goals, sinks,
+        inclusive=inclusive, first_raise=not count_exception_paths,
+    )
+    return next(paths, None)

@@ -1,4 +1,4 @@
-"""Whole-program protocol rules: TLBGEN, SHOOT, PROV, SPAN.
+"""Whole-program protocol rules: TLBGEN, SHOOT, SPAN.
 
 Each rule here is a ~20-line declarative spec over the same engine: the
 project call graph (:mod:`repro.lint.callgraph`) says *where obligations
@@ -8,9 +8,9 @@ reachability engine (:mod:`repro.lint.flow`) asks whether some path
 escapes to a terminal without passing a *sink* (a primitive settle like
 a ``generation`` store, a call to a ``settles[k]``/``ends[k]`` function,
 or a call to a function *proven* to settle on every path — a least
-fixpoint, so e.g. ``TlbHierarchy.invalidate_page`` counts as a
-``tlb-generation`` sink for its callers because its own body always
-bumps).
+fixpoint (:meth:`~repro.lint.callgraph.ProjectIndex.least_fixpoint`), so
+e.g. ``TlbHierarchy.invalidate_page`` counts as a ``tlb-generation`` sink
+for its callers because its own body always bumps).
 
 The shipped invariants:
 
@@ -23,10 +23,6 @@ The shipped invariants:
 * ``SHOOT001`` — *shootdown-round*: every IPI round opened by
   ``_begin_round`` reaches ``_complete_round`` (cycle accounting), with
   no early return between them.
-* ``PROV001`` — static twin of the runtime ``PTESanitizer``: every PTE
-  store (including through a local alias of ``.entries``) must sit
-  lexically inside ``apply_entry_write``; messages carry call-graph
-  provenance so a bypass names the syscall path that reaches it.
 * ``SPAN001`` — *trace-session*: ``start_tracing`` reaches
   ``stop_tracing`` on **all** paths including exceptional ones, and
   ``TraceSession.span(...)``/``tracing(...)`` context managers are
@@ -44,19 +40,7 @@ from repro.lint.core import (
     WholeProgramRule,
     register_whole_program_rule,
 )
-from repro.lint.flow import (
-    Cfg,
-    build_cfg,
-    executed_exprs,
-    find_unprotected_path,
-    iter_statements,
-)
-from repro.lint.rules_pvops import (
-    BLESSED_WRITER,
-    _entries_store_target,
-    _is_entries_attr,
-    _LIST_MUTATORS,
-)
+from repro.lint.flow import Cfg, find_unprotected_path, iter_statements
 
 
 @dataclass(frozen=True)
@@ -75,13 +59,12 @@ class ObligationRule(WholeProgramRule):
     spec: ProtocolSpec
 
     def run(self, index: ProjectIndex) -> list[Finding]:
-        self._cfgs: dict[str, Cfg] = {}
         must_settle = self._must_settle(index)
         findings: list[Finding] = []
         for fn in index.functions.values():
             if self.spec.key in fn.marker_keys("defers", "begins"):
                 continue  # the obligation is its callers' duty, not its own
-            cfg = self._cfg(fn)
+            cfg = index.cfg(fn)
             sinks = self._sinks(fn, cfg, must_settle)
             if self.spec.key in fn.marker_keys("mutates"):
                 path = find_unprotected_path(
@@ -93,8 +76,8 @@ class ObligationRule(WholeProgramRule):
                 )
                 if path is not None:
                     findings.append(
-                        self._finding(
-                            index,
+                        index.finding(
+                            self.name,
                             fn,
                             fn.node,
                             f"mutates[{self.spec.key}] but can finish without "
@@ -118,8 +101,8 @@ class ObligationRule(WholeProgramRule):
                         break
                 if violation is not None:
                     findings.append(
-                        self._finding(
-                            index,
+                        index.finding(
+                            self.name,
                             fn,
                             site.stmt,
                             f"call to {site.callee_repr}() defers "
@@ -169,69 +152,35 @@ class ObligationRule(WholeProgramRule):
         """Least fixpoint of "calling this function settles the key":
         seeded by ``settles``/``ends`` markers, grown by functions whose
         every entry→exit path hits a sink under the current set."""
-        settled = {
-            fn.qualname
-            for fn in index.functions.values()
-            if self.spec.key in fn.marker_keys("settles", "ends")
-        }
-        changed = True
-        while changed:
-            changed = False
-            for fn in index.functions.values():
-                if fn.qualname in settled:
-                    continue
-                if self.spec.key in fn.marker_keys("defers", "begins"):
-                    continue  # defers = explicitly does NOT settle
-                cfg = self._cfg(fn)
-                sinks = self._sinks(fn, cfg, settled)
-                if not sinks:
-                    continue
-                path = find_unprotected_path(
-                    cfg,
-                    cfg.entry,
-                    sinks,
-                    inclusive=True,
-                    count_exception_paths=self.spec.count_exception_paths,
-                )
-                if path is None:
-                    settled.add(fn.qualname)
-                    changed = True
-        return settled
+        key = self.spec.key
+
+        def settles(fn: FunctionInfo, settled: set[str]) -> bool:
+            if key in fn.marker_keys("defers", "begins"):
+                return False  # defers = explicitly does NOT settle
+            cfg = index.cfg(fn)
+            sinks = self._sinks(fn, cfg, settled)
+            return bool(sinks) and find_unprotected_path(
+                cfg,
+                cfg.entry,
+                sinks,
+                inclusive=True,
+                count_exception_paths=self.spec.count_exception_paths,
+            ) is None
+
+        return index.least_fixpoint(
+            (
+                fn.qualname
+                for fn in index.functions.values()
+                if key in fn.marker_keys("settles", "ends")
+            ),
+            settles,
+        )
 
     # -- plumbing ------------------------------------------------------------
 
-    def _cfg(self, fn: FunctionInfo) -> Cfg:
-        cfg = self._cfgs.get(fn.qualname)
-        if cfg is None:
-            cfg = self._cfgs[fn.qualname] = build_cfg(fn.node)
-        return cfg
-
     @staticmethod
     def _path_text(cfg: Cfg, path: list[int]) -> str:
-        return "unprotected path: " + " -> ".join(
-            cfg.describe(node) for node in path
-        )
-
-    def _finding(
-        self,
-        index: ProjectIndex,
-        fn: FunctionInfo,
-        anchor: ast.AST,
-        detail: str,
-    ) -> Finding:
-        line = getattr(anchor, "lineno", fn.lineno)
-        parsed = index.modules_by_path.get(fn.path)
-        context = ""
-        if parsed is not None and 1 <= line <= len(parsed.source_lines):
-            context = parsed.source_lines[line - 1].strip()
-        return Finding(
-            rule=self.name,
-            path=fn.path,
-            line=line,
-            col=getattr(anchor, "col_offset", 0),
-            message=f"{fn.qualname}: {detail}",
-            context=context,
-        )
+        return "unprotected path: " + cfg.describe_path(path)
 
 
 @register_whole_program_rule
@@ -319,8 +268,8 @@ class SpanPairingRule(ObligationRule):
                 if self._properly_entered(fn, site):
                     continue
                 findings.append(
-                    self._finding(
-                        index,
+                    index.finding(
+                        self.name,
                         fn,
                         site.stmt,
                         f"{site.callee_repr}() returns a span/tracing "
@@ -365,105 +314,3 @@ class SpanPairingRule(ObligationRule):
                             if isinstance(sub, ast.Name) and sub.id == bound:
                                 return True
         return False
-
-
-@register_whole_program_rule
-class PteProvenanceRule(WholeProgramRule):
-    """PROV001: static twin of PTESanitizer — PTE stores with provenance."""
-
-    name = "PROV001"
-    description = (
-        "page-table entry store outside apply_entry_write (including via "
-        "a local alias of `.entries`); the runtime PTESanitizer would only "
-        "catch this when the path is exercised"
-    )
-
-    def run(self, index: ProjectIndex) -> list[Finding]:
-        findings: list[Finding] = []
-        for fn in index.functions.values():
-            if fn.name == BLESSED_WRITER:
-                continue
-            aliases = self._entry_array_aliases(fn)
-            for stmt in iter_statements(fn.node):
-                hit = self._store_in(stmt, aliases)
-                if hit is None:
-                    continue
-                chain = index.caller_chain(fn.qualname)
-                reach = (
-                    "reachable via " + " <- ".join(chain)
-                    if chain
-                    else "no callers found in the linted sources"
-                )
-                parsed = index.modules_by_path.get(fn.path)
-                line = getattr(stmt, "lineno", fn.lineno)
-                context = ""
-                if parsed is not None and 1 <= line <= len(parsed.source_lines):
-                    context = parsed.source_lines[line - 1].strip()
-                findings.append(
-                    Finding(
-                        rule=self.name,
-                        path=fn.path,
-                        line=line,
-                        col=getattr(stmt, "col_offset", 0),
-                        message=(
-                            f"{fn.qualname}: raw PTE store bypasses "
-                            f"apply_entry_write ({hit}); {reach}"
-                        ),
-                        context=context,
-                    )
-                )
-        return findings
-
-    @staticmethod
-    def _entry_array_aliases(fn: FunctionInfo) -> set[str]:
-        """Local names bound to somebody's ``.entries`` array — stores
-        through these bypass PV-Ops just as surely (and invisibly to the
-        per-file PVOPS001)."""
-        aliases: set[str] = set()
-        for stmt in iter_statements(fn.node):
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and _is_entries_attr(stmt.value)
-            ):
-                aliases.add(stmt.targets[0].id)
-        return aliases
-
-    @staticmethod
-    def _store_in(stmt: ast.stmt, aliases: set[str]) -> str | None:
-        def _alias_target(node: ast.AST) -> bool:
-            return (
-                isinstance(node, ast.Subscript)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in aliases
-            )
-
-        targets: list[ast.AST] = []
-        value: ast.AST | None = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = list(stmt.targets), stmt.value
-        elif isinstance(stmt, ast.AugAssign):
-            targets, value = [stmt.target], stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if _entries_store_target(target, value) is not None:
-                return "direct `.entries` store"
-            if _alias_target(target):
-                return f"store through alias `{target.value.id}`"  # type: ignore[union-attr]
-        for root in executed_exprs(stmt):
-            if root is None:
-                continue
-            for sub in ast.walk(root):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _LIST_MUTATORS
-                ):
-                    base = sub.func.value
-                    if _is_entries_attr(base) or (
-                        isinstance(base, ast.Name) and base.id in aliases
-                    ):
-                        return f".{sub.func.attr}() on a PTE array"
-        return None

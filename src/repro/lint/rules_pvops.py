@@ -4,7 +4,10 @@
 ``PagingOps.apply_entry_write`` (paper §5.2, Listing 1): it is the single
 choke point that keeps valid-entry counts correct and, under Mitosis,
 keeps replicas coherent. Any other ``*.entries[...]`` store or in-place
-mutation is a replication-coherence bypass. Reads are free.
+mutation is a replication-coherence bypass — written directly, or through
+a local the function bound to ``<x>.entries`` (``entries = page.entries;
+entries[i] = v``), the static twin of what the runtime ``PTESanitizer``
+traps. Reads are free.
 
 ``PVOPS002`` — page-table *pages* have a managed lifecycle: frames come
 from the per-socket :class:`~repro.mem.pagecache.PageTablePageCache`
@@ -24,6 +27,7 @@ from __future__ import annotations
 import ast
 
 from repro.lint.core import Rule, register_rule
+from repro.lint.flow import iter_statements
 
 #: The one blessed writer function. A raw entries store is legal only
 #: lexically inside a function with this name (the PV-Ops choke point).
@@ -65,22 +69,62 @@ def _is_listlike(node: ast.AST | None) -> bool:
     return False
 
 
-def _entries_store_target(node: ast.AST, value: ast.AST | None = None) -> ast.AST | None:
+def _entries_aliases(func: ast.FunctionDef | ast.AsyncFunctionDef) -> frozenset[str]:
+    """Locals ``func`` binds to somebody's ``.entries`` array (its own
+    body, not nested definitions): stores through them bypass PV-Ops
+    just as surely as a direct ``.entries[...]`` store."""
+    return frozenset(
+        stmt.targets[0].id
+        for stmt in iter_statements(func)
+        if isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Name)
+        and _is_entries_attr(stmt.value)
+    )
+
+
+def _is_entries_array(node: ast.AST, aliases: frozenset[str]) -> bool:
+    """``X.entries``, or a local alias of one."""
+    return _is_entries_attr(node) or (
+        isinstance(node, ast.Name) and node.id in aliases
+    )
+
+
+def _entries_store_target(
+    node: ast.AST, value: ast.AST | None, aliases: frozenset[str]
+) -> ast.AST | None:
     """The offending node when ``node`` is an assignment target that hits
-    ``X.entries`` storage: ``X.entries[...]``, or ``X.entries`` itself
-    being (re)bound to a list."""
-    if isinstance(node, ast.Subscript) and _is_entries_attr(node.value):
+    ``X.entries`` storage: ``X.entries[...]`` or ``alias[...]``, or
+    ``X.entries`` itself being (re)bound to a list."""
+    if isinstance(node, ast.Subscript) and _is_entries_array(node.value, aliases):
         return node
     if _is_entries_attr(node) and _is_listlike(value):
         return node
     if isinstance(node, (ast.Tuple, ast.List)):
         for element in node.elts:
-            hit = _entries_store_target(element, value)
+            hit = _entries_store_target(element, value, aliases)
             if hit is not None:
                 return hit
     if isinstance(node, ast.Starred):
-        return _entries_store_target(node.value, value)
+        return _entries_store_target(node.value, value, aliases)
     return None
+
+
+def _through(array: ast.AST) -> str:
+    """Message fragment naming the local alias a store went through."""
+    if isinstance(array, ast.Name):
+        return f" through `{array.id}`, a local alias of `.entries`,"
+    return ""
+
+
+_STORE_MESSAGE = (
+    "page-table entry store{through} bypasses PV-Ops; route it through "
+    "PagingOps.apply_entry_write so every physical replica stays coherent"
+)
+_MUTATION_MESSAGE = (
+    "in-place page-table entry mutation{through} bypasses PV-Ops; "
+    "read, modify, then store via PagingOps.apply_entry_write"
+)
 
 
 @register_rule
@@ -88,10 +132,18 @@ class PteWriteRule(Rule):
     """PVOPS001: raw page-table entry stores outside the PV-Ops choke point."""
 
     name = "PVOPS001"
-    description = (
-        "page-table entry store bypasses PV-Ops; route it through "
-        "PagingOps.apply_entry_write so every physical replica stays coherent"
-    )
+    description = _STORE_MESSAGE.format(through="")
+
+    #: The innermost enclosing function's ``.entries`` aliases.
+    _aliases: frozenset[str] = frozenset()
+
+    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        outer, self._aliases = self._aliases, _entries_aliases(node)
+        super()._visit_function(node)
+        self._aliases = outer
+
+    visit_FunctionDef = _visit_function
+    visit_AsyncFunctionDef = _visit_function
 
     def _allowed_here(self) -> bool:
         if self.current_function == BLESSED_WRITER:
@@ -99,11 +151,16 @@ class PteWriteRule(Rule):
         return f"{self.module}:{self.qualname()}" in PVOPS001_ALLOWLIST
 
     def _check_target(
-        self, target: ast.AST, node: ast.AST, value: ast.AST | None = None
+        self,
+        target: ast.AST,
+        node: ast.AST,
+        value: ast.AST | None = None,
+        message: str = _STORE_MESSAGE,
     ) -> None:
-        hit = _entries_store_target(target, value)
+        hit = _entries_store_target(target, value, self._aliases)
         if hit is not None and not self._allowed_here():
-            self.report(node, self.description)
+            array = hit.value if isinstance(hit, ast.Subscript) else hit
+            self.report(node, message.format(through=_through(array)))
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -115,13 +172,7 @@ class PteWriteRule(Rule):
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        hit = _entries_store_target(node.target, node.value)
-        if hit is not None and not self._allowed_here():
-            self.report(
-                node,
-                "in-place page-table entry mutation bypasses PV-Ops; "
-                "read, modify, then store via PagingOps.apply_entry_write",
-            )
+        self._check_target(node.target, node, node.value, _MUTATION_MESSAGE)
         self.generic_visit(node)
 
     def visit_Delete(self, node: ast.Delete) -> None:
@@ -134,14 +185,14 @@ class PteWriteRule(Rule):
         if (
             isinstance(func, ast.Attribute)
             and func.attr in _LIST_MUTATORS
-            and _is_entries_attr(func.value)
+            and _is_entries_array(func.value, self._aliases)
             and not self._allowed_here()
         ):
             self.report(
                 node,
-                f"entries.{func.attr}() mutates a page-table page in place; "
-                "tables are fixed 512-entry arrays written only through "
-                "PagingOps.apply_entry_write",
+                f"entries.{func.attr}(){_through(func.value)} mutates a "
+                "page-table page in place; tables are fixed 512-entry arrays "
+                "written only through PagingOps.apply_entry_write",
             )
         self.generic_visit(node)
 

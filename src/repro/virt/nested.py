@@ -155,7 +155,7 @@ class TwoDimWalker:
             if is_write and level == LEAF_LEVEL:
                 new_entry |= PTE_DIRTY
             if new_entry != entry:
-                # lint: allow[PVOPS001,PROV001] -- hardware A/D store: the 2D walker updates guest PTEs like an MMU, outside PV-Ops
+                # lint: allow[PVOPS001] -- hardware A/D store: the 2D walker updates guest PTEs like an MMU, outside PV-Ops
                 page.entries[index] = new_entry
             if level == LEAF_LEVEL:
                 data_gfn = pte_pfn(entry)

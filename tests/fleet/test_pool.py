@@ -5,6 +5,7 @@ Real child processes (the pool's whole point is their lifecycle), so
 aggressive timeouts keep these fast.
 """
 
+import errno
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from repro.fleet import (
     Fleet,
     FleetConfig,
     FleetReport,
+    PoolWorker,
     ProbeSpec,
     ResultCache,
     WorkerPool,
@@ -152,6 +154,40 @@ class TestSupervisorEscalation:
         assert not stubborn.is_alive()
         # SIGTERM alone cannot have done it: the handler ignores it.
         assert stubborn.exitcode == -9  # SIGKILL
+
+
+class _PipeEnd:
+    def __init__(self) -> None:
+        self.closed = False
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class _ForkFailsContext:
+    """A multiprocessing context whose fork fails at ``start()``, as a
+    slot recycle does when the host is out of processes."""
+
+    def __init__(self) -> None:
+        self.parent, self.child = _PipeEnd(), _PipeEnd()
+
+    def Pipe(self, duplex: bool = True):
+        return self.parent, self.child
+
+    def Process(self, **kwargs):
+        return self
+
+    def start(self) -> None:
+        raise OSError(errno.EAGAIN, "fork failed")
+
+
+class TestSpawnFailure:
+    def test_failed_start_closes_the_child_end(self):
+        ctx = _ForkFailsContext()
+        with pytest.raises(OSError, match="fork failed"):
+            PoolWorker(0, context=ctx)
+        assert ctx.child.closed  # no pipe fd leaked into the parent
+        assert not ctx.parent.closed  # still owned by the half-built worker
 
 
 class TestAbort:

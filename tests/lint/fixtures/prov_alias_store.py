@@ -1,8 +1,8 @@
-"""Seeded PROV001 violation: a raw PTE store through an `.entries` alias.
+"""Seeded PVOPS001 violation: a raw PTE store through an `.entries` alias.
 
-The per-file PVOPS001 only sees stores whose target is literally
-``<x>.entries[...]``; binding the array to a local first hides the store
-from it. The whole-program PROV001 tracks the alias and still flags it.
+Binding the array to a local first hides the store from any check that
+only matches targets spelled ``<x>.entries[...]``; PVOPS001 collects the
+function's aliases of ``.entries`` up front and still flags the store.
 ``apply_entry_write`` is the blessed writer — stores inside it are the
 PV-Ops choke point itself and must not be reported.
 """

@@ -286,8 +286,16 @@ class TestCallResolution:
         assert "mod0:Hier.flush" in _resolutions(index, "mod0:caller")
 
 
+def _reaches_member(fn, members) -> bool:
+    """The "calls a member" closure: FORK002's spawning-function rule."""
+    return any(q in members for site in fn.calls for q in site.resolutions)
+
+
 class TestReverseEdges:
     def test_callers_map_and_chain(self):
+        """The reverse edges carry the least fixpoint up the caller chain:
+        seeding ``leaf`` pulls in ``mid`` and then ``top``, and nothing
+        that never calls into the chain."""
         index = _index(
             """
             def leaf():
@@ -298,17 +306,60 @@ class TestReverseEdges:
 
             def top():
                 mid()
+
+            def bystander():
+                pass
             """
         )
         callers = {fn.qualname for fn, _ in index.callers["mod0:leaf"]}
         assert callers == {"mod0:mid"}
-        assert index.caller_chain("mod0:leaf") == ["mod0:mid", "mod0:top"]
+        closure = index.least_fixpoint({"mod0:leaf"}, _reaches_member)
+        assert closure == {"mod0:leaf", "mod0:mid", "mod0:top"}
 
     def test_chain_is_empty_for_uncalled_function(self):
         index = _index(
             """
             def lonely():
                 pass
+
+            def other():
+                pass
             """
         )
-        assert index.caller_chain("mod0:lonely") == []
+        assert index.least_fixpoint({"mod0:lonely"}, _reaches_member) == {
+            "mod0:lonely"
+        }
+
+    def test_fixpoint_rechecks_only_the_callers_of_a_new_member(self):
+        """A function checked before its callee joined is re-checked once
+        the callee joins; a function none of whose callees joins is
+        checked exactly once."""
+        index = _index(
+            """
+            def c():
+                pass
+
+            def b():
+                c()
+
+            def a():
+                b()
+
+            def d():
+                pass
+            """
+        )
+        checked: list[str] = []
+
+        def joins(fn, members):
+            checked.append(fn.name)
+            return _reaches_member(fn, members)
+
+        assert index.least_fixpoint({"mod0:c"}, joins) == {
+            "mod0:a",
+            "mod0:b",
+            "mod0:c",
+        }
+        assert checked.count("d") == 1
+        assert checked.count("b") == 1
+        assert checked.count("a") <= 2  # again only after b joined

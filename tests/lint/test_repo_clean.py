@@ -36,7 +36,6 @@ def test_all_expected_whole_program_rules_registered():
         "FORK002",
         "PIPE001",
         "PIPE002",
-        "PROV001",
         "RES001",
         "RES002",
         "SHOOT001",
@@ -60,8 +59,9 @@ def test_repo_has_no_new_findings():
 
 def test_repo_is_clean_under_whole_program_rules():
     """The CI strict gate: the call-graph/CFG protocol rules (TLBGEN,
-    SHOOT, PROV, SPAN) and the interprocedural dataflow rules (DETFLOW,
-    RES) find nothing new anywhere in ``src/repro``."""
+    SHOOT, SPAN), the interprocedural dataflow rules (DETFLOW, RES) and
+    the concurrency rules (FORK, SIG, PIPE) find nothing new anywhere in
+    ``src/repro``."""
     result = lint_paths([PACKAGE_DIR], whole_program=True)
     new = filter_baseline(
         result.findings, load_baseline(default_baseline_path())
@@ -81,16 +81,21 @@ def test_baseline_is_not_stale():
 
 
 def test_introducing_a_violation_is_caught(tmp_path):
-    """End-to-end: a fixture violation for *each* rule fails a lint run."""
-    fixtures = {
-        "PVOPS001": "page.entries[0] = 0\n",
-        "PVOPS002": "page = PageTablePage(frame=frame, level=1)\n",
-        "DET001": "import random\nx = random.random()\n",
-        "DET002": "for n in set(nodes):\n    visit(n)\n",
-        "FAULT001": "plan.fire('not.a.real.site')\n",
-    }
-    for rule, source in fixtures.items():
-        bad = tmp_path / f"{rule.lower()}_violation.py"
+    """End-to-end: a fixture violation for *each* rule fails a lint run,
+    including a PTE store through a local alias of ``.entries``."""
+    fixtures = [
+        ("PVOPS001", "page.entries[0] = 0\n"),
+        (
+            "PVOPS001",
+            "def poke(page):\n    entries = page.entries\n    entries[0] = 0\n",
+        ),
+        ("PVOPS002", "page = PageTablePage(frame=frame, level=1)\n"),
+        ("DET001", "import random\nx = random.random()\n"),
+        ("DET002", "for n in set(nodes):\n    visit(n)\n"),
+        ("FAULT001", "plan.fire('not.a.real.site')\n"),
+    ]
+    for n, (rule, source) in enumerate(fixtures):
+        bad = tmp_path / f"{rule.lower()}_violation_{n}.py"
         bad.write_text(source)
         result = lint_paths([bad])
-        assert [f.rule for f in result.findings] == [rule], rule
+        assert [f.rule for f in result.findings] == [rule], source

@@ -180,7 +180,7 @@ class TestBaseline:
 
     def test_whole_program_findings_round_trip(self, tmp_path):
         """Baselining works for the call-graph rules too: a baselined
-        TLBGEN/SHOOT/SPAN/PROV finding filters to nothing, and a fresh
+        TLBGEN/SHOOT/SPAN finding filters to nothing, and a fresh
         violation still surfaces against that baseline."""
         result = lint_paths([FIXTURES_DIR], whole_program=True)
         assert {f.rule for f in result.findings} >= {"TLBGEN001", "SHOOT001"}
@@ -215,10 +215,11 @@ class TestCliStrictMode:
         )
         assert proc.returncode == 1, proc.stdout + proc.stderr
         for rule in (
-            "TLBGEN001", "TLBGEN002", "SHOOT001", "PROV001", "SPAN001",
+            "TLBGEN001", "TLBGEN002", "SHOOT001", "PVOPS001", "SPAN001",
             "DETFLOW001", "DETFLOW002", "RES001", "RES002",
         ):
             assert rule in proc.stdout
+        assert "PROV001" not in proc.stdout  # alias stores are PVOPS001
 
     def test_seeded_fixtures_render_as_sarif(self):
         proc = self._lint(

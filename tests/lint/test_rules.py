@@ -52,6 +52,23 @@ class TestSuppressions:
         )
         assert findings_for(src, "PVOPS001", "DET001") == []
 
+    def test_allow_naming_an_unknown_rule_is_reported(self):
+        """A typo'd or retired rule id is dead text: it suppresses
+        nothing for that id and is reported as LINT000, while the known
+        ids on the same comment still suppress."""
+        typo = "page.entries[0] = value  # lint: allow[PVOPS01] -- typo\n"
+        found = findings_for(typo)
+        assert sorted(f.rule for f in found) == [META_RULE, "PVOPS001"]
+        meta = next(f for f in found if f.rule == META_RULE)
+        assert "unknown rule id PVOPS01" in meta.message
+        stale = (
+            "page.entries[0] = value"
+            "  # lint: allow[PVOPS001,PROV001] -- retired rule left behind\n"
+        )
+        found = findings_for(stale)
+        assert [f.rule for f in found] == [META_RULE]
+        assert "unknown rule id PROV001" in found[0].message
+
 
 class TestPvops001:
     def test_subscript_store_flagged(self):
@@ -96,6 +113,39 @@ class TestPvops001:
             "        page.entries[index] &= ~PTE_AD_BITS\n"
         )
         assert [f.rule for f in findings_for(src)] == ["PVOPS001"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "ptes[index] = 0",
+            "ptes[index] |= PTE_DIRTY",
+            "ptes.append(0)",
+            "first, ptes[index] = 0, 0",
+            "del ptes[index]",
+        ],
+    )
+    def test_store_through_local_alias_flagged(self, body):
+        src = f"def poke(page, index):\n    ptes = page.entries\n    {body}\n"
+        found = findings_for(src)
+        assert [f.rule for f in found] == ["PVOPS001"]
+        assert found[0].line == 3
+        assert "`ptes`, a local alias of `.entries`" in found[0].message
+        assert "apply_entry_write" in found[0].message
+
+    def test_alias_read_and_other_functions_are_clean(self):
+        src = (
+            "def scan(page):\n"
+            "    ptes = page.entries\n"
+            "    return [e for e in ptes if e]\n"
+            "\n"
+            "def unrelated(ptes):\n"
+            "    ptes[0] = 1  # a parameter, not an alias of .entries\n"
+            "\n"
+            "def apply_entry_write(page, index, value):\n"
+            "    ptes = page.entries\n"
+            "    ptes[index] = value\n"
+        )
+        assert findings_for(src) == []
 
 
 class TestPvops002:

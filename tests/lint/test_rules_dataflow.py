@@ -10,6 +10,7 @@ asserts the rules catch the exact disciplines those modules document.
 
 from __future__ import annotations
 
+import textwrap
 from pathlib import Path
 
 from repro.lint import lint_paths
@@ -99,6 +100,23 @@ class TestRealCodeRegression:
         terminate_line = broken.splitlines().index("        self.process.terminate()") + 1
         assert found[0].line == terminate_line
 
+    def test_unstored_spawn_pipe_end_is_caught(self, tmp_path):
+        """``PoolWorker._spawn`` hands the parent end of
+        ``self._ctx.Pipe()`` to ``self.conn``; dropping that handoff
+        leaks it, and RES001 (not PIPE001) is the rule that says so."""
+        source = (SRC / "fleet" / "pool.py").read_text()
+        handoff = "            self.conn = parent\n"
+        assert source.count(handoff) == 1
+        broken = source.replace(handoff, "            self.conn = None\n")
+        copy = tmp_path / "pool.py"
+        copy.write_text(broken)
+        result = lint_paths([copy], whole_program=True)
+        found = [f for f in result.findings if f.rule == "RES001"]
+        assert len(found) == 1
+        assert "`parent`" in found[0].message
+        assert found[0].context == "parent, child = self._ctx.Pipe(duplex=True)"
+        assert [f.rule for f in result.findings] == ["RES001"]
+
     def test_pristine_result_cache_is_clean(self, tmp_path):
         copy = tmp_path / "cache.py"
         copy.write_text((SRC / "fleet" / "cache.py").read_text())
@@ -114,6 +132,80 @@ class TestRealCodeRegression:
         found = _findings(copy, "RES002")
         assert len(found) == 1
         assert "tmp" in found[0].message
+
+
+class TestPipeEndsAreProvedByRes001:
+    """RES001 is the one proof that a pipe end is closed: every pipe
+    constructor spelling and every ``Connection``-annotated local is an
+    acquire, and PIPE001 no longer reports them."""
+
+    def _lint(self, tmp_path, source: str):
+        module = tmp_path / "pipes.py"
+        module.write_text(textwrap.dedent(source))
+        return lint_paths([module], whole_program=True).findings
+
+    def test_each_pipe_constructor_leaks_once_under_res001(self, tmp_path):
+        found = self._lint(
+            tmp_path,
+            """
+            import multiprocessing
+            from multiprocessing import Pipe
+
+
+            def bare() -> None:
+                keep, leak = Pipe()
+                keep.close()
+
+
+            def dotted() -> None:
+                keep, leak = multiprocessing.Pipe()
+                keep.close()
+
+
+            class Owner:
+                def __init__(self) -> None:
+                    self._ctx = multiprocessing.get_context()
+
+                def via_context(self) -> None:
+                    keep, leak = self._ctx.Pipe(duplex=True)
+                    keep.close()
+            """,
+        )
+        assert [(f.rule, f.line) for f in found] == [
+            ("RES001", 7),
+            ("RES001", 12),
+            ("RES001", 21),
+        ]
+        assert all("pipe end `leak`" in f.message for f in found)
+
+    def test_annotated_connection_local_and_its_twin(self, tmp_path):
+        found = self._lint(
+            tmp_path,
+            """
+            from multiprocessing.connection import Connection
+
+
+            def make() -> Connection:
+                raise NotImplementedError
+
+
+            def leaky() -> None:
+                conn: Connection = make()
+                conn.send("hello")  # BUG: raises past the close
+                conn.close()
+
+
+            def closed() -> None:
+                conn: Connection = make()
+                try:
+                    conn.send("hello")
+                finally:
+                    conn.close()
+            """,
+        )
+        assert [(f.rule, f.line) for f in found] == [("RES001", 10)]
+        assert "pipe end `conn`" in found[0].message
+        assert "raise" in found[0].message
 
 
 class TestAnnotatedRepoIsClean:

@@ -48,10 +48,18 @@ class TestFixturesFire:
         assert "_begin_round" in found[0].message
 
     def test_prov001_alias_store(self):
-        found = _findings(FIXTURES / "prov_alias_store.py", "PROV001")
+        """A store through a local alias of ``.entries`` is one PVOPS001
+        finding, with and without the whole-program pass."""
+        found = _findings(FIXTURES / "prov_alias_store.py", "PVOPS001")
         assert len(found) == 1  # apply_entry_write itself is exempt
+        assert found[0].line == 13
         assert "alias" in found[0].message
+        assert "`entries`" in found[0].message
         assert "apply_entry_write" in found[0].message
+        per_file = lint_paths([FIXTURES / "prov_alias_store.py"])
+        assert [(f.rule, f.line) for f in per_file.findings] == [
+            ("PVOPS001", 13)
+        ]
 
     def test_span001_leak_and_never_entered(self):
         found = _findings(FIXTURES / "span_left_open.py", "SPAN001")
@@ -61,9 +69,10 @@ class TestFixturesFire:
         assert "never entered" in messages  # fire_and_forget
 
     def test_fixtures_trip_nothing_else(self):
-        """The seeded bugs are surgical: per-file rules see nothing, and
-        every whole-program finding is one of the protocol or dataflow
-        rules each fixture deliberately seeds."""
+        """The seeded bugs are surgical: the only per-file finding is the
+        alias store ``prov_alias_store.py`` seeds for PVOPS001, and every
+        whole-program finding is one of the protocol, dataflow or
+        concurrency rules each fixture deliberately seeds."""
         result = lint_paths([FIXTURES], whole_program=True)
         assert {f.rule for f in result.findings} == {
             "DETFLOW001",
@@ -72,7 +81,7 @@ class TestFixturesFire:
             "FORK002",
             "PIPE001",
             "PIPE002",
-            "PROV001",
+            "PVOPS001",
             "RES001",
             "RES002",
             "SHOOT001",
@@ -81,6 +90,10 @@ class TestFixturesFire:
             "TLBGEN001",
             "TLBGEN002",
         }
+        per_file = lint_paths([FIXTURES])
+        assert [
+            (Path(f.path).name, f.rule) for f in per_file.findings
+        ] == [("prov_alias_store.py", "PVOPS001")]
 
 
 class TestRealCodeRegression:

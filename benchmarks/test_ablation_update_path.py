@@ -35,9 +35,9 @@ def refs_per_update(ops_class, n_sockets: int) -> float:
         tree.map_page(i * PAGE_SIZE, physmem.alloc_frame(0).pfn, PTE_WRITABLE | PTE_USER)
     before = tree.ops.stats.snapshot()
     for i in range(UPDATES):
-        tree.protect_page(i * PAGE_SIZE, PTE_USER)
+        tree.protect_range(i * PAGE_SIZE, (i + 1) * PAGE_SIZE, PTE_USER)
     delta = tree.ops.stats.delta(before)
-    # protect = one local read + ops.set_pte. The read is identical on both
+    # protect = one local read + one PTE write. The read is identical on both
     # backends; subtract it so the number reflects pure update
     # *propagation*, matching the paper's 2N-vs-4N accounting in §5.2.
     refs = delta.pte_writes + delta.ring_hops + delta.pte_reads - UPDATES

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.errors import InvalidMappingError
 from repro.kernel.costs import WorkCounters, syscall_cycles
 from repro.kernel.policy import PlacementPolicy
-from repro.kernel.process import Process
+from repro.kernel.process import MemoryDescriptor, Process
 from repro.kernel.vma import PROT_DEFAULT, Vma
 from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE, page_align_up
 
@@ -83,25 +83,30 @@ class VmSyscalls:
         return SyscallResult(value=va, cycles=syscall_cycles(delta, work))
 
     def sys_munmap(self, process: Process, va: int, length: int) -> SyscallResult:
-        """Remove mappings over ``[va, va+length)`` and free their memory."""
+        """Remove mappings over ``[va, va+length)`` and free their memory.
+
+        Like Linux's ``zap_pte_range``, the work goes one leaf table at a
+        time: one ``mm.lock()``, one descent and one PV-Ops run write per
+        run of mapped slots, then one collection of the emptied tables.
+        """
         mm = process.mm
         length = page_align_up(length)
         end = va + length
-        removed = mm.vmas.remove_range(va, end)
-        if not removed:
-            raise InvalidMappingError(f"munmap of unmapped range 0x{va:x}+{length:#x}")
+        self._check_range(mm, va, end, "munmap")
+        mm.vmas.remove_range(va, end)
         before = mm.tree.ops.stats.snapshot()
         work = WorkCounters()
-        for base in self._mapped_bases_in_range(mm, va, end):
-            mapped = mm.frames.pop(base)
-            if mapped.huge and (base < va or base + HUGE_PAGE_SIZE > end):
-                raise InvalidMappingError(
-                    f"munmap range partially covers the 2 MiB page at 0x{base:x}"
-                )
-            with mm.lock():
-                mm.tree.unmap_page(base)
-            self.physmem.free(mapped.frame)
+        frames, free = mm.frames, self.physmem.free
+
+        def release(base: int) -> None:
+            mapped = frames.pop(base)
+            free(mapped.frame)
             work.pages_freed += 512 if mapped.huge else 1
+
+        pos = va
+        while pos < end:
+            with mm.lock():
+                pos = mm.tree.unmap_range(pos, end, release)
         # Pages sitting on the swap device in this range are gone too.
         for base in [b for b in mm.swapped if va <= b < end]:
             entry = mm.swapped.pop(base)
@@ -115,22 +120,20 @@ class VmSyscalls:
 
         The read-modify-write over every mapped PTE in the range is the
         operation whose cost replication multiplies hardest (Table 5).
+        Like Linux's ``change_pte_range``, it goes one leaf table at a
+        time: one ``mm.lock()``, one descent and one PV-Ops run write per
+        run of mapped slots.
         """
         mm = process.mm
         length = page_align_up(length)
         end = va + length
-        if not mm.vmas.in_range(va, end):
-            raise InvalidMappingError(f"mprotect of unmapped range 0x{va:x}+{length:#x}")
+        self._check_range(mm, va, end, "mprotect")
         mm.vmas.protect_range(va, end, prot)
         before = mm.tree.ops.stats.snapshot()
-        for base in self._mapped_bases_in_range(mm, va, end):
-            mapped = mm.frames[base]
-            if mapped.huge and (base < va or base + HUGE_PAGE_SIZE > end):
-                raise InvalidMappingError(
-                    f"mprotect range partially covers the 2 MiB page at 0x{base:x}"
-                )
+        pos = va
+        while pos < end:
             with mm.lock():
-                mm.tree.protect_page(base, prot)
+                pos = mm.tree.protect_range(pos, end, prot)
         shoot = self.shootdown.flush_all(self.cpu_contexts)
         delta = mm.tree.ops.stats.delta(before)
         return SyscallResult(value=0, cycles=syscall_cycles(delta, WorkCounters(), shoot))
@@ -155,10 +158,25 @@ class VmSyscalls:
         return SyscallResult(value=0, cycles=syscall_cycles(delta, work, shoot))
 
     @staticmethod
-    def _mapped_bases_in_range(mm, start: int, end: int) -> list[int]:
-        """Leaf base addresses mapped within ``[start, end)``, sorted."""
-        return sorted(
-            base
-            for base, mapped in mm.frames.items()
-            if base < end and base + mapped.frame.nbytes > start
-        )
+    def _check_range(mm: MemoryDescriptor, va: int, end: int, op: str) -> None:
+        """Reject a bad munmap/mprotect range before anything changes.
+
+        Only the pages at the two ends of the range can be 2 MiB pages
+        it covers in part.
+
+        Raises:
+            InvalidMappingError: the range is empty or not page-aligned,
+                no VMA overlaps it, or it covers part of a 2 MiB page.
+        """
+        if va % PAGE_SIZE or end <= va:
+            raise InvalidMappingError(f"{op} of bad range 0x{va:x}+{end - va:#x}")
+        if not mm.vmas.in_range(va, end):
+            raise InvalidMappingError(f"{op} of unmapped range 0x{va:x}+{end - va:#x}")
+        for addr in (va, end - 1):
+            mapped = mm.frames.get(addr & ~(HUGE_PAGE_SIZE - 1))
+            if mapped is not None and mapped.huge and (
+                mapped.va < va or mapped.va + HUGE_PAGE_SIZE > end
+            ):
+                raise InvalidMappingError(
+                    f"{op} range partially covers the 2 MiB page at 0x{mapped.va:x}"
+                )

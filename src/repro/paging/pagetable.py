@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from repro.errors import InvalidMappingError
 from repro.mem.frame import Frame
@@ -32,6 +32,8 @@ from repro.paging.levels import (
     LEAF_LEVEL,
     PagingGeometry,
     level_index,
+    level_span,
+    table_span,
 )
 from repro.paging.pte import (
     PTE_HUGE,
@@ -379,7 +381,45 @@ class PageTableTree:
             pfn=pte_pfn(entry), flags=pte_flags(entry), level=location.page.level
         )
         self.ops.set_pte(self, location.page, location.index, 0)
-        # Garbage-collect now-empty tables (never the root).
+        self._release_empty_tables(path)
+        return removed
+
+    # protocol: defers[translation-visibility] -- caller owns the TLB shootdown
+    def unmap_range(self, va: int, end: int, release: Callable[[int], None]) -> int:
+        """Remove every leaf mapping from ``va`` up to ``end`` or the end of
+        ``va``'s leaf table, whichever comes first; returns the address
+        where it stopped (see :meth:`_leaf_slots`).
+
+        One descent, one PV-Ops run write of zeros per contiguous run of
+        mapped slots, then one collection of the tables left empty.
+        ``release(leaf_va)`` is called for every removed leaf in VA order;
+        the last one only after the collection, which is the order one
+        :meth:`unmap_page` per leaf, each followed by freeing its frame,
+        gives.
+
+        Raises:
+            InvalidMappingError: ``[va, end)`` covers part of a 2 MiB leaf.
+        """
+        path, stop, resume = self._leaf_slots(va, end)
+        table, start = path[-1]
+        runs = list(_present_runs(table.entries, start, stop))
+        if not runs:
+            return resume
+        for first, last in runs:
+            self.ops.set_pte_run(self, table, first, [0] * (last - first))
+        base = va & ~(table_span(table.level) - 1)
+        size = level_span(table.level)
+        leaves = [base + index * size for first, last in runs for index in range(first, last)]
+        for leaf in leaves[:-1]:
+            release(leaf)
+        self._release_empty_tables(path)
+        release(leaves[-1])
+        return resume
+
+    # protocol: defers[translation-visibility] -- caller owns the TLB shootdown
+    def _release_empty_tables(self, path: list[PteLocation]) -> None:
+        """Release the tables left empty at the bottom of ``path`` (from
+        :meth:`walk_path`), bottom-up; never the root."""
         for depth in range(len(path) - 1, 0, -1):
             page = path[depth].page
             if page.valid_count > 0:
@@ -387,25 +427,67 @@ class PageTableTree:
             parent = path[depth - 1]
             self.ops.set_pte(self, parent.page, parent.index, 0)
             self.ops.release_table(self, page)
-        return removed
 
     # protocol: defers[translation-visibility] -- caller owns the TLB shootdown
-    def protect_page(self, va: int, flags: int) -> None:
-        """Change the flag bits of the leaf mapping covering ``va``
-        (read-modify-write, the expensive path of Table 5).
+    def protect_range(self, va: int, end: int, flags: int) -> int:
+        """Set the flag bits of every leaf mapping from ``va`` up to ``end``
+        or the end of ``va``'s leaf table, whichever comes first; returns
+        the address where it stopped (see :meth:`_leaf_slots`).
 
-        The read side only needs the PFN and the present/huge bits, which
-        are identical in every replica — so it reads one copy; the write
-        side is what replication multiplies.
+        This is the read-modify-write Table 5 finds most expensive. The
+        read side only needs the PFN and the present/huge bits, which are
+        identical in every replica, so each leaf is read from one copy;
+        the write side, what replication multiplies, is one PV-Ops run
+        write per contiguous run of mapped slots.
+
+        Raises:
+            InvalidMappingError: ``[va, end)`` covers part of a 2 MiB leaf.
         """
-        location = self.leaf_location(va)
-        if location is None:
-            raise InvalidMappingError(f"va 0x{va:x} is not mapped")
-        entry = self.ops.read_pte_local(location.page, location.index)
-        keep = PTE_PRESENT | (entry & PTE_HUGE)
-        self.ops.set_pte(
-            self, location.page, location.index, make_pte(pte_pfn(entry), flags | keep)
-        )
+        path, stop, resume = self._leaf_slots(va, end)
+        table, start = path[-1]
+        read = self.ops.read_pte_local
+        for first, last in _present_runs(table.entries, start, stop):
+            values = []
+            for index in range(first, last):
+                entry = read(table, index)
+                values.append(make_pte(pte_pfn(entry), flags | PTE_PRESENT | (entry & PTE_HUGE)))
+            self.ops.set_pte_run(self, table, first, values)
+        return resume
+
+    def _leaf_slots(self, va: int, end: int) -> tuple[list[PteLocation], int, int]:
+        """One descent towards ``va`` for the range methods.
+
+        Returns ``(path, stop, resume)``: the primary path (see
+        :meth:`walk_path`); ``stop``, one past the last slot of the path's
+        deepest table that ``[va, end)`` covers; and ``resume``, where the
+        next descent starts, never past ``end``. At a leaf table or a
+        2 MiB leaf that is the end of ``va``'s 2 MiB window; at a hole it
+        is the table's next present entry, so a run of empty entries
+        costs one step.
+
+        Raises:
+            InvalidMappingError: ``[va, end)`` covers part of a 2 MiB leaf.
+        """
+        path = self.walk_path(va)
+        table, index = path[-1]
+        base = va & ~(table_span(table.level) - 1)
+        if table.level == LEAF_LEVEL:
+            resume = min(end, base + table_span(LEAF_LEVEL))
+            return path, level_index(resume - 1, LEAF_LEVEL) + 1, resume
+        span = level_span(table.level)
+        entries = table.entries
+        if pte_present(entries[index]):
+            # A 2 MiB leaf: walk_path stops above L1 only there or at a hole.
+            resume = base + (index + 1) * span
+            if va & (span - 1) or resume > end:
+                raise InvalidMappingError(
+                    f"range partially covers the 2 MiB page at 0x{va & ~(span - 1):x}"
+                )
+            return path, index + 1, resume
+        stop = index + 1
+        while stop < PTES_PER_TABLE and not pte_present(entries[stop]):
+            stop += 1
+        return path, index, min(end, base + stop * span)
 
     # protocol: defers[translation-visibility] -- caller owns the TLB shootdown
     def split_huge_page(self, va: int, node_hint: int = 0) -> None:
@@ -470,8 +552,6 @@ class PageTableTree:
         yield from self._iter_mappings(self.root, 0)
 
     def _iter_mappings(self, page: PageTablePage, va_base: int) -> Iterator[tuple[int, Translation]]:
-        from repro.paging.levels import level_span
-
         span = level_span(page.level)
         for index, entry in enumerate(page.entries):
             if not pte_present(entry):
@@ -489,3 +569,17 @@ class PageTableTree:
     def total_table_count(self) -> int:
         """All table pages including replicas."""
         return len(self.registry)
+
+
+def _present_runs(entries: list[int], start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """``(first, last)`` bounds of each run of consecutive present
+    entries in ``entries[start:stop]``."""
+    index = start
+    while index < stop:
+        if not pte_present(entries[index]):
+            index += 1
+            continue
+        first = index
+        while index < stop and pte_present(entries[index]):
+            index += 1
+        yield first, index

@@ -12,6 +12,17 @@ def proc(kernel2):
     return kernel2.create_process("t", socket=0)
 
 
+def _vm_state(kernel, process):
+    """VMAs, frame records, every table and per-node memory use."""
+    mm = process.mm
+    return (
+        list(mm.vmas),
+        [(va, m.frame.pfn, m.huge) for va, m in mm.frames.items()],
+        [(pfn, list(page.entries)) for pfn, page in sorted(mm.tree.registry.items())],
+        [kernel.physmem.stats(node) for node in (0, 1)],
+    )
+
+
 class TestMmap:
     def test_lazy_mmap_maps_nothing(self, kernel2, proc):
         va = kernel2.sys_mmap(proc, MIB).value
@@ -79,8 +90,13 @@ class TestMunmap:
         kernel2.sysctl.thp_enabled = True
         va = kernel2.sys_mmap(proc, 2 * HUGE_PAGE_SIZE, populate=True).value
         assert proc.mm.frames[va].huge
+        before = _vm_state(kernel2, proc)
         with pytest.raises(InvalidMappingError):
             kernel2.sys_munmap(proc, va, PAGE_SIZE)
+        assert _vm_state(kernel2, proc) == before
+        assert proc.mm.tree.translate(va) is not None
+        kernel2.destroy_process(proc)
+        assert [kernel2.physmem.stats(n).used_frames for n in (0, 1)] == [0, 0]
 
 
 class TestMprotect:
@@ -99,6 +115,17 @@ class TestMprotect:
     def test_mprotect_unmapped_raises(self, kernel2, proc):
         with pytest.raises(InvalidMappingError):
             kernel2.sys_mprotect(proc, 0x100000, PAGE_SIZE, PTE_USER)
+
+    def test_partial_huge_mprotect_rejected(self, kernel2, proc):
+        kernel2.sysctl.thp_enabled = True
+        va = kernel2.sys_mmap(proc, 2 * HUGE_PAGE_SIZE, populate=True).value
+        before = _vm_state(kernel2, proc)
+        with pytest.raises(InvalidMappingError):
+            kernel2.sys_mprotect(proc, va + HUGE_PAGE_SIZE - PAGE_SIZE, 2 * PAGE_SIZE, PTE_USER)
+        assert _vm_state(kernel2, proc) == before
+        assert pte_writable(proc.mm.tree.translate(va + HUGE_PAGE_SIZE).flags)
+        kernel2.destroy_process(proc)
+        assert [kernel2.physmem.stats(n).used_frames for n in (0, 1)] == [0, 0]
 
     def test_mprotect_cycles_scale_with_pages(self, kernel2, proc):
         va = kernel2.sys_mmap(proc, 256 * PAGE_SIZE, populate=True).value

@@ -78,7 +78,7 @@ class TestVerdicts:
         with PTESanitizer() as sanitizer:
             tree, physmem = tree_factory()
             tree.map_page(0x1000, physmem.alloc_frame(0).pfn, FLAGS)
-            tree.protect_page(0x1000, 0)
+            tree.protect_range(0x1000, 0x2000, 0)
             tree.unmap_page(0x1000)
             assert sanitizer.writes_checked > 0
             assert sanitizer.violations == 0

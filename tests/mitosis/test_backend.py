@@ -103,8 +103,8 @@ class TestSemanticReplication:
         tree4.map_page(0x1000, physmem4.alloc_frame(0).pfn, FLAGS)
         before_writes = tree4.ops.stats.pte_writes
         before_hops = tree4.ops.stats.ring_hops
-        tree4.protect_page(0x1000, PTE_USER)
-        # protect = one local read + one ops.set_pte: N writes + N hops.
+        tree4.protect_range(0x1000, 0x2000, PTE_USER)
+        # protect = one local read + one PTE write: N writes + N hops.
         assert tree4.ops.stats.pte_writes - before_writes == 4
         assert tree4.ops.stats.ring_hops - before_hops == 4
 

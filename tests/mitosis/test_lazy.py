@@ -101,7 +101,7 @@ class TestDestructiveUpdatesStayEager:
 
     def test_permission_revocation_is_eager(self, lazy_tree):
         physmem, tree, ops = lazy_tree
-        tree.protect_page(PAGE_SIZE, PTE_USER)  # drop writable
+        tree.protect_range(PAGE_SIZE, 2 * PAGE_SIZE, PTE_USER)  # drop writable
         from repro.paging.pte import pte_writable
 
         leaf = tree.leaf_location(PAGE_SIZE)
@@ -112,9 +112,9 @@ class TestDestructiveUpdatesStayEager:
 
     def test_permission_grant_may_defer(self, lazy_tree):
         physmem, tree, ops = lazy_tree
-        tree.protect_page(PAGE_SIZE, PTE_USER)  # revoke (eager)
+        tree.protect_range(PAGE_SIZE, 2 * PAGE_SIZE, PTE_USER)  # revoke (eager)
         deferred_before = ops.lazy_stats.deferred
-        tree.protect_page(PAGE_SIZE, FLAGS)  # re-grant (additive -> lazy)
+        tree.protect_range(PAGE_SIZE, 2 * PAGE_SIZE, FLAGS)  # re-grant (additive -> lazy)
         assert ops.lazy_stats.deferred == deferred_before + 1
 
 

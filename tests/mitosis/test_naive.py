@@ -49,8 +49,8 @@ class TestNaiveBackend:
 
         r0 = ring_tree.ops.stats.snapshot()
         n0 = naive_tree.ops.stats.snapshot()
-        ring_tree.protect_page(0x1000, PTE_USER)
-        naive_tree.protect_page(0x1000, PTE_USER)
+        ring_tree.protect_range(0x1000, 0x2000, PTE_USER)
+        naive_tree.protect_range(0x1000, 0x2000, PTE_USER)
         ring_delta = ring_tree.ops.stats.delta(r0)
         naive_delta = naive_tree.ops.stats.delta(n0)
 

@@ -99,15 +99,85 @@ class TestUnmap:
 class TestProtect:
     def test_protect_changes_flags_keeps_pfn(self, tree, data_pfn):
         tree.map_page(0x1000, data_pfn, FLAGS)
-        tree.protect_page(0x1000, PTE_USER)  # drop writable
+        tree.protect_range(0x1000, 0x2000, PTE_USER)  # drop writable
         tr = tree.translate(0x1000)
         assert tr.pfn == data_pfn
         assert not tr.flags & PTE_WRITABLE
         assert tr.flags & PTE_PRESENT
 
-    def test_protect_unmapped_rejected(self, tree):
+    def test_protect_partial_huge_leaf_rejected(self, tree, physmem2):
+        tree.map_page(HUGE_PAGE_SIZE, physmem2.alloc_huge_frame(0).pfn, FLAGS, huge=True)
+        writes = tree.ops.stats.pte_writes
         with pytest.raises(InvalidMappingError):
-            tree.protect_page(0x5000, PTE_USER)
+            tree.protect_range(HUGE_PAGE_SIZE, HUGE_PAGE_SIZE + PAGE_SIZE, PTE_USER)
+        assert tree.ops.stats.pte_writes == writes
+        assert tree.translate(HUGE_PAGE_SIZE).flags & PTE_WRITABLE
+
+    def test_protect_range_covers_one_leaf_table_and_skips_holes(self, tree, physmem2):
+        for va in (0x1000, 0x3000, 0x4000, HUGE_PAGE_SIZE):
+            tree.map_page(va, physmem2.alloc_frame(0).pfn, FLAGS)
+        before = tree.ops.stats.snapshot()
+        assert tree.protect_range(0, 1 << 40, PTE_USER) == HUGE_PAGE_SIZE
+        delta = tree.ops.stats.delta(before)
+        assert (delta.pte_reads, delta.pte_writes) == (3, 3)
+        assert not tree.translate(0x4000).flags & PTE_WRITABLE
+        assert tree.translate(HUGE_PAGE_SIZE).flags & PTE_WRITABLE  # the next table
+
+    def test_protect_range_skips_every_empty_slot_of_a_table(self, tree, physmem2):
+        for va in (0x1000, 5 << 30):
+            tree.map_page(va, physmem2.alloc_frame(0).pfn, FLAGS)
+        # L3 slots 1-4 are empty: the next descent starts at slot 5.
+        assert tree.protect_range(1 << 30, 1 << 40, PTE_USER) == 5 << 30
+        assert tree.protect_range(6 << 30, 1 << 40, PTE_USER) == 1 << 39  # end of the L3 table
+        assert tree.protect_range(1 << 39, 1 << 40, PTE_USER) == 1 << 40  # capped at end
+        assert tree.translate(5 << 30).flags & PTE_WRITABLE
+
+
+class TestUnmapRange:
+    def test_last_leaf_released_after_the_collection(self, tree, physmem2):
+        for va in (0x1000, 0x2000, 0x5000):
+            tree.map_page(va, physmem2.alloc_frame(0).pfn, FLAGS)
+        events = []
+        release_table = tree.ops.release_table
+
+        def record_table(owner, page):
+            events.append(("table", page.level))
+            release_table(owner, page)
+
+        tree.ops.release_table = record_table
+        resume = tree.unmap_range(0, 1 << 40, lambda va: events.append(("leaf", va)))
+        assert resume == HUGE_PAGE_SIZE
+        assert events == [
+            ("leaf", 0x1000),
+            ("leaf", 0x2000),
+            ("table", 1),
+            ("table", 2),
+            ("table", 3),
+            ("leaf", 0x5000),
+        ]
+        assert tree.table_count() == 1
+
+    def test_partial_range_keeps_the_table(self, tree, physmem2):
+        for va in (0x1000, 0x2000, 0x5000):
+            tree.map_page(va, physmem2.alloc_frame(0).pfn, FLAGS)
+        released = []
+        assert tree.unmap_range(0x2000, 0x6000, released.append) == 0x6000
+        assert released == [0x2000, 0x5000]
+        assert tree.translate(0x1000) is not None
+        assert tree.table_count() == 4
+
+    def test_huge_leaf_is_a_one_entry_run(self, tree, physmem2):
+        tree.map_page(HUGE_PAGE_SIZE, physmem2.alloc_huge_frame(0).pfn, FLAGS, huge=True)
+        released = []
+        with pytest.raises(InvalidMappingError):
+            tree.unmap_range(HUGE_PAGE_SIZE, 2 * HUGE_PAGE_SIZE - PAGE_SIZE, released.append)
+        assert released == [] and tree.translate(HUGE_PAGE_SIZE) is not None
+        writes = tree.ops.stats.pte_writes
+        assert tree.unmap_range(HUGE_PAGE_SIZE, 1 << 40, released.append) == 2 * HUGE_PAGE_SIZE
+        assert released == [HUGE_PAGE_SIZE]
+        # The L2 entry, then the L3 and L4 pointers of the collected chain.
+        assert tree.ops.stats.pte_writes - writes == 3
+        assert tree.table_count() == 1
 
 
 class TestHugePages:

@@ -56,9 +56,9 @@ def apply_ops(physmem, tree, operations):
             tree.unmap_page(va)
             del mapping[vpn]
         elif op == "protect_ro" and vpn in mapping:
-            tree.protect_page(va, PTE_USER)
+            tree.protect_range(va, va + PAGE_SIZE, PTE_USER)
         elif op == "protect_rw" and vpn in mapping:
-            tree.protect_page(va, FLAGS)
+            tree.protect_range(va, va + PAGE_SIZE, FLAGS)
     return mapping
 
 

@@ -65,13 +65,12 @@ def validate_mm(
         if len(nodes) != len(set(nodes)):
             raise ConsistencyError(f"duplicate socket in ring of pfn {page.pfn}")
         seen.update(m.pfn for m in members)
-        primary = next((m for m in members if not m.is_replica), members[0])
-        if primary.level == 1 and not allow_divergent_leaves:
+        if page.level == 1 and not allow_divergent_leaves:
             from repro.paging.pte import PTE_AD_BITS
 
             for member in members:
                 for index in range(512):
-                    a = primary.entries[index] & ~PTE_AD_BITS
+                    a = page.entries[index] & ~PTE_AD_BITS
                     b = member.entries[index] & ~PTE_AD_BITS
                     if a != b:
                         raise ConsistencyError(

@@ -12,7 +12,6 @@ replication is off, which the paper calls out as a design requirement
 from __future__ import annotations
 
 from repro.kernel.policy import FirstTouchPolicy, PlacementPolicy
-from repro.mem.frame import FrameKind
 from repro.mem.pagecache import PageTablePageCache
 from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
 from repro.paging.pte import PTE_AD_BITS
@@ -34,9 +33,7 @@ class NativePagingOps(PagingOps):
 
     def alloc_table(self, tree: PageTableTree, level: int, node_hint: int) -> PageTablePage:
         node = self.pt_policy.choose_node(node_hint)
-        frame = self.pagecache.alloc(node)
-        frame.kind = FrameKind.PAGE_TABLE
-        page = PageTablePage(frame=frame, level=level)
+        page = PageTablePage(frame=self.pagecache.alloc(node), level=level)
         tree.registry[page.pfn] = page
         self.stats.tables_allocated += 1
         return page

@@ -18,8 +18,7 @@ fault injection and replica reclaim.
 
 Sites that bypass by *design* (the hardware walker's A/D stores, which
 real MMUs issue without telling the OS) carry inline
-``# lint: allow[PVOPS001] -- ...`` suppressions; grandfathered
-replication internals live in the committed baseline instead.
+``# lint: allow[PVOPS001] -- ...`` suppressions.
 """
 
 from __future__ import annotations

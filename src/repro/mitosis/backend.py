@@ -12,12 +12,14 @@ between replicas everywhere except the leaf level.
 
 from __future__ import annotations
 
-from repro.errors import ReplicationError
+from typing import Callable
+
+from repro.errors import OutOfMemoryError, ReplicationError
 from repro.kernel.policy import FirstTouchPolicy, PlacementPolicy
-from repro.mem.frame import FrameKind
+from repro.mem.frame import Frame
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.accessed_dirty import clear_ad_everywhere, read_entry_or_ad
-from repro.mitosis.ring import link_ring, replica_on_socket, ring_members, unlink_ring
+from repro.mitosis.ring import link_ring, local_copy, ring_members, unlink_ring
 from repro.paging.levels import LEAF_LEVEL
 from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
 from repro.paging.pte import make_pte, pte_flags, pte_huge, pte_pfn, pte_present
@@ -45,35 +47,91 @@ class MitosisPagingOps(PagingOps):
 
     # -- allocation -----------------------------------------------------------
 
-    def alloc_table(self, tree: PageTableTree, level: int, node_hint: int) -> PageTablePage:
-        """Allocate one copy per socket in the mask, ring-linked.
+    def alloc_table(
+        self,
+        tree: PageTableTree,
+        level: int,
+        node_hint: int,
+        primary: PageTablePage | None = None,
+        take: Callable[[int], Frame] | None = None,
+    ) -> PageTablePage:
+        """Build one table's copies on every socket in the mask; returns
+        its primary.
 
-        The primary is the copy on the lowest masked socket (deterministic;
-        the tree's walk logic uses it, hardware never does).
+        A new table (``primary`` is ``None``) gets one copy per masked
+        socket, ring-linked; the primary is the copy on the lowest socket
+        (deterministic; the tree's walk logic uses it, hardware never
+        does). An existing table, given by its ``primary``, gets the
+        copies its ring lacks, filled from the primary. Either way every
+        copy's upper-level entries, old copies included, then point at
+        the child's :func:`~repro.mitosis.ring.local_copy`, so callers
+        extending a whole tree go children first.
+
+        Frames come from ``take(socket)``, the page-cache by default. If
+        it raises :class:`OutOfMemoryError`, the frames already taken go
+        back to the page-cache and the ring is left as it was.
         """
-        sockets = sorted(self.mask)
-        copies: list[PageTablePage] = []
-        for socket in sockets:
-            frame = self.pagecache.alloc(socket)
-            frame.kind = FrameKind.PAGE_TABLE
-            copies.append(PageTablePage(frame=frame, level=level))
-        primary = copies[0]
-        for copy in copies[1:]:
-            copy.primary = primary
-        link_ring(copies)
-        for copy in copies:
+        take = take or self.pagecache.alloc
+        members = [] if primary is None else ring_members(tree, primary)
+        have = {member.node for member in members}
+        frames: list[Frame] = []
+        try:
+            for socket in sorted(self.mask - have):
+                frames.append(take(socket))
+        except OutOfMemoryError:
+            for frame in frames:
+                self.pagecache.free(frame)
+            raise
+        new_table = primary is None
+        fresh: list[PageTablePage] = []
+        for frame in frames:
+            copy = PageTablePage(frame=frame, level=level, primary=primary)
+            if primary is None:
+                primary = copy  # a new table's copy on the lowest socket
             tree.registry[copy.pfn] = copy
-        self.stats.tables_allocated += len(copies)
+            fresh.append(copy)
+        self.stats.tables_allocated += len(fresh)
+        members += fresh
+        link_ring(members)
+        if primary.valid_count:
+            self._fill(tree, primary, members, fresh)
         session = current_session()
-        if session is not None:
+        if session is not None and new_table:
             session.instant(
                 "replicate-table",
                 category="mitosis",
                 level=level,
-                sockets=sockets,
-                copies=len(copies),
+                sockets=sorted(self.mask),
+                copies=len(fresh),
             )
         return primary
+
+    def _fill(
+        self,
+        tree: PageTableTree,
+        primary: PageTablePage,
+        members: list[PageTablePage],
+        fresh: list[PageTablePage],
+    ) -> None:
+        """Copy ``primary``'s entries into the ``fresh`` copies and point
+        every member's table entries at the child's local copy."""
+        apply = self.apply_entry_write
+        upper = primary.level > LEAF_LEVEL
+        for index, entry in enumerate(primary.entries):
+            if not pte_present(entry):
+                continue
+            if not upper or pte_huge(entry):
+                for member in fresh:
+                    apply(member, index, entry)
+                self.stats.pte_writes += len(fresh)
+                continue
+            child_ring = ring_members(tree, tree.registry[pte_pfn(entry)])
+            flags = pte_flags(entry)
+            for member in members:
+                value = make_pte(local_copy(child_ring, member.node).pfn, flags)
+                if member.entries[index] != value:
+                    apply(member, index, value)
+                    self.stats.pte_writes += 1
 
     def release_table(self, tree: PageTableTree, page: PageTablePage) -> None:
         """Free the whole replica ring of ``page``."""
@@ -129,7 +187,7 @@ class MitosisPagingOps(PagingOps):
             for member in members:
                 member_value = value
                 if child_ring is not None:
-                    local_child = _pick_for_socket(child_ring, member.node)
+                    local_child = local_copy(child_ring, member.node)
                     member_value = make_pte(local_child.pfn, pte_flags(value))
                 apply(member, index, member_value)
         self.stats.pte_writes += writes
@@ -159,16 +217,4 @@ class MitosisPagingOps(PagingOps):
     def root_pfn_for_socket(self, tree: PageTableTree, socket: int) -> int:
         """§5.3: the per-socket CR3 array — local replica root when the
         socket has one, the primary root otherwise."""
-        local = replica_on_socket(tree, tree.root, socket)
-        return (local or tree.root).pfn
-
-
-def _pick_for_socket(ring: list[PageTablePage], socket: int) -> PageTablePage:
-    """The ring member on ``socket``, else the ring's primary."""
-    for member in ring:
-        if member.node == socket:
-            return member
-    for member in ring:
-        if not member.is_replica:
-            return member
-    return ring[0]
+        return local_copy(ring_members(tree, tree.root), socket).pfn

@@ -23,13 +23,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import OutOfMemoryError, ReplicationError
 from repro.kernel.costs import TABLE_ALLOC_CYCLES
-from repro.mem.frame import FrameKind
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.backend import MitosisPagingOps
-from repro.mitosis.ring import link_ring, replica_on_socket, ring_members
-from repro.paging.levels import LEAF_LEVEL
-from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
-from repro.paging.pte import make_pte, pte_flags, pte_huge, pte_pfn, pte_present
+from repro.paging.pagetable import PageTablePage, PageTableTree
 from repro.trace.session import current_session
 from repro.units import PTES_PER_TABLE
 
@@ -39,7 +35,6 @@ class ReplicationJob:
     """An in-flight background replication of one tree onto ``mask``."""
 
     tree: PageTableTree
-    pagecache: PageTablePageCache
     mask: frozenset[int]
     #: Optional kernel facade. When set, a per-socket OOM first triggers
     #: replica reclaim on the starving node and a retry; if the node is
@@ -101,10 +96,10 @@ class ReplicationJob:
             pfn = self._pending[-1]
             primary = self.tree.registry.get(pfn)
             if primary is None or primary.is_replica:
-                self._pending.pop()  # table was freed (or absorbed) meanwhile
+                self._pending.pop()  # table was freed meanwhile
                 continue
             try:
-                cycles += _replicate_ring(self.tree, self.pagecache, primary, self.mask)
+                cycles += self._copy(primary)
             except OutOfMemoryError as exc:
                 if self.kernel is None or exc.node is None or exc.node not in self.mask:
                     raise
@@ -119,6 +114,15 @@ class ReplicationJob:
             self._record_outcome()
         return cycles
 
+    def _copy(self, primary: PageTablePage) -> float:
+        """Bring one table's ring up to the mask through the backend's
+        ring builder; returns the copy work's cycle estimate."""
+        ops = self.tree.ops
+        before = ops.stats.tables_allocated
+        ops.alloc_table(self.tree, primary.level, primary.node, primary=primary)
+        fresh = ops.stats.tables_allocated - before
+        return fresh * TABLE_ALLOC_CYCLES + primary.valid_count * fresh * 2.0
+
     def _rescue(self, primary: PageTablePage, node: int) -> tuple[bool, float]:
         """Reclaim on the starving node and retry this ring exactly once;
         drop the socket from the mask (degrade) if it stays dry."""
@@ -130,7 +134,7 @@ class ReplicationJob:
             self.kernel, node, target_free_frames=self.remaining, aggressive=True
         )
         try:
-            cycles = _replicate_ring(self.tree, self.pagecache, primary, self.mask)
+            cycles = self._copy(primary)
         except OutOfMemoryError:
             if not self.degraded_sockets:
                 self.kernel.resilience.degradations += 1
@@ -198,66 +202,12 @@ def start_background_replication(
     primaries = sorted(tree.iter_tables(), key=lambda page: page.level)
     job = ReplicationJob(
         tree=tree,
-        pagecache=pagecache,
         mask=frozenset(mask),
         kernel=kernel,
         mm=mm,
         _pending=[page.pfn for page in reversed(primaries)],
     )
     return job
-
-
-def _replicate_ring(
-    tree: PageTableTree,
-    pagecache: PageTablePageCache,
-    primary: PageTablePage,
-    mask: frozenset[int],
-) -> float:
-    """Bring one table's ring up to ``mask`` coverage; returns cycle cost.
-
-    Requires every child of ``primary`` to already satisfy the mask (the
-    bottom-up order guarantees it), so each copy can point at socket-local
-    children immediately.
-    """
-    members = ring_members(tree, primary)
-    have = {member.node for member in members}
-    missing = sorted(mask - have)
-    if not missing:
-        return 0.0
-    fresh: list[PageTablePage] = []
-    try:
-        for socket in missing:
-            frame = pagecache.alloc(socket)
-            frame.kind = FrameKind.PAGE_TABLE
-            fresh.append(PageTablePage(frame=frame, level=primary.level, primary=primary))
-    except OutOfMemoryError:
-        for page in fresh:
-            pagecache.free(page.frame)
-        raise
-    for replica in fresh:
-        tree.registry[replica.pfn] = replica
-    link_ring(members + fresh)
-    ops = tree.ops
-    cycles = len(fresh) * TABLE_ALLOC_CYCLES
-    non_leaf = primary.level > LEAF_LEVEL
-    for member in members + fresh:
-        is_new = member in fresh
-        for index, entry in enumerate(primary.entries):
-            if not pte_present(entry):
-                continue
-            if non_leaf and not pte_huge(entry):
-                child = tree.registry[pte_pfn(entry)]
-                local_child = replica_on_socket(tree, child, member.node) or child
-                value = make_pte(local_child.pfn, pte_flags(entry))
-            elif not is_new:
-                continue
-            else:
-                value = entry
-            if member.entries[index] != value:
-                PagingOps.apply_entry_write(member, index, value)
-                ops.stats.pte_writes += 1
-    ops.stats.tables_allocated += len(fresh)
-    return cycles + primary.valid_count * len(fresh) * 2.0  # copy cost estimate
 
 
 def run_to_completion(job: ReplicationJob, max_tables_per_step: int = PTES_PER_TABLE) -> float:

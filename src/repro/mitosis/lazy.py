@@ -31,8 +31,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.mem.pagecache import PageTablePageCache
-from repro.mitosis.backend import MitosisPagingOps, _pick_for_socket
-from repro.mitosis.ring import ring_members
+from repro.mitosis.backend import MitosisPagingOps
+from repro.mitosis.ring import local_copy, ring_members
 from repro.paging.levels import LEAF_LEVEL
 from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
 from repro.paging.pte import (
@@ -106,7 +106,7 @@ class LazyMitosisPagingOps(MitosisPagingOps):
             member_value = value
             if child_ring is not None:
                 member_value = make_pte(
-                    _pick_for_socket(child_ring, member.node).pfn, pte_flags(value)
+                    local_copy(child_ring, member.node).pfn, pte_flags(value)
                 )
             if member is home:
                 self.apply_entry_write(member, index, member_value)
@@ -156,16 +156,6 @@ class LazyMitosisPagingOps(MitosisPagingOps):
 
     def pending(self, socket: int) -> int:
         return len(self.queues.get(socket, ()))
-
-    # -- lifecycle hooks ------------------------------------------------------------
-
-    def release_table(self, tree: PageTableTree, page: PageTablePage) -> None:
-        # Freed pages may still be queue targets; sync_socket tolerates
-        # missing registry entries, so just drop the ring.
-        super().release_table(tree, page)
-
-    def root_pfn_for_socket(self, tree: PageTableTree, socket: int) -> int:
-        return super().root_pfn_for_socket(tree, socket)
 
 
 def make_lazy(tree: PageTableTree, pagecache: PageTablePageCache) -> LazyMitosisPagingOps:

@@ -13,10 +13,10 @@ from __future__ import annotations
 from repro.errors import OutOfMemoryError, ReplicationError
 from repro.kernel.policy import PlacementPolicy
 from repro.kernel.pvops import NativePagingOps
-from repro.mem.frame import FrameKind
+from repro.mem.frame import Frame
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.backend import MitosisPagingOps
-from repro.mitosis.ring import link_ring, replica_on_socket, ring_members, unlink_ring
+from repro.mitosis.ring import link_ring, ring_members, unlink_ring
 from repro.paging.levels import LEAF_LEVEL
 from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
 from repro.paging.pte import make_pte, pte_flags, pte_huge, pte_pfn, pte_present
@@ -65,10 +65,10 @@ def _enable_replication(
     # Pass 0: reserve every frame the replication will need *before*
     # touching the tree, so a strict per-socket allocation failure (§5.1)
     # leaves the address space exactly as it was.
+    missing = [mask - {member.node for member in ring_members(tree, p)} for p in primaries]
     needed: dict[int, int] = {}
-    for primary in primaries:
-        have = {member.node for member in ring_members(tree, primary)}
-        for socket in mask - have:
+    for sockets in missing:
+        for socket in sockets:
             needed[socket] = needed.get(socket, 0) + 1
     reserved: dict[int, list] = {socket: [] for socket in needed}
     try:
@@ -80,56 +80,20 @@ def _enable_replication(
             while frames:
                 pagecache.free(frames.pop())
         raise
+    # Hand each ring its frames top-down, last reserved first: this decides
+    # which frame every copy gets, independently of the build order below.
+    plans = [{s: reserved[s].pop() for s in sorted(sockets)} for sockets in missing]
+    fresh = [frame for plan in plans for frame in plan.values()]
 
-    # Pass 1+2 are guarded: any failure mid-walk (an injected fault, a ring
-    # inconsistency) unwinds every freshly created copy — no half-linked
-    # rings, no leaked frames, no half-swapped ops backend.
-    created: dict[int, PageTablePage] = {}  # new replica pfn -> its primary
-    rings: list[tuple[PageTablePage, list[PageTablePage]]] = []
+    # Build children before parents, so every copy can point at its
+    # socket-local child. Any failure mid-walk (an injected fault, a ring
+    # inconsistency) unwinds every fresh copy: no half-linked rings, no
+    # leaked frames, no half-swapped ops backend.
     try:
-        # Pass 1: allocate missing copies and re-link every ring. The ring
-        # is recorded *before* it is mutated so that a failure inside
-        # link_ring still leaves its fresh copies visible to the rollback.
-        for primary in primaries:
-            members = ring_members(tree, primary)
-            rings.append((primary, members))
-            have = {member.node for member in members}
-            for socket in sorted(mask - have):
-                frame = reserved[socket].pop()
-                frame.kind = FrameKind.PAGE_TABLE
-                replica = PageTablePage(frame=frame, level=primary.level, primary=primary)
-                tree.registry[replica.pfn] = replica
-                members.append(replica)
-                created[replica.pfn] = primary
-                new_ops.stats.tables_allocated += 1
-            link_ring(members)
-        assert all(not frames for frames in reserved.values())
-
-        # Pass 2: establish the semantic-replication invariant on *every*
-        # copy (child rings now all exist): new replicas get all entries
-        # filled; pre-existing copies get their upper-level pointers rewired
-        # to their own socket's child copy. Leaf entries are identical
-        # everywhere.
-        for primary, members in rings:
-            non_leaf = primary.level > LEAF_LEVEL
-            for member in members:
-                is_new = member.pfn in created
-                for index, entry in enumerate(primary.entries):
-                    if not pte_present(entry):
-                        continue
-                    if non_leaf and not pte_huge(entry):
-                        child = tree.registry[pte_pfn(entry)]
-                        local_child = replica_on_socket(tree, child, member.node) or child
-                        value = make_pte(local_child.pfn, pte_flags(entry))
-                    elif not is_new:
-                        continue  # leaf entry already present and identical
-                    else:
-                        value = entry
-                    if member.entries[index] != value:
-                        PagingOps.apply_entry_write(member, index, value)
-                        new_ops.stats.pte_writes += 1
+        for primary, plan in zip(reversed(primaries), reversed(plans)):
+            new_ops.alloc_table(tree, primary.level, primary.node, primary=primary, take=plan.pop)
     except Exception:
-        _rollback_partial_enable(tree, pagecache, rings, created, reserved)
+        _rollback_partial_enable(tree, pagecache, primaries, plans, fresh)
         raise
 
     tree.ops = new_ops
@@ -139,21 +103,23 @@ def _enable_replication(
 def _rollback_partial_enable(
     tree: PageTableTree,
     pagecache: PageTablePageCache,
-    rings: list[tuple[PageTablePage, list[PageTablePage]]],
-    created: dict[int, PageTablePage],
-    reserved: dict[int, list],
+    primaries: list[PageTablePage],
+    plans: list[dict[int, Frame]],
+    fresh: list[Frame],
 ) -> None:
     """Unwind a failed :func:`enable_replication` mid-walk.
 
-    Surviving copies may have been rewired to point at a doomed child
-    replica in pass 2 — repoint those entries at the child ring's primary
-    first, then unlink the new copies out of their rings, drop them from
-    the registry and hand their frames back to the page-cache. Unconsumed
-    pass-0 reservations go back too.
+    The copies built so far are the registered pages on ``fresh`` frames.
+    Surviving copies may point at one of them: repoint those entries at
+    the child ring's primary first, then unlink the new copies out of
+    their rings, drop them from the registry and hand their frames back
+    to the page-cache. Frames not yet taken from ``plans`` go back too.
     """
+    created = {f.pfn: tree.registry[f.pfn] for f in fresh if f.pfn in tree.registry}
+    rings = [ring_members(tree, primary) for primary in primaries]
     # Repoint survivors away from copies that are about to be freed.
-    for primary, members in rings:
-        if primary.level == LEAF_LEVEL:
+    for members in rings:
+        if members[0].level == LEAF_LEVEL:
             continue
         for member in members:
             if member.pfn in created:
@@ -161,26 +127,25 @@ def _rollback_partial_enable(
             for index, entry in enumerate(member.entries):
                 if not pte_present(entry) or pte_huge(entry):
                     continue
-                doomed_primary = created.get(pte_pfn(entry))
-                if doomed_primary is not None:
+                doomed = created.get(pte_pfn(entry))
+                if doomed is not None:
                     PagingOps.apply_entry_write(
-                        member, index, make_pte(doomed_primary.pfn, pte_flags(entry))
+                        member, index, make_pte(doomed.primary.pfn, pte_flags(entry))
                     )
-    # Restore ring linkage and free every freshly created copy.
-    for primary, members in rings:
+    # Restore ring linkage and free every fresh copy.
+    for members in rings:
         keep = [m for m in members if m.pfn not in created]
-        drop = [m for m in members if m.pfn in created]
-        if drop:
+        if len(keep) < len(members):
             unlink_ring(members)
             if len(keep) > 1:
                 link_ring(keep)
-            for member in drop:
-                tree.registry.pop(member.pfn, None)
-                pagecache.free(member.frame)
-                tree.ops.stats.tables_allocated -= 1
-    for frames in reserved.values():
-        while frames:
-            pagecache.free(frames.pop())
+    for copy in created.values():
+        del tree.registry[copy.pfn]
+        pagecache.free(copy.frame)
+        tree.ops.stats.tables_allocated -= 1
+    for plan in plans:
+        for frame in plan.values():
+            pagecache.free(frame)
     session = current_session()
     if session is not None:
         # The fixup arc: a failed enable was unwound back to the
@@ -225,14 +190,11 @@ def _shrink_replication(
     pagecache: PageTablePageCache,
     drop_sockets: frozenset[int],
 ) -> int:
-    # Pass A: decide what goes. Primaries always stay. Note iter_tables
-    # yields whichever *copy* the local-pointer descent reaches — resolve
-    # each ring's true primary explicitly.
+    # Pass A: decide what goes. Primaries always stay.
     rings = []
     dropping: dict[int, PageTablePage] = {}  # dropped pfn -> its ring's primary
-    for page in tree.iter_tables():
-        members = ring_members(tree, page)
-        primary = next((m for m in members if not m.is_replica), members[0])
+    for primary in tree.iter_tables():
+        members = ring_members(tree, primary)
         rings.append((primary, members))
         for member in members:
             if member.is_replica and member.node in drop_sockets:
@@ -328,7 +290,6 @@ def _collapse_replicas(
     keep_socket: int,
     pt_policy: PlacementPolicy | None = None,
 ) -> NativePagingOps:
-    old_root = tree.root
     # Gap-fill: guarantee every ring has a copy on the kept socket before
     # any mutation (enable_replication is idempotent and OOM-atomic).
     enable_replication(tree, pagecache, frozenset({keep_socket}))
@@ -347,24 +308,9 @@ def _collapse_replicas(
             del tree.registry[member.pfn]
             pagecache.free(member.frame)
             new_ops.stats.tables_released += 1
+        if primary is tree.root:
+            new_root = keep
 
-    new_root = tree.registry[
-        MitosisRootFinder.root_pfn_on(tree, old_root, keep_socket)
-    ]
     tree.root = new_root
     tree.ops = new_ops
     return new_ops
-
-
-class MitosisRootFinder:
-    """Small helper: resolve the kept root before/after ring teardown."""
-
-    @staticmethod
-    def root_pfn_on(tree: PageTableTree, old_root: PageTablePage, socket: int) -> int:
-        if old_root.node == socket and old_root.pfn in tree.registry:
-            return old_root.pfn
-        # Ring already unlinked: find the surviving root-level copy on socket.
-        for page in tree.registry.values():
-            if page.level == old_root.level and page.node == socket and page.primary is None:
-                return page.pfn
-        raise ReplicationError(f"lost the root while collapsing to socket {socket}")

@@ -67,6 +67,16 @@ def ring_members(tree: PageTableTree, page: PageTablePage) -> list[PageTablePage
     return members
 
 
+def local_copy(ring: list[PageTablePage], socket: int) -> PageTablePage:
+    """The copy of ``ring`` an upper-level entry on ``socket`` points at
+    (semantic replication, §5.2): the member on ``socket``, else the
+    ring's primary."""
+    for member in ring:
+        if member.node == socket:
+            return member
+    return primary_of(ring[0])
+
+
 def replica_on_socket(
     tree: PageTableTree, page: PageTablePage, socket: int
 ) -> PageTablePage | None:

@@ -545,7 +545,9 @@ class PageTableTree:
                 continue
             for entry in page.entries:
                 if pte_present(entry) and not pte_huge(entry):
-                    queue.append(self.registry[pte_pfn(entry)])
+                    # A copy may point at one of the child's replicas.
+                    child = self.registry[pte_pfn(entry)]
+                    queue.append(child.primary or child)
 
     def iter_mappings(self) -> Iterator[tuple[int, Translation]]:
         """All leaf mappings as ``(va, translation)`` in VA order."""

@@ -80,6 +80,19 @@ class TestAllocation:
         assert cache.pooled(0) == 1
         assert physmem2.stats(0).used_frames == used - 1
 
+    def test_every_path_hands_out_page_table_frames(self, physmem2):
+        """Table allocators rely on this: they never retag a frame."""
+        cache = PageTablePageCache(physmem2, reserve_per_node=1)
+        pooled = cache.alloc(0)
+        refilled = cache.alloc(0)  # pool empty: strict node allocation
+        kinds = [pooled.kind, refilled.kind]
+        cache.free(pooled)  # back into the pool
+        cache.free(refilled)  # pool full: back to the node allocator
+        again = [cache.alloc(0), cache.alloc(0)]
+        assert again[0] is pooled
+        kinds += [frame.kind for frame in again]
+        assert kinds == [FrameKind.PAGE_TABLE] * 4
+
     def test_drain_releases_everything(self, physmem2):
         cache = PageTablePageCache(physmem2, reserve_per_node=3)
         cache.drain()

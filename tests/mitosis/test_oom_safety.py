@@ -143,9 +143,9 @@ class TestMidWalkRollback:
     def test_pass1_link_failure_rolls_back(self, healthy, monkeypatch):
         physmem, cache, tree = healthy
         before = snapshot(physmem, tree)
-        import repro.mitosis.replication as replication
+        import repro.mitosis.backend as backend
 
-        real_link = replication.link_ring
+        real_link = backend.link_ring
         calls = {"n": 0}
 
         def flaky_link(pages):
@@ -154,7 +154,7 @@ class TestMidWalkRollback:
                 raise OutOfMemoryError(1, PAGE_SIZE, "injected mid-walk failure")
             real_link(pages)
 
-        monkeypatch.setattr(replication, "link_ring", flaky_link)
+        monkeypatch.setattr(backend, "link_ring", flaky_link)
         with pytest.raises(OutOfMemoryError):
             enable_replication(tree, cache, frozenset({0, 1}))
         assert_restored(physmem, tree, before)
@@ -180,9 +180,9 @@ class TestMidWalkRollback:
 
     def test_tree_functional_and_consistent_after_rollback(self, healthy, monkeypatch):
         physmem, cache, tree = healthy
-        import repro.mitosis.replication as replication
+        import repro.mitosis.backend as backend
 
-        real_link = replication.link_ring
+        real_link = backend.link_ring
         calls = {"n": 0}
 
         def flaky_link(pages):
@@ -191,10 +191,10 @@ class TestMidWalkRollback:
                 raise OutOfMemoryError(1, PAGE_SIZE, "injected")
             real_link(pages)
 
-        monkeypatch.setattr(replication, "link_ring", flaky_link)
+        monkeypatch.setattr(backend, "link_ring", flaky_link)
         with pytest.raises(OutOfMemoryError):
             enable_replication(tree, cache, frozenset({0, 1}))
-        monkeypatch.setattr(replication, "link_ring", real_link)
+        monkeypatch.setattr(backend, "link_ring", real_link)
 
         from repro.inject import verify_tree
 

@@ -378,8 +378,13 @@ class TestLint:
         assert document["version"] == 1
         assert [f["rule"] for f in document["findings"]] == ["DET001"]
 
-    def test_no_baseline_surfaces_grandfathered_findings(self, capsys):
-        code, out, _ = run(capsys, "lint", "--no-baseline")
+    def test_no_baseline_surfaces_grandfathered_findings(self, capsys, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text("page = PageTablePage(frame=frame, level=1)\n")
+        baseline = ["--baseline", str(tmp_path / "baseline.json")]
+        assert run(capsys, "lint", str(bad), *baseline, "--write-baseline")[0] == 0
+        assert run(capsys, "lint", str(bad), *baseline)[0] == 0
+        code, out, _ = run(capsys, "lint", str(bad), *baseline, "--no-baseline")
         assert code == 1
         assert "PVOPS002" in out
 

@@ -8,8 +8,9 @@ and the leaf level stops fitting (Fig. 11).
 
 Only page-table lines are tracked exactly (they are few); data-line
 behaviour is summarised by each workload's locality profile in the engine.
-The ``pressure`` knob models data traffic evicting page-table lines: it
-scales the capacity page-table lines can actually hold onto.
+Data traffic evicting page-table lines is modelled by the walk loops, not
+here: each walk's leaf-PTE line misses with the workload's
+``WorkloadProfile.pt_llc_pressure`` probability even when it is resident.
 """
 
 from __future__ import annotations
@@ -37,15 +38,10 @@ class LlcStats:
 class SocketLlc:
     """LRU cache of page-table cache-lines for one socket."""
 
-    def __init__(self, capacity_bytes: int, pressure: float = 0.0, name: str = "llc"):
-        """``pressure`` in [0, 1): fraction of the capacity the workload's
-        data traffic effectively steals from page-table lines."""
-        if not 0.0 <= pressure < 1.0:
-            raise ValueError(f"pressure must be in [0, 1), got {pressure}")
+    def __init__(self, capacity_bytes: int, name: str = "llc"):
         self.name = name
-        self.capacity_lines = max(1, int(capacity_bytes * (1.0 - pressure)) // CACHE_LINE_SIZE)
+        self.capacity_lines = max(1, capacity_bytes // CACHE_LINE_SIZE)
         self._lines: OrderedDict[int, None] = OrderedDict()
-        self._poison = 0
         self.stats = LlcStats()
 
     def access(self, line_addr: int) -> bool:
@@ -59,14 +55,6 @@ class SocketLlc:
             self._lines.popitem(last=False)
         self._lines[line_addr] = None
         return False
-
-    def pollute(self) -> None:
-        """Insert one never-reused line (a data miss landing in the shared
-        cache), evicting the LRU page-table line if the cache is full."""
-        self._poison -= 1
-        if len(self._lines) >= self.capacity_lines:
-            self._lines.popitem(last=False)
-        self._lines[self._poison] = None
 
     def invalidate_all(self) -> None:
         self._lines.clear()

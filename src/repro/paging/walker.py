@@ -164,10 +164,11 @@ class HardwareWalker:
         n = 0
         while True:
             index = (va >> (12 + 9 * (level - 1))) & 511
-            pfn = page.pfn
+            frame = page.frame
+            pfn = frame.pfn
             out_levels[n] = level
             out_pfns[n] = pfn
-            out_nodes[n] = page.node
+            out_nodes[n] = frame.node
             out_lines[n] = (pfn << 12) + (index * 8 & line_mask)
             n += 1
             entry = page.entries[index]

@@ -5,7 +5,8 @@ reasons about:
 
 1. per-core two-level TLB lookup — hit means no walk at all;
 2. on a miss, the paging-structure caches pick the deepest walk starting
-   point (usually: straight to the leaf PTE);
+   point (at best the L2 table: the walk loops fill them only with tables
+   read above level 1, so the level-1 cache stays empty);
 3. the hardware walker fetches one PTE cache-line per remaining level; each
    fetch probes the socket's LLC and, on a miss, pays the DRAM latency of
    whichever NUMA node holds that page-table page — *this* is where
@@ -61,7 +62,10 @@ ENGINES: tuple[str, ...] = ("scalar", "vector")
 #: Accesses covered by one batch mask (one ``np.isin`` over the chunk).
 #: Chunks start small and double up to the cap: a mask built over a cold
 #: TLB is all-escapes, so short early chunks let the mask catch up with
-#: warmup fills quickly, while steady state pays one mask per 2048.
+#: warmup fills quickly, while steady state pays one mask per 2048. Until
+#: a thread first batches, a slice's first ``_CHUNK_MIN`` accesses run
+#: unmasked and decide whether it batches at all (see
+#: ``Simulator._run_thread_vector``).
 _CHUNK_MIN = 256
 _CHUNK = 2048
 #: Below this run length the per-run numpy overhead exceeds scalar cost.
@@ -660,6 +664,13 @@ class Simulator:
         shootdown / replication change / migration (which bump the TLB
         generation) forces a re-resolve and a stale batched translation
         is impossible.
+
+        Until a thread has batched at least once, each of its slices
+        decides whether it batches before any residency LUT is built: the
+        first ``_CHUNK_MIN`` accesses run as one escape span, and if fewer
+        than a quarter of them hit the L1 TLB (the span's bail-out delta),
+        the slice is walk-bound and the rest runs as one more escape span,
+        with no snapshot, mask or chunk lists.
         """
         ex = _ThreadExecution(self, process, walker, context, llcs, socket, mlp, out)
         n = int(vas.size)
@@ -702,7 +713,18 @@ class Simulator:
         fast = 0
         cooldown = 0
         i = 0
-        while i < n:
+        batches = True
+        if out.accesses == out.escape_l1_miss + out.escape_bailout:
+            # The verdict, taken until the thread first batches: after
+            # that its TLB is warm and a verdict span would only run hits
+            # escape-side. The span stands in for the first chunk. Every
+            # L1 hit it handles is a bail-out, so the bail-out count is
+            # its hit count.
+            i = min(_CHUNK_MIN, n)
+            escape.run(*as_lists(0, i), 0, i, 0)
+            batches = ex.escape_bailout * 4 >= i
+            chunk_size = 2 * _CHUNK_MIN
+        while batches and i < n:
             if i >= chunk_hi:
                 ok = None
             elif ok is not None and ok[i - chunk_lo] and tlb.fastpath_token() != snap_token:
@@ -793,7 +815,8 @@ class Simulator:
                     autonuma.record_access(process, int(vas[p]), socket)
             i += k
         if i < n:
-            # Adaptive bail-out: escape interpreter for the whole tail.
+            # Walk-bound verdict or adaptive bail-out: escape interpreter
+            # for the whole tail.
             escape.run(*as_lists(i, n), 0, n - i, i)
         escape.close()
         ex.finish(out, n)

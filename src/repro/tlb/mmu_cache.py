@@ -48,45 +48,55 @@ class MmuCacheStats:
 
 
 class MmuCaches:
-    """One core's paging-structure caches."""
+    """One core's paging-structure caches.
+
+    The deepest-first probe order, each level's tag shift and each
+    level's capacity are fixed by the config, so they are resolved once
+    here rather than on every walk. A tag is the VA bits that selected a
+    level-L table page: everything above that table's span (one table at
+    level L spans ``512 * level_span(L)`` bytes).
+    """
 
     def __init__(self, config: MmuCacheConfig | None = None):
         self.config = config or MmuCacheConfig()
+        entries = self.config.entries_per_level
         self._caches: dict[int, OrderedDict[int, PageTablePage]] = {
-            level: OrderedDict() for level in sorted(self.config.entries_per_level)
+            level: OrderedDict() for level in sorted(entries)
+        }
+        #: ``(level, cache, tag shift)``, deepest (smallest level) first.
+        self._probe = tuple(
+            (level, cache, level_shift(level) + 9) for level, cache in self._caches.items()
+        )
+        #: level -> ``(cache, tag shift, capacity)``.
+        self._fill = {
+            level: (cache, shift, entries[level]) for level, cache, shift in self._probe
         }
         self.stats = MmuCacheStats()
-
-    @staticmethod
-    def _tag(va: int, level: int) -> int:
-        """The VA bits that selected a level-``level`` table page: everything
-        above that table's span (one table at level L spans
-        ``512 * level_span(L)`` bytes)."""
-        return va >> (level_shift(level) + 9)
 
     def lookup(self, va: int) -> tuple[PageTablePage, int] | None:
         """Deepest cached starting point for a walk of ``va``.
 
         Returns ``(table_page, level)`` or ``None`` (start from CR3).
         """
-        self.stats.lookups += 1
-        for level in sorted(self._caches):  # deepest (smallest level) first
-            cache = self._caches[level]
-            tag = self._tag(va, level)
+        stats = self.stats
+        stats.lookups += 1
+        for level, cache, shift in self._probe:
+            tag = va >> shift
             page = cache.get(tag)
             if page is not None:
                 cache.move_to_end(tag)
-                self.stats.hits_at_level[level] = self.stats.hits_at_level.get(level, 0) + 1
+                hits = stats.hits_at_level
+                hits[level] = hits.get(level, 0) + 1
                 return page, level
         return None
 
     def insert(self, va: int, page: PageTablePage) -> None:
         """Remember that ``va``-prefixed walks may start at ``page``."""
-        cache = self._caches.get(page.level)
-        if cache is None:
+        fill = self._fill.get(page.level)
+        if fill is None:
             return  # level not cached (e.g. the root in a 4-level walk)
-        capacity = self.config.entries_per_level[page.level]
-        tag = self._tag(va, page.level)
+        cache, shift, capacity = fill
+        tag = va >> shift
         if tag in cache:
             cache.move_to_end(tag)
             cache[tag] = page

@@ -52,13 +52,10 @@ class Tlb:
         ]
         self.stats = TlbStats()
 
-    def _set_for(self, vpn: int) -> OrderedDict[int, Translation]:
-        return self._sets[vpn % self.n_sets]
-
     def lookup(self, va: int) -> Translation | None:
         """Probe for ``va``; LRU-promotes and counts on hit."""
         vpn = va >> self.page_shift
-        entry_set = self._set_for(vpn)
+        entry_set = self._sets[vpn % self.n_sets]
         hit = entry_set.get(vpn)
         if hit is not None:
             entry_set.move_to_end(vpn)
@@ -70,7 +67,7 @@ class Tlb:
     def insert(self, va: int, translation: Translation) -> None:
         """Fill ``va``'s entry, evicting the set's LRU victim if full."""
         vpn = va >> self.page_shift
-        entry_set = self._set_for(vpn)
+        entry_set = self._sets[vpn % self.n_sets]
         if vpn in entry_set:
             entry_set.move_to_end(vpn)
             entry_set[vpn] = translation
@@ -83,7 +80,7 @@ class Tlb:
     # protocol: defers[tlb-generation] -- single-level evict; the hierarchy owns the bump
     def invalidate(self, va: int) -> None:
         vpn = va >> self.page_shift
-        self._set_for(vpn).pop(vpn, None)
+        self._sets[vpn % self.n_sets].pop(vpn, None)
 
     # protocol: defers[tlb-generation] -- single-level flush; the hierarchy owns the bump
     def flush(self) -> None:
@@ -196,10 +193,11 @@ class TlbHierarchy:
 
     def insert(self, va: int, translation: Translation) -> None:
         """Fill after a successful walk (both levels, size-appropriate)."""
-        self._fill_l1(va, translation)
         if translation.level == HUGE_LEAF_LEVEL:
+            self.l1_2m.insert(va, translation)
             self.l2_2m.insert(va, translation)
         else:
+            self.l1_4k.insert(va, translation)
             self.l2_4k.insert(va, translation)
 
     def _fill_l1(self, va: int, translation: Translation) -> None:

@@ -1,7 +1,5 @@
 """Per-socket LLC model for page-table lines."""
 
-import pytest
-
 from repro.cache.llc import SocketLlc
 from repro.units import KIB
 
@@ -26,17 +24,6 @@ class TestLlc:
         llc.access(128)  # evicts 64
         assert llc.access(0)
         assert not llc.access(64)
-
-    def test_pressure_shrinks_capacity(self):
-        full = SocketLlc(KIB, pressure=0.0)
-        squeezed = SocketLlc(KIB, pressure=0.5)
-        assert squeezed.capacity_lines == full.capacity_lines // 2
-
-    def test_pressure_bounds(self):
-        with pytest.raises(ValueError):
-            SocketLlc(KIB, pressure=1.0)
-        with pytest.raises(ValueError):
-            SocketLlc(KIB, pressure=-0.1)
 
     def test_minimum_one_line(self):
         assert SocketLlc(1).capacity_lines == 1

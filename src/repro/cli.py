@@ -19,7 +19,7 @@ sub-commands for the experiment harnesses, the analysis tools, the chaos
     python -m repro fleet sweep --workloads gups,btree --seeds 1234
     python -m repro fleet bench --accesses 6000
     python -m repro lint --format json
-    python -m repro lint --whole-program --jobs 4 --changed
+    python -m repro lint --whole-program --stats lint-stats.json
     python -m repro lint --explain
     python -m repro trace --out trace.json chaos --scenario replication-oom
     python -m repro perf --accesses 50000 --out BENCH_engine.json
@@ -219,19 +219,6 @@ def _add_lint_args(parser: argparse.ArgumentParser) -> None:
         "the interprocedural dataflow rules (DETFLOW001/DETFLOW002, "
         "RES001/RES002) and the concurrency rules (FORK001/FORK002, "
         "SIG001, PIPE001/PIPE002)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="shard the analysis across N forked worker processes "
-        "(findings stay byte-identical to serial; 0 = auto-size from "
-        "the CPU count; default: 1)",
-    )
-    parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="only report findings in files touched relative to REF "
-        "(default HEAD) plus their reverse call-graph dependents; a fast "
-        "development filter, not a gate — cross-file marker pairings can "
-        "escape the closure (see docs/static-analysis.md)",
     )
     parser.add_argument(
         "--explain", nargs="?", const="", default=None, metavar="RULE",
@@ -639,6 +626,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
         default_cache_dir,
         filter_baseline,
+        iter_python_files,
         lint_paths,
         load_baseline,
         render_json,
@@ -657,6 +645,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         import repro
 
         paths = [Path(repro.__file__).resolve().parent]
+    # A typo'd path must not pass the gate as "0 findings".
+    missing = [str(p) for p in paths if not p.exists()]
+    if missing:
+        print(f"error: no such file or directory: {', '.join(missing)}",
+              file=sys.stderr)
+        return 2
+    if next(iter_python_files(paths), None) is None:
+        print(f"error: no Python files in {', '.join(map(str, paths))}",
+              file=sys.stderr)
+        return 2
     rules = [r.strip() for r in args.rules.split(",")] if args.rules else None
     if args.no_cache:
         cache_dir = None
@@ -664,44 +662,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         cache_dir = Path(args.cache_dir)
     else:
         cache_dir = default_cache_dir()
-    jobs = args.jobs
-    if jobs <= 0:
-        from repro.lint.parallel import default_jobs
-
-        jobs = default_jobs()
-    scope = None
-    if args.changed is not None:
-        from repro.lint.changed import changed_scope
-        from repro.lint.core import iter_python_files
-
-        all_files = list(iter_python_files(paths))
-        scoped = changed_scope(all_files, ref=args.changed)
-        if scoped is None:
-            print(
-                f"--changed: cannot resolve {args.changed!r} in a git "
-                "work-tree; linting everything",
-                file=sys.stderr,
-            )
-        else:
-            scope, touched = scoped
-            print(
-                f"--changed {args.changed}: {len(touched)} touched file(s), "
-                f"reporting on {len(scope)} (with reverse dependents)",
-                file=sys.stderr,
-            )
     try:
         result = lint_paths(
             paths,
             rules=rules,
             whole_program=args.whole_program,
             dataflow_cache_dir=cache_dir,
-            jobs=jobs,
         )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if scope is not None:
-        result.findings = [f for f in result.findings if f.path in scope]
 
     if args.stats:
         stats = dict(result.dataflow_stats or {})

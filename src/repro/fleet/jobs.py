@@ -69,10 +69,10 @@ class ProbeSpec:
       (the transient-fault shape bounded retries exist for);
     * ``crash`` — ``os._exit`` without a result (a worker crash);
     * ``hang`` — sleep past any reasonable timeout (a hung worker the
-      supervisor must SIGKILL);
+      pool slot must kill at its deadline);
     * ``stubborn`` — install a SIGTERM-ignoring handler, then hang: the
-      worst-case worker that survives the polite kill, proving the
-      supervisor's SIGTERM→SIGKILL escalation. Worker mode only — inline
+      worst-case worker that survives the polite kill, proving the pool
+      slot's SIGTERM→SIGKILL escalation. Worker mode only — inline
       it would rebind the dispatcher process's own SIGTERM handler.
     """
 

@@ -178,8 +178,8 @@ class FaultPlan:
         )
 
     def worker_crash(self, hang: bool = False, **trigger) -> FaultRule:
-        """A fleet worker attempt dies (``hang=True``: hangs until the
-        supervisor's wall-clock timeout kills it)."""
+        """A fleet worker attempt dies (``hang=True``: hangs until its
+        pool slot's wall-clock deadline kills it)."""
         return self.add(
             FaultRule(
                 site=SITE_WORKER_CRASH,

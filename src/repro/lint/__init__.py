@@ -23,10 +23,8 @@ This package is that tooling, in two halves:
   safety, ``PIPE001`` Process-target parameters and message pairing,
   ``PIPE002`` pipe typestate — :mod:`repro.lint.concurrency`); run via
   ``python -m repro.cli lint`` (``--whole-program`` for the cross-module
-  pass, ``--jobs N`` to shard across forked workers
-  (:mod:`repro.lint.parallel`), ``--changed [REF]`` to scope reporting
-  to a diff (:mod:`repro.lint.changed`)) and gated in CI against a
-  committed baseline (:mod:`repro.lint.baseline`);
+  pass) and gated in CI against a committed baseline
+  (:mod:`repro.lint.baseline`);
 * **dynamic**: :class:`repro.lint.sanitizer.PTESanitizer`, a debug-mode
   guard around :class:`~repro.paging.pagetable.PageTablePage` entries
   that records writer provenance and raises on any store that does not
@@ -58,14 +56,12 @@ from repro.lint.core import (
     rule_names,
     whole_program_rule_names,
 )
-from repro.lint.changed import changed_files, changed_scope, dependent_closure
 from repro.lint.dataflow import (
     ProjectDataflow,
     SummaryCache,
     default_cache_dir,
     get_dataflow,
 )
-from repro.lint.parallel import default_jobs, fork_map
 from repro.lint.report import render_json, render_sarif, render_text
 
 __all__ = [
@@ -78,14 +74,9 @@ __all__ = [
     "Rule",
     "SummaryCache",
     "WholeProgramRule",
-    "changed_files",
-    "changed_scope",
     "clear_parse_cache",
     "default_cache_dir",
-    "default_jobs",
-    "dependent_closure",
     "filter_baseline",
-    "fork_map",
     "get_dataflow",
     "iter_python_files",
     "lint_paths",

@@ -9,8 +9,7 @@ things no single-file AST can give them:
 2. **who calls whom** — each call site resolved to the set of functions
    it may dispatch to;
 3. **who calls me** — the reverse edges, which the one call-graph
-   fixpoint (:meth:`ProjectIndex.least_fixpoint`) and ``--changed``
-   follow.
+   fixpoint (:meth:`ProjectIndex.least_fixpoint`) follows.
 
 Call resolution is deliberately conservative and type-driven.  A tiny
 flow-insensitive inferencer types receivers from parameter annotations,

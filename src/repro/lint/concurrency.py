@@ -1164,18 +1164,3 @@ class ConnectionTypestateRule(WholeProgramRule):
 
     def run(self, index: ProjectIndex) -> list[Finding]:
         return list(_pipe_analysis(index)["PIPE002"])
-
-
-def prewarm(index: ProjectIndex) -> None:
-    """Materialize this layer's shared memos on ``index``.
-
-    The parallel driver calls this in the parent before forking the
-    whole-program rule sweep: the per-module alias scan, the
-    ``Process(target=...)`` closure set and the whole pipe-typestate
-    analysis are each computed once here and inherited by every rule
-    worker through copy-on-write memory, instead of being redundantly
-    recomputed inside each forked shard.
-    """
-    _aliases_for(index)
-    _process_targets(index)
-    _pipe_analysis(index)

@@ -88,10 +88,10 @@ class LintResult:
     #: ``None`` when no dataflow rule ran.
     dataflow_stats: dict | None = None
     #: Wall-clock phase breakdown in seconds (parse, per_file, index,
-    #: dataflow, whole_program, total) plus the shard count under
-    #: ``jobs``; ``None`` for entry points that don't time themselves
-    #: (:func:`lint_source`). Timings never feed the findings or the
-    #: SARIF output, so ``--jobs N`` stays byte-identical to serial.
+    #: dataflow, whole_program, total); ``None`` for entry points that
+    #: don't time themselves (:func:`lint_source`). Timings never feed
+    #: the findings or the SARIF output, so reports stay byte-identical
+    #: across runs.
     timings: dict | None = None
 
     def extend(self, other: "LintResult") -> None:
@@ -512,7 +512,6 @@ def lint_paths(
     *,
     whole_program: bool = False,
     dataflow_cache_dir: Path | str | None = None,
-    jobs: int = 1,
 ) -> LintResult:
     """Lint every python file under ``paths``.
 
@@ -524,17 +523,7 @@ def lint_paths(
     summary cache (per-module IR keyed by content hash — see
     :mod:`repro.lint.dataflow`). ``None`` analyzes in memory only; the
     CLI passes :func:`repro.lint.dataflow.default_cache_dir` by default.
-
-    ``jobs`` shards the two parallel phases — per-file rule visits and
-    the whole-program rule sweep — across that many forked workers
-    (:mod:`repro.lint.parallel`). Workers inherit the parsed ASTs and the
-    project index through copy-on-write memory and send back only
-    findings, so results are byte-identical to ``jobs=1``; parsing,
-    dataflow IR extraction, cache publication, the interprocedural
-    summary solve, and suppression handling stay in this process.
     """
-    from repro.lint.parallel import fork_map
-
     per_file_selected, whole_selected = split_rule_names(rules)
     if whole_selected is None:
         whole_selected = list(whole_program_rule_names()) if whole_program else []
@@ -542,7 +531,7 @@ def lint_paths(
     result = LintResult(
         rules_run=tuple(cls.name for cls in rule_classes) + tuple(whole_selected or ())
     )
-    timings: dict = {"jobs": jobs}
+    timings: dict = {}
     started = _clock()
     parsed_modules: list[ParsedModule] = []
     for file_path in iter_python_files(Path(p) for p in paths):
@@ -557,15 +546,13 @@ def lint_paths(
         parsed_modules.append(parsed)
     timings["parse"] = _clock() - started
 
-    def _per_file(parsed: ParsedModule) -> list[Finding]:
-        return apply_suppressions(
-            _run_rules(parsed, rule_classes), parsed.source_lines, parsed.path
-        )
-
     phase = _clock()
     if rule_classes:
-        for findings in fork_map(_per_file, parsed_modules, jobs):
-            result.findings.extend(findings)
+        for parsed in parsed_modules:
+            findings = _run_rules(parsed, rule_classes)
+            result.findings.extend(
+                apply_suppressions(findings, parsed.source_lines, parsed.path)
+            )
     timings["per_file"] = _clock() - phase
 
     if whole_selected:
@@ -579,11 +566,8 @@ def lint_paths(
             index.dataflow_cache_dir = Path(dataflow_cache_dir)  # type: ignore[attr-defined]
         timings["index"] = _clock() - phase
 
-        # Dataflow-backed rules all read one shared solved analysis.
-        # Solve it here, in the parent, before sharding the rule sweep:
-        # the forked rule workers then inherit the summaries through COW
-        # memory instead of each re-solving the fixed point, and the
-        # summary cache sees exactly one writer (this process).
+        # Dataflow-backed rules all read one shared solved analysis;
+        # solving it before the rule sweep times it as its own phase.
         phase = _clock()
         needs_dataflow = any(
             WHOLE_PROGRAM_REGISTRY[name].__module__ == "repro.lint.dataflow"
@@ -593,22 +577,12 @@ def lint_paths(
             from repro.lint.dataflow import get_dataflow
 
             get_dataflow(index)
-        if jobs > 1 and any(
-            WHOLE_PROGRAM_REGISTRY[name].__module__ == "repro.lint.concurrency"
-            for name in whole_selected
-        ):
-            from repro.lint.concurrency import prewarm
-
-            prewarm(index)
         timings["dataflow"] = _clock() - phase
-
-        def _run_whole(name: str) -> list[Finding]:
-            return WHOLE_PROGRAM_REGISTRY[name]().run(index)
 
         phase = _clock()
         by_path: dict[str, list[Finding]] = {}
-        for findings in fork_map(_run_whole, list(whole_selected), jobs):
-            for finding in findings:
+        for name in whole_selected:
+            for finding in WHOLE_PROGRAM_REGISTRY[name]().run(index):
                 by_path.setdefault(finding.path, []).append(finding)
         timings["whole_program"] = _clock() - phase
         analysis = getattr(index, "_dataflow", None)

@@ -962,8 +962,7 @@ class ProjectDataflow:
         for fn in self.index.functions.values():
             by_path.setdefault(fn.path, []).append(fn)
         # Every cache probe runs before any miss is extracted and
-        # published. Extraction is serial: sharding it across forked
-        # workers cost more than it saved.
+        # published.
         misses: list[tuple[str, ParsedModule, list[FunctionInfo]]] = []
         for parsed in sorted(self.index.modules, key=lambda m: m.path):
             self.stats["modules"] += 1

@@ -1,11 +1,13 @@
 """The docs gate: CLI/docs parity and link integrity.
 
 Documentation drifts silently — a renamed subcommand, a moved page, a
-deleted example. These tests make the drift loud: every CLI subcommand
-must appear in the README and the docs, every relative markdown link must
-resolve, and docs/index.md must list every docs page.
+deleted example, a removed flag. These tests make the drift loud: every
+CLI subcommand must appear in the README and the docs, every documented
+invocation must use only real subcommands and flags, every relative
+markdown link must resolve, and docs/index.md must list every docs page.
 """
 
+import argparse
 import re
 
 from repro.cli import build_parser
@@ -14,15 +16,47 @@ from repro.cli import build_parser
 # definitions, which the docs don't use for local files.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
+# A documented invocation: its arguments run to the end of the line, a
+# closing backtick, a comment, a pipe or a redirection.
+_INVOCATION = re.compile(
+    r"python3? -m repro(?:\.cli)?(?=\s|`|$)([^`#|>;&\n]*)", re.MULTILINE
+)
+
+
+def _subparsers(parser):
+    """name -> sub-parser of ``parser``'s subcommand action ({} if none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
 
 def cli_subcommands():
     """Top-level subcommand names, straight from the argparse tree."""
+    return sorted(_subparsers(build_parser()))
+
+
+def undefined_flags(argv):
+    """Problems with one documented ``repro`` argument list: an unknown
+    subcommand, or a ``--flag`` the parser it reaches does not define.
+    A token naming a sub-parser hands the rest of the line to it, so on
+    a ``trace`` line the flags before the wrapped command are
+    ``trace``'s and the rest are the wrapped command's."""
     parser = build_parser()
-    subparsers = next(
-        action for action in parser._actions
-        if hasattr(action, "choices") and action.choices
-    )
-    return sorted(subparsers.choices)
+    commands = _subparsers(parser)
+    if not argv or argv[0] not in commands:
+        return [f"unknown subcommand {argv[:1]}"]
+    parser = commands[argv[0]]
+    problems = []
+    for token in argv[1:]:
+        wrapped = _subparsers(parser)
+        if token in wrapped:
+            parser = wrapped[token]
+        elif token.startswith("--"):
+            flag = token.split("=", 1)[0]
+            if flag not in parser._option_string_actions:
+                problems.append(f"{parser.prog} has no {flag}")
+    return problems
 
 
 class TestCliDocumented:
@@ -50,6 +84,30 @@ class TestCliDocumented:
         doc = repro.cli.__doc__ or ""
         missing = [c for c in cli_subcommands() if c not in doc]
         assert not missing, f"repro.cli docstring does not mention: {missing}"
+
+    def test_documented_invocations_use_real_flags(self, markdown_pages):
+        import repro.cli
+
+        sources = [(p.name, p.read_text()) for p in markdown_pages]
+        sources.append(("repro.cli docstring", repro.cli.__doc__ or ""))
+        invocations = [
+            (name, args.split())
+            for name, text in sources
+            for args in _INVOCATION.findall(text)
+        ]
+        # Guard against the invocation regex rotting into matching nothing,
+        # and against the checker accepting a flag nobody defines.
+        assert len(invocations) >= 40
+        assert undefined_flags(["lint", "--whole-program", "--no-such-flag"])
+        assert undefined_flags(["trace", "--seed", "7", "chaos"])
+        stale = [
+            f"{name}: repro {' '.join(argv)}: {problem}"
+            for name, argv in invocations
+            for problem in undefined_flags(argv)
+        ]
+        assert not stale, "documented invocations drifted from the CLI:\n" + (
+            "\n".join(stale)
+        )
 
 
 class TestLinks:

@@ -1,37 +1,30 @@
-"""``lint --changed``: git-scoped reporting plus reverse dependents."""
+"""The caller closure across modules: who can an edit to a file affect?
+
+``ProjectIndex.least_fixpoint(seeds, ProjectIndex.calls_member)`` walks
+the reverse call edges from the seeds. Seeded with every function of one
+file, it names every file holding a transitive caller; a file that calls
+nothing in the closure stays out.
+"""
 
 from __future__ import annotations
 
-import subprocess
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.lint.changed import changed_files, changed_scope, dependent_closure
-
-
-def _git(root: Path, *argv: str) -> None:
-    subprocess.run(
-        ["git", "-C", str(root), *argv],
-        check=True,
-        capture_output=True,
-        text=True,
-    )
+from repro.lint.callgraph import ProjectIndex, build_index
+from repro.lint.core import parse_file
 
 
 @pytest.fixture
-def repo(tmp_path):
-    """A tiny git repo: helper.py defines, caller.py calls, bystander.py
-    neither — then helper.py is edited without committing."""
-    _git(tmp_path, "init", "--quiet")
-    _git(tmp_path, "config", "user.email", "lint@test")
-    _git(tmp_path, "config", "user.name", "lint test")
+def project(tmp_path):
+    """helper.py defines, caller.py calls it, bystander.py does neither."""
     (tmp_path / "helper.py").write_text(
         textwrap.dedent(
             """
             def compute_key(seed: int) -> int:
-                return seed * 3
+                return seed * 5
             """
         )
     )
@@ -54,53 +47,33 @@ def repo(tmp_path):
             """
         )
     )
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "--quiet", "-m", "seed")
-    (tmp_path / "helper.py").write_text(
-        textwrap.dedent(
-            """
-            def compute_key(seed: int) -> int:
-                return seed * 5
-            """
-        )
-    )
     return tmp_path
 
 
-class TestChangedFiles:
-    def test_edited_file_is_reported(self, repo):
-        files = changed_files("HEAD", root=repo)
-        assert files is not None
-        assert [p.name for p in files] == ["helper.py"]
+def _index(root: Path) -> ProjectIndex:
+    return build_index([parse_file(p) for p in sorted(root.glob("*.py"))])
 
-    def test_untracked_file_is_included(self, repo):
-        (repo / "fresh.py").write_text("x = 1\n")
-        files = changed_files("HEAD", root=repo)
-        assert sorted(p.name for p in files) == ["fresh.py", "helper.py"]
 
-    def test_unresolvable_ref_returns_none(self, repo):
-        assert changed_files("no-such-ref", root=repo) is None
-
-    def test_outside_a_repo_returns_none(self, tmp_path):
-        outside = tmp_path / "plain"
-        outside.mkdir()
-        assert changed_files("HEAD", root=outside) is None
+def _closure_files(root: Path, seed_file: str) -> set[str]:
+    """Names of the files holding ``seed_file``'s functions or any of
+    their transitive callers."""
+    index = _index(root)
+    seeds = (
+        fn.qualname
+        for fn in index.functions.values()
+        if Path(fn.path).name == seed_file
+    )
+    members = index.least_fixpoint(seeds, ProjectIndex.calls_member)
+    return {Path(index.functions[q].path).name for q in members}
 
 
 class TestScope:
-    def test_scope_pulls_in_reverse_dependents(self, repo, monkeypatch):
-        monkeypatch.chdir(repo)
-        all_files = sorted(repo.glob("*.py"))
-        scoped = changed_scope(all_files, ref="HEAD", root=repo)
-        assert scoped is not None
-        scope, touched = scoped
-        assert [p.name for p in touched] == ["helper.py"]
-        names = {Path(p).name for p in scope}
-        # caller.py calls compute_key -> in scope; bystander.py is not.
-        assert names == {"helper.py", "caller.py"}
+    def test_scope_pulls_in_reverse_dependents(self, project):
+        # caller.py calls compute_key -> in the closure; bystander.py is not.
+        assert _closure_files(project, "helper.py") == {"helper.py", "caller.py"}
 
-    def test_closure_is_transitive(self, repo, monkeypatch):
-        (repo / "outer.py").write_text(
+    def test_closure_is_transitive(self, project):
+        (project / "outer.py").write_text(
             textwrap.dedent(
                 """
                 from caller import derive
@@ -111,23 +84,12 @@ class TestScope:
                 """
             )
         )
-        _git(repo, "add", "outer.py")
-        _git(repo, "commit", "--quiet", "-m", "outer")
-        monkeypatch.chdir(repo)
-        all_files = sorted(repo.glob("*.py"))
-        scope, _touched = changed_scope(all_files, ref="HEAD", root=repo)
-        names = {Path(p).name for p in scope}
-        assert {"helper.py", "caller.py", "outer.py"} <= names
-        assert "bystander.py" not in names
+        assert _closure_files(project, "helper.py") == {
+            "helper.py", "caller.py", "outer.py",
+        }
 
-    def test_dependent_closure_direct(self, repo):
-        from repro.lint.callgraph import build_index
-        from repro.lint.core import parse_file
-
-        parsed = [parse_file(p) for p in sorted(repo.glob("*.py"))]
-        index = build_index(parsed)
-        helper_path = next(
-            p.path for p in parsed if p.path.endswith("helper.py")
-        )
-        scope = dependent_closure(index, {helper_path})
-        assert {Path(p).name for p in scope} == {"helper.py", "caller.py"}
+    def test_dependent_closure_direct(self, project):
+        index = _index(project)
+        assert index.least_fixpoint(
+            {"helper:compute_key"}, ProjectIndex.calls_member
+        ) == {"helper:compute_key", "caller:derive"}

@@ -1,106 +1,54 @@
-"""The parallel lint driver: sharding, crash recovery, determinism.
+"""Lint runs are deterministic: the caches change the work, not the report.
 
-The contract under test is ``fork_map``'s: results come back in input
-order regardless of shard boundaries, a dead or erroring shard is
-retried serially in the parent, and the whole ``--jobs N`` pipeline
-produces byte-identical reports to serial.
+A lint run is a pure function of the linted sources. Two cold runs
+(nothing parsed, fresh summary-cache directories) and a warm rerun over
+the seeded fixtures give the same findings and byte-identical SARIF,
+and the ``--stats`` phase timings never reach the report.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
-import pytest
+from repro.lint import clear_parse_cache, lint_paths, render_sarif
 
-from repro.lint import lint_paths, render_sarif
-from repro.lint.parallel import AVAILABLE, _shards, default_jobs, fork_map
-
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-fork_only = pytest.mark.skipif(
-    not AVAILABLE, reason="fork start method unavailable on this platform"
-)
-
-
-class TestShards:
-    def test_shards_partition_in_order(self):
-        items = list(range(10))
-        shards = _shards(items, 4)
-        assert [pair for shard in shards for pair in shard] == list(
-            enumerate(items)
-        )
-        assert all(shard for shard in shards)
-
-    def test_more_jobs_than_items(self):
-        assert len(_shards([1, 2], 8)) == 2
-
-    def test_default_jobs_is_positive(self):
-        assert default_jobs() >= 1
-
-
-class TestForkMap:
-    def test_serial_fallback_matches(self):
-        items = list(range(7))
-        assert fork_map(lambda x: x * x, items, 1) == [x * x for x in items]
-
-    @fork_only
-    def test_parallel_preserves_input_order(self):
-        items = list(range(23))
-        assert fork_map(lambda x: x * 3, items, 4) == [x * 3 for x in items]
-
-    @fork_only
-    def test_erroring_shard_is_retried_in_parent(self):
-        parent = os.getpid()
-
-        def flaky(x: int) -> int:
-            if os.getpid() != parent:
-                raise RuntimeError("child-only failure")
-            return x + 100
-
-        assert fork_map(flaky, [1, 2, 3, 4], 2) == [101, 102, 103, 104]
-
-    @fork_only
-    def test_dead_worker_shard_is_retried_in_parent(self):
-        parent = os.getpid()
-
-        def dying(x: int) -> int:
-            if os.getpid() != parent:
-                os._exit(3)  # silent crash: no reply, EOF on the pipe
-            return x * 10
-
-        assert fork_map(dying, [5, 6, 7], 3) == [50, 60, 70]
 
 
 class TestJobsDeterminism:
-    """``--jobs 4`` must be a pure wall-clock knob: same findings, same
-    rendered SARIF, byte for byte."""
+    """Cold, cold again and warm: same findings, same SARIF bytes."""
 
-    PATHS = [SRC / "fleet", SRC / "trace"]
-
-    @fork_only
     def test_findings_identical_across_jobs(self, tmp_path):
-        serial = lint_paths(
-            self.PATHS, whole_program=True,
-            dataflow_cache_dir=tmp_path / "c1", jobs=1,
-        )
-        parallel = lint_paths(
-            self.PATHS, whole_program=True,
-            dataflow_cache_dir=tmp_path / "c4", jobs=4,
-        )
-        assert serial.findings == parallel.findings
-        assert serial.files_checked == parallel.files_checked
-        assert render_sarif(serial, serial.findings).encode() == render_sarif(
-            parallel, parallel.findings
-        ).encode()
+        def lint(cache: str):
+            return lint_paths(
+                [FIXTURES], whole_program=True, dataflow_cache_dir=tmp_path / cache
+            )
+
+        clear_parse_cache()
+        first = lint("a")
+        clear_parse_cache()
+        second = lint("b")
+        warm = lint("b")
+        assert first.dataflow_stats["summary_hits"] == 0
+        assert second.dataflow_stats["summary_hits"] == 0
+        assert warm.dataflow_stats["summary_misses"] == 0
+        assert first.findings, "the seeded fixtures must produce findings"
+        assert first.findings == second.findings == warm.findings
+        assert first.files_checked == second.files_checked == warm.files_checked
+        reports = {
+            render_sarif(result, result.findings).encode()
+            for result in (first, second, warm)
+        }
+        assert len(reports) == 1
 
     def test_timings_never_reach_sarif(self, tmp_path):
         result = lint_paths(
             [SRC / "trace"], whole_program=True,
-            dataflow_cache_dir=tmp_path / "cache", jobs=1,
+            dataflow_cache_dir=tmp_path / "cache",
         )
         assert result.timings is not None
-        assert result.timings["jobs"] == 1
+        assert "jobs" not in result.timings
         for phase in ("parse", "per_file", "index", "dataflow",
                       "whole_program", "total"):
             assert phase in result.timings

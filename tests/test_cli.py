@@ -400,6 +400,26 @@ class TestLint:
         assert code == 2
         assert "unknown rule" in err
 
+    def test_missing_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "lint", str(tmp_path / "no-such-dir"))
+        assert code == 2
+        assert err.startswith("error:") and "no-such-dir" in err
+        assert "finding(s)" not in out
+
+    def test_missing_file_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "lint", "--whole-program", str(tmp_path / "gone.py")
+        )
+        assert code == 2
+        assert err.startswith("error:") and "gone.py" in err
+
+    def test_directory_without_python_files_is_usage_error(self, capsys, tmp_path):
+        (tmp_path / "notes.txt").write_text("no code here\n")
+        code, out, err = run(capsys, "lint", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:") and "no Python files" in err
+        assert "finding(s)" not in out
+
     def test_explain_prints_the_rule_contract(self, capsys):
         code, out, _ = run(capsys, "lint", "--explain", "DETFLOW001")
         assert code == 0

@@ -59,7 +59,7 @@ from repro.units import HUGE_PAGE_SHIFT, KIB, PAGE_SHIFT
 #: Engine names accepted by ``EngineConfig.engine`` / ``REPRO_ENGINE``.
 ENGINES: tuple[str, ...] = ("scalar", "vector")
 
-#: Accesses covered by one batch mask (one ``np.isin`` over the chunk).
+#: Accesses covered by one batch mask (one slot gather per page size).
 #: Chunks start small and double up to the cap: a mask built over a cold
 #: TLB is all-escapes, so short early chunks let the mask catch up with
 #: warmup fills quickly, while steady state pays one mask per 2048. Until
@@ -80,6 +80,9 @@ _ADAPT_PROBE = 2 * _CHUNK
 #: every walk evicts (bumping the token), and a rebuild per eviction
 #: costs far more than a few conservative escape-side accesses.
 _REBUILD_COOLDOWN = 64
+#: AutoNUMA hinting samples 1 in 64 accesses: the slice indices whose low
+#: six bits are clear.
+_AUTONUMA_SAMPLE_MASK = 64 - 1
 
 @dataclass
 class EngineConfig:
@@ -104,8 +107,6 @@ class EngineConfig:
     mmu: MmuCacheConfig = field(default_factory=MmuCacheConfig)
     #: AutoNUMA: number of balance passes spread through the run (0 = off).
     autonuma_epochs: int = 0
-    #: Sample 1 in N accesses for AutoNUMA hinting.
-    autonuma_sample: int = 64
     #: Split the run into this many epochs even without AutoNUMA (enables
     #: the epoch callback below; 0 = single epoch).
     epochs: int = 0
@@ -146,83 +147,76 @@ def _chain_sum(carry: float, costs: np.ndarray) -> float:
     return float(np.add.accumulate(buffer)[-1])
 
 
-def _replay_promotions(structure: Tlb, vpns: np.ndarray) -> None:
+def _replay_promotions(structure: Tlb, vpns_sorted: np.ndarray, slots: np.ndarray) -> None:
     """Replay the LRU effect of a batched run of hits on one TLB structure.
 
-    The scalar loop promotes on every hit; the final per-set LRU order
-    after a run only depends on each vpn's *last* access, so promoting the
-    unique vpns in ascending last-occurrence order leaves every set in the
-    exact state the scalar loop would. (Unique count is bounded by L1
-    capacity — at most ~72 entries — so the python loop is cheap.)
+    ``slots`` is the run as indices into ``vpns_sorted``, the snapshot's
+    resident vpns (:meth:`_ResidencyLut.slots`). The scalar loop promotes
+    on every hit; the final per-set LRU order after a run only depends on
+    each vpn's *last* access, so promoting the touched vpns in ascending
+    last-access order leaves every set in the exact state the scalar loop
+    would. ``np.maximum.at`` (an unbuffered scatter, so every repeated
+    slot applies) folds the run's positions into one last-access position
+    per slot, and the python loop runs once per unique page — at most the
+    structure's capacity — not once per access.
     """
-    if not vpns.size:
+    if not slots.size:
         return
-    # dict.fromkeys over the reversed run keeps first occurrences == last
-    # accesses, in descending last-occurrence order, at C speed.
-    unique_desc = dict.fromkeys(vpns[::-1].tolist())
+    last = np.full(vpns_sorted.size, -1, dtype=np.int64)
+    np.maximum.at(last, slots, np.arange(slots.size))
+    touched = np.flatnonzero(last >= 0)
     touch = structure.touch
-    for vpn in reversed(unique_desc):
+    for vpn in vpns_sorted[touched[np.argsort(last[touched])]].tolist():
         touch(vpn)
 
 
 #: Widest vpn span a dense residency LUT may cover (beyond it, fall back
-#: to sort-based lookups; L1 reach is tiny, so this only trips on wildly
+#: to binary search; L1 reach is tiny, so this only trips on wildly
 #: scattered mappings).
 _LUT_SPAN_MAX = 1 << 18
 
 
 class _ResidencyLut:
-    """O(1)-per-element membership + node lookup over one page size's
-    L1-resident vpns (one half of a batch-mask snapshot).
+    """O(1)-per-element slot lookup over one page size's L1-resident vpns
+    (one half of a batch-mask snapshot).
+
+    A vpn's *slot* is its index in ``vpns_sorted`` (the resident vpns,
+    ascending; ``nodes_sorted`` holds their home nodes), or -1 when it is
+    not resident. One :meth:`slots` call per chunk gives the batch mask
+    (``slots >= 0``), and a run's slots give its nodes
+    (``nodes_sorted[slots]``) and its LRU replay.
 
     Resident vpns cluster inside the workload's contiguous mapping, so a
-    dense ``[vpn - base]``-indexed table beats ``np.isin``'s sort by a
-    wide margin; a sorted-array fallback covers pathological spans.
+    dense ``[vpn - base]``-indexed slot table beats a binary search by a
+    wide margin; ``np.searchsorted`` covers spans wider than
+    ``_LUT_SPAN_MAX``.
     """
 
-    __slots__ = ("base", "span", "resident", "nodes", "vpns_sorted", "nodes_sorted")
+    __slots__ = ("vpns_sorted", "nodes_sorted", "base", "table")
 
     def __init__(self, pairs: list[tuple[int, int]], frames_per_node: int):
-        if not pairs:
-            self.base = None
-            return
         pairs.sort()
-        arr = np.asarray(pairs, dtype=np.int64)
-        vpns = np.ascontiguousarray(arr[:, 0])
-        nodes = arr[:, 1] // frames_per_node
-        span = int(vpns[-1] - vpns[0]) + 1
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        vpns = self.vpns_sorted = arr[:, 0].copy()
+        self.nodes_sorted = arr[:, 1] // frames_per_node
+        first = int(vpns[0]) if vpns.size else 0
+        span = int(vpns[-1]) - first + 1 if vpns.size else 0
+        self.table = None
         if span <= _LUT_SPAN_MAX:
-            self.base = int(vpns[0])
-            self.span = span
-            self.resident = np.zeros(span, dtype=bool)
-            self.nodes = np.zeros(span, dtype=np.int64)
-            offsets = vpns - self.base
-            self.resident[offsets] = True
-            self.nodes[offsets] = nodes
-        else:
-            self.base = -1
-            self.vpns_sorted = vpns
-            self.nodes_sorted = nodes
+            # The span's slots between two -1 sentinels: ``take``'s clip
+            # mode maps probes below or past the span onto them.
+            self.base = first - 1
+            self.table = np.full(span + 2, -1, dtype=np.int64)
+            self.table[vpns - self.base] = np.arange(vpns.size)
 
-    def contains(self, vpns: np.ndarray) -> np.ndarray:
-        """Boolean residency mask for a chunk of vpns."""
-        if self.base is None:
-            return np.zeros(vpns.size, dtype=bool)
-        if self.base < 0:
-            return np.isin(vpns, self.vpns_sorted)
-        rel = vpns - self.base
-        in_span = (rel >= 0) & (rel < self.span)
-        if in_span.all():
-            return self.resident[rel]
-        mask = np.zeros(vpns.size, dtype=bool)
-        mask[in_span] = self.resident[rel[in_span]]
-        return mask
-
-    def nodes_for(self, vpns: np.ndarray) -> np.ndarray:
-        """Home node per vpn (every vpn must be resident)."""
-        if self.base < 0:
-            return self.nodes_sorted[np.searchsorted(self.vpns_sorted, vpns)]
-        return self.nodes[vpns - self.base]
+    def slots(self, vpns: np.ndarray) -> np.ndarray:
+        """Slot per vpn of a chunk, -1 where not resident."""
+        table = self.table
+        if table is None:
+            resident = self.vpns_sorted
+            pos = np.searchsorted(resident, vpns)
+            return np.where(resident.take(pos, mode="clip") == vpns, pos, -1)
+        return table.take(vpns - self.base, mode="clip")
 
 
 def _snapshot_luts(tlb: TlbHierarchy, frames_per_node: int):
@@ -281,7 +275,7 @@ class _ThreadExecution:
         self.fault_handler = kernel.fault_handler
         self.allow_huge = kernel.sysctl.thp_enabled
         self.autonuma = kernel.autonuma if kernel.sysctl.autonuma_enabled else None
-        self.sample_mask = config.autonuma_sample - 1
+        self.sample_mask = _AUTONUMA_SAMPLE_MASK
         self.socket = socket
         # Tracing: hoisted out of the loop so the disabled path costs one
         # local None-check per *walk* (never per access) — the
@@ -517,6 +511,7 @@ class Simulator:
             offsets = workload.offsets(t, n_threads, config.accesses_per_thread)
             writes = workload.writes(t, config.accesses_per_thread)
             vas = np.asarray(offsets, dtype=np.int64) + va_base
+            del offsets  # a stream-sized array the run no longer needs
             streams.append((vas, np.asarray(writes)))
             metrics.threads.append(ThreadMetrics(thread=t, socket=socket))
             if session is not None:
@@ -652,6 +647,12 @@ class Simulator:
         last-occurrence LRU promotions, ``_chain_sum`` cost folding)
         reproduces the scalar tier's state transitions exactly.
 
+        Each chunk makes one :meth:`_ResidencyLut.slots` gather per page
+        size over its own slice of ``vas``; the mask is ``slots >= 0``,
+        and a run's slots index its home nodes and drive its LRU replay,
+        which costs python work per unique page the run touched (at most
+        the L1 capacity), not per access.
+
         Everything else — misses, short runs, cooldown stretches, the
         post-bail-out tail — is handed to the batched escape interpreter
         (:class:`EscapeRunner`) in maximal *spans* rather than one access
@@ -678,11 +679,8 @@ class Simulator:
             ex.finish(out, 0)
             return
         tlb = ex.tlb
-        vpn4 = vas >> PAGE_SHIFT
-        vpn2 = vas >> HUGE_PAGE_SHIFT
         data_cost_arr = np.asarray(ex.data_cost, dtype=np.float64)
         autonuma = ex.autonuma
-        sample_mask = ex.sample_mask
         l1_4k = tlb.l1_4k
         l1_2m = tlb.l1_2m
         totals_l1 = tlb.totals.l1
@@ -701,6 +699,8 @@ class Simulator:
         snap_walks = -1
         lut_4k: _ResidencyLut | None = None
         lut_2m: _ResidencyLut | None = None
+        slots_4k: np.ndarray | None = None
+        slots_2m: np.ndarray | None = None
         mask_4k: np.ndarray | None = None
         ok: np.ndarray | None = None
         # Chunk-local python lists for escape spans, built lazily on the
@@ -756,8 +756,11 @@ class Simulator:
                 chunk_lo = i
                 chunk_hi = min(i + chunk_size, n)
                 chunk_size = min(chunk_size * 2, _CHUNK)
-                mask_4k = lut_4k.contains(vpn4[chunk_lo:chunk_hi])
-                ok = mask_4k | lut_2m.contains(vpn2[chunk_lo:chunk_hi])
+                chunk_vas = vas[chunk_lo:chunk_hi]
+                slots_4k = lut_4k.slots(chunk_vas >> PAGE_SHIFT)
+                slots_2m = lut_2m.slots(chunk_vas >> HUGE_PAGE_SHIFT)
+                mask_4k = slots_4k >= 0
+                ok = mask_4k | (slots_2m >= 0)
                 chunk_lists = None
             rel = i - chunk_lo
             if not ok[rel]:
@@ -782,8 +785,8 @@ class Simulator:
             fast += k
             # ---- batched run of k guaranteed L1 hits ------------------------
             seg4 = mask_4k[rel:rel + k]
-            run4 = vpn4[i:i + k]
-            run2 = vpn2[i:i + k]
+            run4 = slots_4k[rel:rel + k]
+            run2 = slots_2m[rel:rel + k]
             n4k = int(np.count_nonzero(seg4))
             n2m = k - n4k
             # Hierarchy counters, exactly as k scalar lookups would count
@@ -794,24 +797,27 @@ class Simulator:
                 l1_4k.stats.misses += n2m
                 l1_2m.stats.hits += n2m
             if n2m == 0:
-                node_idx = lut_4k.nodes_for(run4)
-                _replay_promotions(l1_4k, run4)
+                node_idx = lut_4k.nodes_sorted[run4]
+                _replay_promotions(l1_4k, lut_4k.vpns_sorted, run4)
             elif n4k == 0:
-                node_idx = lut_2m.nodes_for(run2)
-                _replay_promotions(l1_2m, run2)
+                node_idx = lut_2m.nodes_sorted[run2]
+                _replay_promotions(l1_2m, lut_2m.vpns_sorted, run2)
             else:
                 inv = ~seg4
+                run4 = run4[seg4]
+                run2 = run2[inv]
                 node_idx = np.empty(k, dtype=np.int64)
-                node_idx[seg4] = lut_4k.nodes_for(run4[seg4])
-                node_idx[inv] = lut_2m.nodes_for(run2[inv])
-                _replay_promotions(l1_4k, run4[seg4])
-                _replay_promotions(l1_2m, run2[inv])
+                node_idx[seg4] = lut_4k.nodes_sorted[run4]
+                node_idx[inv] = lut_2m.nodes_sorted[run2]
+                _replay_promotions(l1_4k, lut_4k.vpns_sorted, run4)
+                _replay_promotions(l1_2m, lut_2m.vpns_sorted, run2)
             costs = np.where(hit_rolls[i:i + k], ex.llc_hit_cost, data_cost_arr[node_idx])
             ex.data_cycles = _chain_sum(ex.data_cycles, costs)
             if autonuma is not None:
-                sampled = np.flatnonzero((np.arange(i, i + k) & sample_mask) == 0)
-                for offset in sampled:
-                    p = i + int(offset)
+                # The run's sampled indices: i rounded up to the sampling
+                # stride, then every stride up to the run's end.
+                first = (i + _AUTONUMA_SAMPLE_MASK) & ~_AUTONUMA_SAMPLE_MASK
+                for p in range(first, i + k, _AUTONUMA_SAMPLE_MASK + 1):
                     autonuma.record_access(process, int(vas[p]), socket)
             i += k
         if i < n:

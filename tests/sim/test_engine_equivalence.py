@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.inject.plan import FaultPlan, install_fault_plan
+from repro.kernel.autonuma import AutoNuma
 from repro.sim.bench import RUN_FIELDS, THREAD_FIELDS
 from repro.sim.engine import EngineConfig, Simulator, _chain_sum
 from repro.sim.scenario import run_migration, run_multisocket, setup_migration, setup_multisocket
@@ -88,6 +89,44 @@ class TestConfigurations:
             for engine in ("scalar", "vector")
         }
         assert_metrics_identical(results["scalar"].metrics, results["vector"].metrics)
+
+    def test_autonuma_samples_every_64th_slice_index(self, monkeypatch):
+        """Both tiers hint AutoNUMA at exactly the slice indices ≡ 0 mod 64,
+        batched runs included: 2,500 accesses in 4 epochs makes slices of
+        625, so slice and stream indices disagree after the first."""
+        calls = []
+        record_access = AutoNuma.record_access
+
+        def spy(self, process, va, socket):
+            calls.append((va, socket))
+            record_access(self, process, va, socket)
+
+        monkeypatch.setattr(AutoNuma, "record_access", spy)
+        sampled, batched = {}, {}
+        for engine in ("scalar", "vector"):
+            calls.clear()
+            setup = setup_multisocket("gups", "F-A", thp=True, footprint=FOOTPRINT, n_sockets=2)
+            metrics = run_setup(setup, engine_config(engine, autonuma_epochs=4))
+            sampled[engine] = list(calls)
+            batched[engine] = sum(
+                t.accesses - t.escape_l1_miss - t.escape_bailout for t in metrics.threads
+            )
+        # Both set-ups are identical, so either one regenerates the streams.
+        threads = setup.process.threads
+        streams = [
+            setup.workload.offsets(t, len(threads), 2500) + setup.va_base
+            for t in range(len(threads))
+        ]
+        expected = [
+            (int(streams[t][lo + j]), thread.socket)
+            for lo in range(0, 2500, 625)
+            for t, thread in enumerate(threads)
+            for j in range(0, 625, 64)
+        ]
+        assert sampled["scalar"] == expected
+        assert sampled["vector"] == expected
+        # The vector tier sampled inside batched hit runs too.
+        assert batched["vector"] > 0
 
     def test_interleave(self):
         results = {
@@ -365,20 +404,20 @@ class TestResidencyLut:
         resident = [5 * spread, 9 * spread, 12 * spread, 700 * spread]
         span = resident[-1] - resident[0] + 1
         assert (span <= _LUT_SPAN_MAX) == (spread == 1)  # both arms covered
-        lut = _ResidencyLut(self._pairs(resident), frames_per_node=100)
+        lut = _ResidencyLut(self._pairs(resident[::-1]), frames_per_node=100)
         probe = np.asarray(
             resident + [0, 6 * spread, 12 * spread + 1, 701 * spread], dtype=np.int64
         )
-        assert lut.contains(probe).tolist() == [True] * 4 + [False] * 4
-        assert lut.nodes_for(np.asarray(resident, dtype=np.int64)).tolist() == [
-            vpn % 7 for vpn in resident
-        ]
+        slots = lut.slots(probe)
+        assert slots.tolist() == [0, 1, 2, 3] + [-1] * 4
+        assert lut.vpns_sorted[slots[:4]].tolist() == resident
+        assert lut.nodes_sorted[slots[:4]].tolist() == [vpn % 7 for vpn in resident]
 
     def test_empty_lut_contains_nothing(self):
         from repro.sim.engine import _ResidencyLut
 
         lut = _ResidencyLut([], frames_per_node=100)
-        assert lut.contains(np.asarray([1, 2], dtype=np.int64)).tolist() == [False, False]
+        assert lut.slots(np.asarray([0, 1, 2], dtype=np.int64)).tolist() == [-1, -1, -1]
 
 
 class TestChainSum:

@@ -5,11 +5,15 @@ streams) live in test_engine_equivalence.py; these tests pin the
 :class:`WalkTraceBuffer` mechanics directly — exact replay calls, clock
 behaviour, reset semantics — and the inlined TLB probe of
 :meth:`EscapeRunner.run` against :meth:`TlbHierarchy.lookup`.
+:class:`TestFinalHardwareState` extends the probe's check to whole runs:
+the TLB state both tiers leave behind once batched hit runs are mixed in.
 """
 
+import itertools
 import random
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 
 from repro.cache.llc import SocketLlc
@@ -17,13 +21,15 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.sysctl import Sysctl
 from repro.machine.topology import Machine
 from repro.paging.walker import HardwareWalker
-from repro.sim.engine import EngineConfig, Simulator, _ThreadExecution
+from repro.sim.bench import _build_gups, metrics_equal
+from repro.sim.engine import EngineConfig, Simulator, _ResidencyLut, _ThreadExecution
 from repro.sim.escape import EscapeRunner, WalkTraceBuffer
-from repro.sim.metrics import ThreadMetrics
+from repro.sim.metrics import RunMetrics, ThreadMetrics
 from repro.tlb.mmu_cache import MmuCaches
 from repro.tlb.tlb import TlbConfig, TlbHierarchy
 from repro.trace.session import TraceSession, tracing
-from repro.units import HUGE_PAGE_SIZE, KIB, MIB, PAGE_SIZE
+from repro.units import GIB, HUGE_PAGE_SIZE, KIB, MIB, PAGE_SIZE
+from repro.workloads.base import Workload, WorkloadProfile
 
 
 def _buffer_with_two_walks(session):
@@ -185,3 +191,139 @@ class TestInlinedProbe:
         for name in STRUCTURES:
             stats = getattr(reference, name).stats
             assert stats.hits and stats.misses and stats.evictions, (name, stats)
+
+
+class _FixedStream(Workload):
+    """One thread's prepared address stream, as a workload."""
+
+    profile = WorkloadProfile(
+        name="fixed-stream",
+        description="prepared stream",
+        mlp=4.0,
+        data_llc_hit_rate=0.3,
+        pt_llc_pressure=0.2,
+        write_fraction=0.0,
+    )
+
+    def __init__(self, offsets: list[int]):
+        super().__init__(footprint=max(offsets) + PAGE_SIZE, seed=0)
+        self._offsets = np.asarray(offsets, dtype=np.int64)
+
+    def offsets(self, thread: int, n_threads: int, count: int) -> np.ndarray:
+        return self._offsets[:count]
+
+
+def _phased_stream(seed, huge_base, small_base, phases=12, per_phase=2500):
+    """Hot sets that fit the default L1 TLB, a new one every
+    ``per_phase`` accesses (more than a chunk, so each phase's mask sees
+    its pages resident): long runs of L1 hits, 4 KiB-only, 2 MiB-only and
+    mixed, between bursts of misses, fills and evictions. Hot sets take
+    turns through shuffled page lists, so every page is hot in some phase
+    and both L1 structures evict."""
+    rng = random.Random(seed)
+    small = [(small_base + p * PAGE_SIZE, PAGE_SIZE) for p in range(SMALL_PAGES)]
+    huge = [(huge_base + p * HUGE_PAGE_SIZE, HUGE_PAGE_SIZE) for p in range(HUGE_PAGES)]
+    small = itertools.cycle(rng.sample(small, len(small)))
+    huge = itertools.cycle(rng.sample(huge, len(huge)))
+    vas = []
+    for phase in range(phases):
+        kind = phase % 3
+        pages = list(itertools.islice(small, 16 if kind != 1 else 0))
+        pages += itertools.islice(huge, 3 if kind != 0 else 0)
+        for _ in range(per_phase):
+            base, size = rng.choice(pages)
+            vas.append(base + rng.randrange(size))
+    return vas
+
+
+def _run_stream(kernel, process, vas, engine) -> RunMetrics:
+    va_base = min(vas)
+    workload = _FixedStream([va - va_base for va in vas])
+    config = EngineConfig(engine=engine, accesses_per_thread=len(vas))
+    return Simulator(kernel, config).run(process, workload, [0], va_base)
+
+
+def _hardware_state(kernel) -> list:
+    """Per-structure stats and resident entries (LRU order within a
+    set) of every core's TLB hierarchy, plus its hierarchy counters."""
+    state = []
+    for tlb, _mmu in kernel.cpu_contexts:
+        for name in STRUCTURES:
+            structure = getattr(tlb, name)
+            state.append((name, structure.stats, list(structure.resident_items())))
+        state.append(tlb.totals)
+    return state
+
+
+def _batched_share(metrics: RunMetrics) -> float:
+    """Share of the run's accesses resolved by batched hit runs."""
+    threads = metrics.threads
+    accesses = sum(t.accesses for t in threads)
+    escaped = sum(t.escape_l1_miss + t.escape_bailout for t in threads)
+    return (accesses - escaped) / accesses
+
+
+class TestFinalHardwareState:
+    """After a whole run, the vector tier's TLBs hold what the scalar
+    tier's hold: the same entries, in the same LRU order within every
+    set, and the same counters, with batched hit runs mixed in."""
+
+    def test_gups_scenario(self):
+        state, metrics = {}, {}
+        for engine in ("scalar", "vector"):
+            setup, config = _build_gups(20_000)
+            config.engine = engine
+            sockets = [t.socket for t in setup.process.threads]
+            simulator = Simulator(setup.kernel, config)
+            metrics[engine] = simulator.run(setup.process, setup.workload, sockets, setup.va_base)
+            state[engine] = _hardware_state(setup.kernel)
+        assert _batched_share(metrics["vector"]) > 0.9
+        assert metrics_equal(metrics["scalar"], metrics["vector"])
+        assert state["vector"] == state["scalar"]
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_mixed_page_sizes(self, seed):
+        state, metrics = {}, {}
+        for engine in ("scalar", "vector"):
+            kernel, process, huge_base, small_base = _mixed_process()
+            vas = _phased_stream(seed, huge_base, small_base)
+            metrics[engine] = _run_stream(kernel, process, vas, engine)
+            state[engine] = _hardware_state(kernel)
+        assert _batched_share(metrics["vector"]) > 0.5
+        assert metrics_equal(metrics["scalar"], metrics["vector"])
+        assert state["vector"] == state["scalar"]
+        # The stream exercises what it pins: both L1 structures fill,
+        # hit and evict.
+        for name, stats, _entries in state["scalar"][:2]:
+            assert stats.hits and stats.misses and stats.evictions, (name, stats)
+
+    def test_sparse_residency_lut(self, monkeypatch):
+        """Two hot 4 KiB regions 2 GiB apart: the L1-resident vpns span
+        more than ``_LUT_SPAN_MAX`` pages, so the batch mask comes from
+        the binary-search LUT."""
+        sparse_probes = []
+        slots = _ResidencyLut.slots
+
+        def spy(self, vpns):
+            if self.table is None:
+                sparse_probes.append(vpns.size)
+            return slots(self, vpns)
+
+        monkeypatch.setattr(_ResidencyLut, "slots", spy)
+        state, metrics = {}, {}
+        for engine in ("scalar", "vector"):
+            kernel = Kernel(Machine.homogeneous(2, cores_per_socket=1, memory_per_socket=64 * MIB))
+            process = kernel.create_process("sparse", socket=0)
+            near = kernel.sys_mmap(process, 8 * PAGE_SIZE, populate=True, use_huge=False).value
+            far = kernel.sys_mmap(
+                process, 8 * PAGE_SIZE, populate=True, use_huge=False, fixed_va=near + 2 * GIB
+            ).value
+            rng = random.Random(9)
+            pages = [base + p * PAGE_SIZE for base in (near, far) for p in range(4)]
+            vas = [rng.choice(pages) + rng.randrange(PAGE_SIZE) for _ in range(6000)]
+            metrics[engine] = _run_stream(kernel, process, vas, engine)
+            state[engine] = _hardware_state(kernel)
+        assert sparse_probes
+        assert _batched_share(metrics["vector"]) > 0.9
+        assert metrics_equal(metrics["scalar"], metrics["vector"])
+        assert state["vector"] == state["scalar"]

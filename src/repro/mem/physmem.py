@@ -13,6 +13,7 @@ what makes the Fig. 11 fragmentation experiment possible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import OutOfMemoryError, TopologyError
@@ -52,6 +53,9 @@ class PhysicalMemory:
                 NodeAllocator(node=socket.socket_id, pfn_base=base, capacity_frames=capacity)
             )
             base += capacity
+        #: Ascending first PFN of every node, and one past the last PFN.
+        self._pfn_bases = [allocator.pfn_base for allocator in self._allocators]
+        self._pfn_end = base
 
     def install_fault_plan(self, plan) -> None:
         """Thread a :class:`repro.inject.plan.FaultPlan` (or ``None``) into
@@ -63,11 +67,10 @@ class PhysicalMemory:
     # -- queries --------------------------------------------------------------
 
     def node_of_pfn(self, pfn: int) -> int:
-        """NUMA node owning ``pfn``."""
-        for allocator in self._allocators:
-            if allocator.owns(pfn):
-                return allocator.node
-        raise TopologyError(f"pfn {pfn} outside physical memory")
+        """NUMA node owning ``pfn``: one bisect over the node bases."""
+        if not 0 <= pfn < self._pfn_end:
+            raise TopologyError(f"pfn {pfn} outside physical memory")
+        return self._allocators[bisect_right(self._pfn_bases, pfn) - 1].node
 
     def frame(self, pfn: int) -> Frame:
         """Metadata of an allocated frame (the ``struct page`` lookup)."""

@@ -264,20 +264,25 @@ def _measure_once(
 def run_scenario(
     scenario: BenchScenario, accesses: int, repeat: int
 ) -> dict:
-    """Benchmark one scenario under both engines (best-of-``repeat``)."""
-    engines: dict[str, dict] = {}
+    """Benchmark one scenario under both engines (best-of-``repeat``).
+
+    The repeats interleave the tiers, and the tier that goes first
+    alternates, so a slow spell of a shared host lands on both tiers
+    rather than on whichever was being timed at the moment.
+    """
+    best = dict.fromkeys(ENGINES, float("inf"))
     first_metrics: dict[str, RunMetrics] = {}
-    for engine in ENGINES:
-        best = float("inf")
-        for _ in range(repeat):
+    for rep in range(repeat):
+        for engine in ENGINES if rep % 2 == 0 else ENGINES[::-1]:
             elapsed, metrics = _measure_once(scenario, engine, accesses)
-            best = min(best, elapsed)
-            if engine not in first_metrics:
-                first_metrics[engine] = metrics
+            best[engine] = min(best[engine], elapsed)
+            first_metrics.setdefault(engine, metrics)
+    engines: dict[str, dict] = {}
+    for engine in ENGINES:
         total_accesses = sum(thread.accesses for thread in first_metrics[engine].threads)
         engines[engine] = {
-            "seconds": round(best, 6),
-            "accesses_per_second": round(total_accesses / best, 1),
+            "seconds": round(best[engine], 6),
+            "accesses_per_second": round(total_accesses / best[engine], 1),
         }
     scalar_aps = engines["scalar"]["accesses_per_second"]
     vector_aps = engines["vector"]["accesses_per_second"]

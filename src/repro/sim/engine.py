@@ -52,14 +52,15 @@ from repro.paging.walker import HardwareWalker
 from repro.sim.escape import EscapeRunner
 from repro.sim.metrics import RunMetrics, ThreadMetrics
 from repro.tlb.mmu_cache import MmuCacheConfig, MmuCaches
-from repro.tlb.tlb import Tlb, TlbConfig, TlbHierarchy
+from repro.tlb.tlb import TlbConfig, TlbHierarchy
 from repro.trace.session import current_session
 from repro.units import HUGE_PAGE_SHIFT, KIB, PAGE_SHIFT
 
 #: Engine names accepted by ``EngineConfig.engine`` / ``REPRO_ENGINE``.
 ENGINES: tuple[str, ...] = ("scalar", "vector")
 
-#: Accesses covered by one batch mask (one slot gather per page size).
+#: Accesses covered by one batch mask (one slot gather per page size with
+#: an L1-resident entry).
 #: Chunks start small and double up to the cap: a mask built over a cold
 #: TLB is all-escapes, so short early chunks let the mask catch up with
 #: warmup fills quickly, while steady state pays one mask per 2048. Until
@@ -133,41 +134,52 @@ def resolve_engine(engine: str | None = None) -> str:
     return engine
 
 
-def _chain_sum(carry: float, costs: np.ndarray) -> float:
-    """Left-to-right IEEE-754 sum of ``carry + costs[0] + costs[1] + ...``.
+def _chain_sum(chain: np.ndarray) -> float:
+    """Left-to-right IEEE-754 sum of ``chain``, laid out as
+    ``[carry, c0, c1, ...]``: ``carry + c0 + c1 + ...``.
 
     ``np.add.accumulate`` applies the ufunc strictly sequentially (unlike
     ``np.sum``, which uses pairwise summation and rounds differently), so
     this reproduces the scalar loop's running ``+=`` bit-for-bit — the
-    keystone of the engines' float-equality contract.
+    keystone of the engines' float-equality contract. Callers write the
+    carry and the costs into one buffer, so the fold copies nothing.
     """
-    buffer = np.empty(costs.size + 1, dtype=np.float64)
-    buffer[0] = carry
-    buffer[1:] = costs
-    return float(np.add.accumulate(buffer)[-1])
+    return float(np.add.accumulate(chain)[-1])
 
 
-def _replay_promotions(structure: Tlb, vpns_sorted: np.ndarray, slots: np.ndarray) -> None:
-    """Replay the LRU effect of a batched run of hits on one TLB structure.
+def _replay_range(snapshot: "_Snapshot", vas: np.ndarray, lo: int, hi: int) -> None:
+    """Replay the LRU effect of the batched hits ``vas[lo:hi]`` on the L1
+    TLB, all resolved under ``snapshot``.
 
-    ``slots`` is the run as indices into ``vpns_sorted``, the snapshot's
-    resident vpns (:meth:`_ResidencyLut.slots`). The scalar loop promotes
-    on every hit; the final per-set LRU order after a run only depends on
-    each vpn's *last* access, so promoting the touched vpns in ascending
-    last-access order leaves every set in the exact state the scalar loop
-    would. ``np.maximum.at`` (an unbuffered scatter, so every repeated
-    slot applies) folds the run's positions into one last-access position
-    per slot, and the python loop runs once per unique page — at most the
-    structure's capacity — not once per access.
+    The scalar loop promotes on every hit. With no fill or eviction in
+    between, each set's final LRU order only depends on each page's
+    *last* access, so promoting the touched pages in ascending
+    last-access order leaves every set exactly where one ``touch`` per
+    access would. The range is scanned backwards one ``_CHUNK`` block at
+    a time: ``np.maximum.at`` (an unbuffered scatter, so every repeated
+    slot applies) folds each block's positions into one last-access
+    position per slot, and the scan stops once every resident page has
+    one, since earlier accesses cannot change the order. A hit's slot
+    names the structure it hit, so 4 KiB hits never move the 2 MiB
+    structure. The python loop runs once per touched page, at most the
+    L1 capacity, however long the range.
     """
-    if not slots.size:
-        return
-    last = np.full(vpns_sorted.size, -1, dtype=np.int64)
-    np.maximum.at(last, slots, np.arange(slots.size))
-    touched = np.flatnonzero(last >= 0)
-    touch = structure.touch
-    for vpn in vpns_sorted[touched[np.argsort(last[touched])]].tolist():
-        touch(vpn)
+    last = np.full(snapshot.size, -1, dtype=np.int64)
+    end = hi
+    while end > lo:
+        start = max(lo, end - _CHUNK)
+        np.maximum.at(last, snapshot.slots(vas[start:end]), np.arange(start, end))
+        end = start
+        if last.min() >= 0:
+            break
+    first = 0
+    for structure, lut in snapshot.structures:
+        part = last[first:first + lut.vpns_sorted.size]
+        first += part.size
+        touched = np.flatnonzero(part >= 0)
+        touch = structure.touch
+        for vpn in lut.vpns_sorted[touched[np.argsort(part[touched])]].tolist():
+            touch(vpn)
 
 
 #: Widest vpn span a dense residency LUT may cover (beyond it, fall back
@@ -182,9 +194,9 @@ class _ResidencyLut:
 
     A vpn's *slot* is its index in ``vpns_sorted`` (the resident vpns,
     ascending; ``nodes_sorted`` holds their home nodes), or -1 when it is
-    not resident. One :meth:`slots` call per chunk gives the batch mask
-    (``slots >= 0``), and a run's slots give its nodes
-    (``nodes_sorted[slots]``) and its LRU replay.
+    not resident. :class:`_Snapshot` numbers both page sizes' slots as
+    one space, prices each slot from its node, and gathers the slots of
+    each chunk (the batch mask is ``slots >= 0``) and of each replay.
 
     Resident vpns cluster inside the workload's contiguous mapping, so a
     dense ``[vpn - base]``-indexed slot table beats a binary search by a
@@ -219,15 +231,41 @@ class _ResidencyLut:
         return table.take(vpns - self.base, mode="clip")
 
 
-def _snapshot_luts(tlb: TlbHierarchy, frames_per_node: int):
-    """Residency LUTs over every L1-resident translation:
-    ``(token, lut_4k, lut_2m)``."""
-    token, pairs_4k, pairs_2m = tlb.fastpath_snapshot()
-    return (
-        token,
-        _ResidencyLut(pairs_4k, frames_per_node),
-        _ResidencyLut(pairs_2m, frames_per_node),
-    )
+class _Snapshot:
+    """One batch-mask snapshot: every L1-resident page of both sizes at
+    one :meth:`TlbHierarchy.fastpath_token`, numbered as one slot space.
+
+    Slots ``[0, n4k)`` are the 4 KiB LUT's and ``[n4k, size)`` the 2 MiB
+    LUT's, shifted by ``n4k``. ``costs[slot]`` is the data-access cost of
+    the slot's home node, so a run's costs are one gather of its slots.
+    """
+
+    __slots__ = ("token", "lut_4k", "lut_2m", "n4k", "size", "costs", "structures")
+
+    def __init__(self, tlb: TlbHierarchy, frames_per_node: int, data_cost: np.ndarray):
+        self.token, pairs_4k, pairs_2m = tlb.fastpath_snapshot()
+        lut_4k = self.lut_4k = _ResidencyLut(pairs_4k, frames_per_node)
+        lut_2m = self.lut_2m = _ResidencyLut(pairs_2m, frames_per_node)
+        self.n4k = lut_4k.vpns_sorted.size
+        self.size = self.n4k + lut_2m.vpns_sorted.size
+        self.costs = data_cost[np.concatenate((lut_4k.nodes_sorted, lut_2m.nodes_sorted))]
+        self.structures = ((tlb.l1_4k, lut_4k), (tlb.l1_2m, lut_2m))
+
+    def slots(self, vas: np.ndarray) -> np.ndarray:
+        """Slot per va, -1 where neither L1 structure holds its page.
+
+        Only page sizes with a resident entry are gathered. A page
+        resident at both sizes takes its 4 KiB slot, as
+        :meth:`TlbHierarchy.lookup` probes the 4 KiB structure first.
+        """
+        if self.size == self.n4k:
+            return self.lut_4k.slots(vas >> PAGE_SHIFT)
+        slots = self.lut_2m.slots(vas >> HUGE_PAGE_SHIFT)
+        if self.n4k:
+            np.add(slots, self.n4k, out=slots, where=slots >= 0)
+            slots_4k = self.lut_4k.slots(vas >> PAGE_SHIFT)
+            np.copyto(slots, slots_4k, where=slots_4k >= 0)
+        return slots
 
 
 class _ThreadExecution:
@@ -524,8 +562,14 @@ class Simulator:
             rng.random(config.accesses_per_thread) < hit_rate
             for _ in range(n_threads)
         ]
+        # The pollution rolls are drawn after every hit roll and nothing
+        # draws after them, so skipping the draw shifts no other roll. At
+        # pressure <= 0 no roll can fire (random() < 0 is never true), so
+        # the skipped draw's result is exactly all False.
         pollution = [
             rng.random(config.accesses_per_thread) < pressure
+            if pressure > 0
+            else np.zeros(config.accesses_per_thread, dtype=bool)
             for _ in range(n_threads)
         ]
 
@@ -644,14 +688,21 @@ class Simulator:
         L1-resident when the batch mask was built. During a run of hits
         the TLB performs no fills or evictions, so residency at run start
         guarantees every access in it hits — the bulk replay (stats adds,
-        last-occurrence LRU promotions, ``_chain_sum`` cost folding)
+        last-access LRU promotions, ``_chain_sum`` cost folding)
         reproduces the scalar tier's state transitions exactly.
 
-        Each chunk makes one :meth:`_ResidencyLut.slots` gather per page
-        size over its own slice of ``vas``; the mask is ``slots >= 0``,
-        and a run's slots index its home nodes and drive its LRU replay,
-        which costs python work per unique page the run touched (at most
-        the L1 capacity), not per access.
+        Each chunk makes one :meth:`_Snapshot.slots` gather over its own
+        slice of ``vas``, of the page sizes that have an L1-resident entry
+        only; the mask is ``slots >= 0``. A run's costs are one gather of
+        the snapshot's per-slot costs into a ``[carry, costs...]`` buffer,
+        LLC hits overwrite theirs in place, and one ``_chain_sum`` folds
+        the buffer. The LRU promotions are deferred: the batched runs
+        since the last escape always form one contiguous range (whatever
+        separates two runs is an escape span), and
+        :func:`_replay_range` replays that range before the next escape
+        span, before a snapshot rebuild and at slice end — once per
+        escape, not once per run, with python work per resident page,
+        not per access.
 
         Everything else — misses, short runs, cooldown stretches, the
         post-bail-out tail — is handed to the batched escape interpreter
@@ -695,14 +746,23 @@ class Simulator:
                 pollution_rolls[lo:hi].tolist(),
             )
 
-        snap_token: tuple[int, int] | None = None
+        snap: _Snapshot | None = None
         snap_walks = -1
-        lut_4k: _ResidencyLut | None = None
-        lut_2m: _ResidencyLut | None = None
-        slots_4k: np.ndarray | None = None
-        slots_2m: np.ndarray | None = None
-        mask_4k: np.ndarray | None = None
+        # The batched runs not yet replayed: [replay_lo, replay_hi).
+        replay_lo = replay_hi = 0
+
+        def replay() -> None:
+            """Replay the pending batched range's LRU promotions."""
+            nonlocal replay_lo
+            if replay_hi > replay_lo:
+                _replay_range(snap, vas, replay_lo, replay_hi)
+                replay_lo = replay_hi
+
+        slots: np.ndarray | None = None
         ok: np.ndarray | None = None
+        # One run's ``[carry, costs...]`` fold buffer; runs never cross a
+        # chunk, so none is longer than ``_CHUNK``.
+        chain = np.empty(_CHUNK + 1, dtype=np.float64)
         # Chunk-local python lists for escape spans, built lazily on the
         # first escape within a chunk (all-hit steady-state chunks never
         # pay the conversion).
@@ -727,7 +787,7 @@ class Simulator:
         while batches and i < n:
             if i >= chunk_hi:
                 ok = None
-            elif ok is not None and ok[i - chunk_lo] and tlb.fastpath_token() != snap_token:
+            elif ok is not None and ok[i - chunk_lo] and tlb.fastpath_token() != snap.token:
                 # An escape evicted or invalidated entries after this mask
                 # was built; it can no longer be trusted for batching.
                 if i < cooldown:
@@ -738,6 +798,7 @@ class Simulator:
                     # every access up to the horizon escapes anyway.
                     stop = min(cooldown, chunk_hi)
                     chunk_lists = chunk_lists or as_lists(chunk_lo, chunk_hi)
+                    replay()
                     escape.run(*chunk_lists, i - chunk_lo, stop - chunk_lo, chunk_lo)
                     i = stop
                     continue
@@ -749,70 +810,64 @@ class Simulator:
                 # rest to the escape interpreter in one span.
                 if i >= _ADAPT_PROBE and fast * 4 < i:
                     break
-                if tlb.fastpath_token() != snap_token or ex.walks != snap_walks:
-                    snap_token, lut_4k, lut_2m = _snapshot_luts(tlb, ex.frames_per_node)
+                if snap is None or tlb.fastpath_token() != snap.token or ex.walks != snap_walks:
+                    replay()
+                    snap = _Snapshot(tlb, ex.frames_per_node, data_cost_arr)
                     snap_walks = ex.walks
                     cooldown = i + _REBUILD_COOLDOWN
                 chunk_lo = i
                 chunk_hi = min(i + chunk_size, n)
                 chunk_size = min(chunk_size * 2, _CHUNK)
-                chunk_vas = vas[chunk_lo:chunk_hi]
-                slots_4k = lut_4k.slots(chunk_vas >> PAGE_SHIFT)
-                slots_2m = lut_2m.slots(chunk_vas >> HUGE_PAGE_SHIFT)
-                mask_4k = slots_4k >= 0
-                ok = mask_4k | (slots_2m >= 0)
+                slots = snap.slots(vas[chunk_lo:chunk_hi])
+                ok = slots >= 0
                 chunk_lists = None
             rel = i - chunk_lo
             if not ok[rel]:
                 # A maximal run of will-miss accesses: one escape span.
-                stops = np.flatnonzero(ok[rel:])
-                k = int(stops[0]) if stops.size else int(ok.size) - rel
+                k = int(ok[rel:].argmax()) or ok.size - rel
                 chunk_lists = chunk_lists or as_lists(chunk_lo, chunk_hi)
+                replay()
                 escape.run(*chunk_lists, rel, rel + k, chunk_lo)
                 i += k
                 continue
-            stops = np.flatnonzero(~ok[rel:])
-            k = int(stops[0]) if stops.size else int(ok.size) - rel
+            k = int(ok[rel:].argmin()) or ok.size - rel
             if k < _MIN_RUN:
                 # Guaranteed hits, but too short for numpy to pay off.
                 # Deliberately not counted as fast progress: a slice made
                 # of short scattered runs loses to mask-rebuild overhead
                 # and should bail out of mask-building entirely.
                 chunk_lists = chunk_lists or as_lists(chunk_lo, chunk_hi)
+                replay()
                 escape.run(*chunk_lists, rel, rel + k, chunk_lo)
                 i += k
                 continue
             fast += k
             # ---- batched run of k guaranteed L1 hits ------------------------
-            seg4 = mask_4k[rel:rel + k]
-            run4 = slots_4k[rel:rel + k]
-            run2 = slots_2m[rel:rel + k]
-            n4k = int(np.count_nonzero(seg4))
-            n2m = k - n4k
+            run = slots[rel:rel + k]
+            if snap.n4k == snap.size:
+                n2m = 0
+            elif snap.n4k == 0:
+                n2m = k
+            else:
+                n2m = int(np.count_nonzero(run >= snap.n4k))
             # Hierarchy counters, exactly as k scalar lookups would count
             # them (a 2 MiB hit first misses the 4 KiB L1 structure).
             totals_l1.hits += k
-            l1_4k.stats.hits += n4k
+            l1_4k.stats.hits += k - n2m
             if n2m:
                 l1_4k.stats.misses += n2m
                 l1_2m.stats.hits += n2m
-            if n2m == 0:
-                node_idx = lut_4k.nodes_sorted[run4]
-                _replay_promotions(l1_4k, lut_4k.vpns_sorted, run4)
-            elif n4k == 0:
-                node_idx = lut_2m.nodes_sorted[run2]
-                _replay_promotions(l1_2m, lut_2m.vpns_sorted, run2)
-            else:
-                inv = ~seg4
-                run4 = run4[seg4]
-                run2 = run2[inv]
-                node_idx = np.empty(k, dtype=np.int64)
-                node_idx[seg4] = lut_4k.nodes_sorted[run4]
-                node_idx[inv] = lut_2m.nodes_sorted[run2]
-                _replay_promotions(l1_4k, lut_4k.vpns_sorted, run4)
-                _replay_promotions(l1_2m, lut_2m.vpns_sorted, run2)
-            costs = np.where(hit_rolls[i:i + k], ex.llc_hit_cost, data_cost_arr[node_idx])
-            ex.data_cycles = _chain_sum(ex.data_cycles, costs)
+            if i != replay_hi:
+                replay()
+                replay_lo = i
+            replay_hi = i + k
+            costs = chain[1:k + 1]
+            chain[0] = ex.data_cycles
+            # "clip" lets ``take`` write into ``out`` unbuffered; every
+            # slot of a run is in range.
+            snap.costs.take(run, out=costs, mode="clip")
+            np.copyto(costs, ex.llc_hit_cost, where=hit_rolls[i:i + k])
+            ex.data_cycles = _chain_sum(chain[:k + 1])
             if autonuma is not None:
                 # The run's sampled indices: i rounded up to the sampling
                 # stride, then every stride up to the run's end.
@@ -820,6 +875,7 @@ class Simulator:
                 for p in range(first, i + k, _AUTONUMA_SAMPLE_MASK + 1):
                     autonuma.record_access(process, int(vas[p]), socket)
             i += k
+        replay()
         if i < n:
             # Walk-bound verdict or adaptive bail-out: escape interpreter
             # for the whole tail.

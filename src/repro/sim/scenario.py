@@ -98,15 +98,22 @@ class ScenarioSetup:
     mitosis: bool
 
     def observed_remote_leaf(self) -> dict[int, float]:
-        """Remote-leaf-PTE fraction seen from each socket's CR3 (Fig. 4)."""
+        """Remote-leaf-PTE fraction seen from each socket's CR3 (Fig. 4).
+
+        Sockets that load the same CR3 walk the same tree, so each
+        distinct root is dumped once (one root for every socket without
+        replication).
+        """
         tree = self.process.mm.tree
         n = self.kernel.machine.n_sockets
-        return {
-            socket: dump_tree(tree, self.kernel.physmem, n, socket=socket).remote_leaf_fraction(
-                socket
-            )
-            for socket in self.kernel.machine.node_ids()
-        }
+        dumps: dict[int, PageTableDump] = {}
+        fractions = {}
+        for socket in self.kernel.machine.node_ids():
+            root = tree.ops.root_pfn_for_socket(tree, socket)
+            if root not in dumps:
+                dumps[root] = dump_tree(tree, self.kernel.physmem, n, socket=socket)
+            fractions[socket] = dumps[root].remote_leaf_fraction(socket)
+        return fractions
 
     def dump(self, socket: int | None = None) -> PageTableDump:
         """Fig. 3 style page-table snapshot."""

@@ -10,15 +10,29 @@ from repro.units import MIB, PAGE_SIZE
 
 
 class TestNodePartition:
-    def test_node_of_pfn_partitions_space(self, physmem2):
+    def test_node_of_pfn_partitions_space(self, physmem2, physmem4):
         f0 = physmem2.alloc_frame(0)
         f1 = physmem2.alloc_frame(1)
         assert physmem2.node_of_pfn(f0.pfn) == 0
         assert physmem2.node_of_pfn(f1.pfn) == 1
+        # Every node's first and last pfn, on both sides of each boundary.
+        for physmem in (physmem2, physmem4):
+            n = physmem.machine.n_sockets
+            frames = physmem.machine.sockets[0].memory_bytes // PAGE_SIZE
+            for node in range(n):
+                first, last = node * frames, (node + 1) * frames - 1
+                assert physmem.node_of_pfn(first) == node
+                assert physmem.node_of_pfn(first + 1) == node
+                assert physmem.node_of_pfn(last) == node
 
-    def test_node_of_pfn_rejects_out_of_range(self, physmem2):
+    def test_node_of_pfn_rejects_out_of_range(self, physmem2, physmem4):
         with pytest.raises(TopologyError):
             physmem2.node_of_pfn(10**9)
+        for physmem in (physmem2, physmem4):
+            end = physmem.machine.n_sockets * physmem.machine.sockets[0].memory_bytes // PAGE_SIZE
+            for pfn in (-1, -(10**9), end, end + 1):
+                with pytest.raises(TopologyError):
+                    physmem.node_of_pfn(pfn)
 
 
 class TestAllocation:

@@ -1,5 +1,9 @@
-"""Simulator engine: cost attribution and cache interplay."""
+"""Simulator engine: cost attribution, cache interplay and the rolls
+each tier receives."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.kernel.policy import FixedNodePolicy
@@ -91,6 +95,55 @@ class TestCacheInterplay:
         metrics = run(kernel2, process, workload, va, accesses=4000)
         # 64 accesses per page -> miss rate ~1/64
         assert metrics.tlb_miss_rate < 0.1
+
+
+class TestRolls:
+    """``Simulator.run`` draws every thread's rolls before either tier
+    runs, so the equivalence suite cannot see a shifted draw: both tiers
+    would receive the same wrong rolls. These tests pin the draw itself
+    against an eager reference: every thread's hit rolls in thread
+    order, then every thread's pollution rolls. At pressure 0 no
+    pollution roll can fire, and none is drawn."""
+
+    SEED = 11
+    ACCESSES = 3000
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    @pytest.mark.parametrize("pressure", [0.0, 0.35])
+    def test_rolls_each_tier_receives(self, kernel2, monkeypatch, engine, pressure):
+        received = {}
+        method = "_run_thread" if engine == "scalar" else "_run_thread_vector"
+        original = getattr(Simulator, method)
+
+        def spy(self, *args):
+            *_, hit_rolls, pollution_rolls, _mlp, out = args
+            received.setdefault(out.thread, []).append((hit_rolls.copy(), pollution_rolls.copy()))
+            return original(self, *args)
+
+        monkeypatch.setattr(Simulator, method, spy)
+        process = kernel2.create_process("rolls", socket=0)
+        process.add_thread(1)
+        workload = create("gups", footprint=4 * MIB)
+        workload.profile = replace(workload.profile, pt_llc_pressure=pressure)
+        va = kernel2.sys_mmap(process, 4 * MIB, populate=True).value
+        config = EngineConfig(
+            accesses_per_thread=self.ACCESSES, epochs=3, seed=self.SEED, engine=engine
+        )
+        Simulator(kernel2, config).run(process, workload, [0, 1], va)
+
+        rng = np.random.default_rng(self.SEED)
+        rate = workload.profile.data_llc_hit_rate
+        hits = [rng.random(self.ACCESSES) < rate for _ in range(2)]
+        pollution = [rng.random(self.ACCESSES) < pressure for _ in range(2)]
+        assert sorted(received) == [0, 1]
+        for thread in (0, 1):
+            slices = received[thread]
+            assert len(slices) == 3
+            got_hits = np.concatenate([h for h, _ in slices])
+            got_pollution = np.concatenate([p for _, p in slices])
+            assert np.array_equal(got_hits, hits[thread])
+            assert np.array_equal(got_pollution, pollution[thread])
+            assert got_pollution.any() == (pressure > 0)
 
 
 class TestMultiThread:

@@ -421,7 +421,8 @@ class TestResidencyLut:
 
 
 class TestChainSum:
-    """The float-fold primitive behind bit-identical cycle sums."""
+    """The float-fold primitive behind bit-identical cycle sums: one
+    ``[carry, c0, c1, ...]`` buffer, folded left to right."""
 
     def test_matches_sequential_python_fold(self):
         rng = np.random.default_rng(0)
@@ -430,7 +431,10 @@ class TestChainSum:
         expected = carry
         for cost in costs:
             expected += cost
-        assert _chain_sum(carry, costs) == expected
+        assert _chain_sum(np.concatenate(([carry], costs))) == expected
+        # Pairwise summation rounds differently on this input, so the
+        # check above pins the sequential fold.
+        assert float(np.sum(np.concatenate(([carry], costs)))) != expected
 
     def test_empty_run_returns_carry(self):
-        assert _chain_sum(42.25, np.empty(0)) == 42.25
+        assert _chain_sum(np.array([42.25])) == 42.25

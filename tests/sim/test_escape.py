@@ -7,6 +7,9 @@ behaviour, reset semantics — and the inlined TLB probe of
 :meth:`EscapeRunner.run` against :meth:`TlbHierarchy.lookup`.
 :class:`TestFinalHardwareState` extends the probe's check to whole runs:
 the TLB state both tiers leave behind once batched hit runs are mixed in.
+:class:`TestDeferredReplay` pins where the vector tier replays a batched
+range's LRU promotions: before the escape that follows it, and at slice
+end.
 """
 
 import itertools
@@ -22,13 +25,14 @@ from repro.kernel.sysctl import Sysctl
 from repro.machine.topology import Machine
 from repro.paging.walker import HardwareWalker
 from repro.sim.bench import _build_gups, metrics_equal
-from repro.sim.engine import EngineConfig, Simulator, _ResidencyLut, _ThreadExecution
+from repro.sim import engine as engine_module
+from repro.sim.engine import _CHUNK, EngineConfig, Simulator, _ResidencyLut, _ThreadExecution
 from repro.sim.escape import EscapeRunner, WalkTraceBuffer
 from repro.sim.metrics import RunMetrics, ThreadMetrics
 from repro.tlb.mmu_cache import MmuCaches
 from repro.tlb.tlb import TlbConfig, TlbHierarchy
 from repro.trace.session import TraceSession, tracing
-from repro.units import GIB, HUGE_PAGE_SIZE, KIB, MIB, PAGE_SIZE
+from repro.units import GIB, HUGE_PAGE_SIZE, KIB, MIB, PAGE_SHIFT, PAGE_SIZE
 from repro.workloads.base import Workload, WorkloadProfile
 
 
@@ -236,11 +240,11 @@ def _phased_stream(seed, huge_base, small_base, phases=12, per_phase=2500):
     return vas
 
 
-def _run_stream(kernel, process, vas, engine) -> RunMetrics:
+def _run_stream(kernel, process, vas, engine, socket=0, **config) -> RunMetrics:
     va_base = min(vas)
     workload = _FixedStream([va - va_base for va in vas])
-    config = EngineConfig(engine=engine, accesses_per_thread=len(vas))
-    return Simulator(kernel, config).run(process, workload, [0], va_base)
+    config = EngineConfig(engine=engine, accesses_per_thread=len(vas), **config)
+    return Simulator(kernel, config).run(process, workload, [socket], va_base)
 
 
 def _hardware_state(kernel) -> list:
@@ -327,3 +331,98 @@ class TestFinalHardwareState:
         assert _batched_share(metrics["vector"]) > 0.9
         assert metrics_equal(metrics["scalar"], metrics["vector"])
         assert state["vector"] == state["scalar"]
+
+
+class TestDeferredReplay:
+    """The vector tier replays the LRU promotions of its batched runs
+    once per pending range, not once per run: before the next escape
+    span and at slice end. A hot phase that fills the L1 4 KiB TLB runs
+    as batched hits over several chunks and ends by touching one set's
+    pages in reverse fill order; the miss that follows must evict the
+    page that set touched longest ago. A replay that came late, early or
+    never would evict a different victim than the scalar tier."""
+
+    #: The default L1 4 KiB TLB: 16 sets of 4 ways.
+    HOT_PAGES = 64
+    N_SETS = 16
+    TARGET_SET = 5
+
+    def _stream(self, base, seed):
+        """``(vas, set_pages, new_page)``: the hot phase, its reverse
+        tail over ``TARGET_SET``'s pages, then the miss and a second
+        hot phase that leaves that set alone."""
+        rng = random.Random(seed)
+        hot = [base + p * PAGE_SIZE for p in range(self.HOT_PAGES)]
+        set_pages = [va for va in hot if (va >> PAGE_SHIFT) % self.N_SETS == self.TARGET_SET]
+        first_new = self.HOT_PAGES + (self.TARGET_SET - (base >> PAGE_SHIFT)) % self.N_SETS
+        new_page = base + first_new * PAGE_SIZE
+        first = hot + [rng.choice(hot) for _ in range(3 * _CHUNK + 300)] + set_pages[::-1]
+        others = [va for va in hot if va not in set_pages] + [new_page]
+        second = [new_page] + [rng.choice(others) for _ in range(len(first) - 1)]
+        return first + second, set_pages, new_page
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["one-slice", "slice-ends-in-batched-range", "autonuma-epoch-boundary"],
+    )
+    def test_miss_after_batched_range_evicts_like_scalar(self, cell, monkeypatch):
+        replays, runs = [], []
+        replay_range, chain_sum = engine_module._replay_range, engine_module._chain_sum
+
+        def replay_spy(snapshot, vas, lo, hi):
+            replays.append((lo, hi, vas.size))
+            return replay_range(snapshot, vas, lo, hi)
+
+        def chain_spy(chain):
+            runs.append(chain.size - 1)
+            return chain_sum(chain)
+
+        monkeypatch.setattr(engine_module, "_replay_range", replay_spy)
+        monkeypatch.setattr(engine_module, "_chain_sum", chain_spy)
+        autonuma = cell == "autonuma-epoch-boundary"
+        config = {}
+        if cell == "slice-ends-in-batched-range":
+            config = {"epochs": 2}
+        elif autonuma:
+            # A remote thread, so the balance pass between the two
+            # slices migrates pages (and shoots the TLB down).
+            config = {"autonuma_epochs": 2, "socket": 1}
+        state, metrics = {}, {}
+        for engine in ("scalar", "vector"):
+            replays.clear()
+            runs.clear()
+            kernel = Kernel(
+                Machine.homogeneous(2, cores_per_socket=1, memory_per_socket=64 * MIB),
+                sysctl=Sysctl(autonuma_enabled=autonuma),
+            )
+            process = kernel.create_process("replay", socket=0)
+            base = kernel.sys_mmap(
+                process, 2 * self.HOT_PAGES * PAGE_SIZE, populate=True, use_huge=False
+            ).value
+            vas, set_pages, new_page = self._stream(base, seed=4)
+            metrics[engine] = _run_stream(kernel, process, vas, engine, **config)
+            state[engine] = _hardware_state(kernel)
+        assert metrics_equal(metrics["scalar"], metrics["vector"])
+        assert state["vector"] == state["scalar"]
+        assert _batched_share(metrics["vector"]) > 0.9
+        # Deferral happened: fewer replays than batched runs, and one
+        # replay covered a range spanning several chunks. Every batched
+        # access was replayed once, and no escaped one.
+        assert replays and len(replays) < len(runs)
+        assert sum(hi - lo for lo, hi, _ in replays) == sum(runs)
+        assert max(hi - lo for lo, hi, _ in replays) > 2 * _CHUNK
+        if autonuma:
+            assert kernel.autonuma.stats.balance_passes == 1
+            assert metrics["vector"].overhead_cycles > 0
+            return
+        # The miss evicted the set page touched longest ago (the tail
+        # touched them in reverse fill order), not the first filled.
+        l1_set = [vpn << PAGE_SHIFT for vpn, _ in kernel.cpu_contexts[0][0].l1_4k.resident_items()
+                  if vpn % self.N_SETS == self.TARGET_SET]
+        assert l1_set == [set_pages[2], set_pages[1], set_pages[0], new_page]
+        # The range ending on the tail was replayed right before the miss:
+        # by the miss's escape span, or at the end of the slice the tail
+        # ends.
+        miss = len(vas) // 2
+        ends = {(hi, size == miss) for _, hi, size in replays}
+        assert (miss, cell == "slice-ends-in-batched-range") in ends

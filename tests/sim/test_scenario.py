@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.paging.dump import dump_tree
+from repro.sim import scenario as scenario_module
 from repro.sim.engine import EngineConfig
 from repro.sim.scenario import (
     MIGRATION_CONFIGS,
@@ -119,6 +121,25 @@ class TestMultisocketSetups:
     def test_mitosis_makes_all_sockets_local(self):
         setup = setup_multisocket("canneal", "F+M", **FAST)
         assert all(frac == 0.0 for frac in setup.observed_remote_leaf().values())
+
+    @pytest.mark.parametrize("config, dumps", [("F", 1), ("F+M", 4), ("I", 1), ("I+M", 4)])
+    def test_observed_remote_leaf_dumps_each_root_once(self, monkeypatch, config, dumps):
+        setup = setup_multisocket("canneal", config, **FAST)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["socket"])
+            return dump_tree(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "dump_tree", counted)
+        observed = setup.observed_remote_leaf()
+        assert len(calls) == dumps
+        tree, physmem = setup.process.mm.tree, setup.kernel.physmem
+        n = setup.kernel.machine.n_sockets
+        assert observed == {
+            socket: dump_tree(tree, physmem, n, socket=socket).remote_leaf_fraction(socket)
+            for socket in range(n)
+        }
 
     def test_interleave_distributes_pt_pages(self):
         setup = setup_multisocket("canneal", "I", **FAST)

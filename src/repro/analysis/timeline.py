@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from repro.analysis.report import render_table
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
-from repro.units import PAGE_SIZE
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,6 @@ class PlacementTimeline:
                 if old is not None and old != node:
                     moved += 1
         return moved
-
-    def data_migrated_bytes(self) -> int:
-        return self.data_pages_migrated() * PAGE_SIZE
 
     def render(self) -> str:
         """The stream as a table: placement per snapshot plus movement."""

@@ -17,7 +17,6 @@ sub-commands for the experiment harnesses, the analysis tools, the chaos
     python -m repro chaos --scenario replication-oom --seed 7 --json
     python -m repro fleet campaign --seeds 0-7 --intensities 0.5,1.0,2.0
     python -m repro fleet sweep --workloads gups,btree --seeds 1234
-    python -m repro fleet bench --accesses 6000
     python -m repro lint --format json
     python -m repro lint --whole-program --stats lint-stats.json
     python -m repro lint --explain
@@ -117,14 +116,13 @@ def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "mode", choices=["campaign", "sweep", "bench"],
+        "mode", choices=["campaign", "sweep"],
         help="campaign: chaos grid (scenario x seed x intensity); "
-        "sweep: scenario-measurement grid (workload x config x seed); "
-        "bench: one engine perf-measurement cell per bench scenario",
+        "sweep: scenario-measurement grid (workload x config x seed)",
     )
     parser.add_argument(
         "--scenarios", default=None, metavar="LIST",
-        help="campaign/bench: comma-separated scenarios (default: all)",
+        help="campaign: comma-separated chaos scenarios (default: all)",
     )
     parser.add_argument(
         "--seeds", default="7", metavar="LIST",
@@ -439,6 +437,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         sanitizer = PTESanitizer().install()
     try:
         report = run_chaos(args.scenario, seed=args.seed, intensity=args.intensity)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if sanitizer is not None:
             sanitizer.uninstall()
@@ -471,7 +472,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         Fleet,
         FleetConfig,
         ResultCache,
-        bench_grid,
         chaos_grid,
         scenario_grid,
     )
@@ -492,12 +492,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 if args.scenarios else None
             )
             specs = chaos_grid(scenarios=scenarios, seeds=seeds, intensities=intensities)
-        elif args.mode == "bench":
-            scenarios = (
-                [s.strip() for s in args.scenarios.split(",") if s.strip()]
-                if args.scenarios else None
-            )
-            specs = bench_grid(scenarios=scenarios, accesses=args.accesses)
         else:
             default_configs = _MULTI if args.harness == "multisocket" else _MIG
             configs = (

@@ -2,11 +2,12 @@
 chaos campaigns at scale.
 
 The fleet turns the repository's deterministic single-run harnesses
-(:mod:`repro.sim.scenario`, :mod:`repro.sim.chaos`, :mod:`repro.sim.bench`)
-into sweeps that survive crashing, hanging and flaky cells:
+(:mod:`repro.sim.scenario`, :mod:`repro.sim.chaos`) into sweeps that
+survive crashing, hanging and flaky cells:
 
-* :mod:`repro.fleet.jobs` — serializable job specs and the
-  content-addressed :func:`job_key` (spec + engine + code version);
+* :mod:`repro.fleet.jobs` — job specs, encoded by their frozen dataclass
+  fields alone, and the content-addressed :func:`job_key` (spec fields +
+  engine + code version);
 * :mod:`repro.fleet.cache` — the crash-safe :class:`ResultCache`
   (atomic write-rename, per-entry checksums, corrupt-entry eviction)
   that doubles as the resume checkpoint;
@@ -18,7 +19,7 @@ into sweeps that survive crashing, hanging and flaky cells:
   retries with backoff + jitter, poisoned-job quarantine, graceful
   SIGINT shutdown, event-driven wakeup, self-hosted chaos at
   ``fleet.worker.crash``, and the in-process ``workers=0`` mode;
-* :mod:`repro.fleet.report` — :class:`FleetReport`: merged outcomes,
+* :mod:`repro.fleet.report` — :class:`FleetReport`: terminal outcomes,
   chaos-campaign aggregation, failing-cell reproducers.
 """
 
@@ -27,13 +28,10 @@ from repro.fleet.dispatcher import Fleet, FleetConfig, run_attempt_inline
 from repro.fleet.jobs import (
     KEY_SCHEMA,
     ProbeSpec,
-    SPEC_KINDS,
-    bench_grid,
     canonical_json,
     chaos_grid,
     job_key,
     scenario_grid,
-    spec_from_dict,
 )
 from repro.fleet.pool import (
     OUTCOME_CRASH,
@@ -56,7 +54,6 @@ from repro.fleet.report import (
 
 __all__ = [
     "KEY_SCHEMA",
-    "SPEC_KINDS",
     "STATUS_CACHED",
     "STATUS_COMPUTED",
     "STATUS_QUARANTINED",
@@ -75,12 +72,10 @@ __all__ = [
     "ProbeSpec",
     "ResultCache",
     "WorkerPool",
-    "bench_grid",
     "canonical_json",
     "chaos_grid",
     "execute_job",
     "job_key",
     "run_attempt_inline",
     "scenario_grid",
-    "spec_from_dict",
 ]

@@ -131,10 +131,6 @@ class FleetConfig:
     trace_dir: str | None = None
     #: Self-hosting chaos: consulted at ``fleet.worker.crash`` per launch.
     fault_plan: FaultPlan | None = None
-    #: Defensive fallback sleep only: the main loop is event-driven
-    #: (``multiprocessing.connection.wait``), so this no longer quantizes
-    #: attempt-settlement latency.
-    poll_interval: float = 0.005
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -265,7 +261,11 @@ class Fleet:
         """Sleep until something can change: a worker pipe/sentinel fires,
         the earliest attempt deadline passes, or the earliest backoff
         window opens. Event-driven in every mode — settlement latency is
-        bounded by the OS wakeup, not a poll quantum."""
+        bounded by the OS wakeup, not a poll quantum.
+
+        With nothing running, every pending job was in backoff at the
+        launch pass; a window that opened since leaves no timeout, and the
+        caller's next pass launches it without sleeping."""
         now = _now()
         timeout = None
         for state in pending:
@@ -275,13 +275,11 @@ class Fleet:
         for _, worker in running:
             remaining = worker.deadline - now
             timeout = remaining if timeout is None else min(timeout, remaining)
-        objects = [obj for _, worker in running for obj in worker.wait_objects]
-        if objects:
-            mp_connection.wait(objects, max(timeout, 0.0) if timeout is not None else None)
+        if running:
+            objects = [obj for _, worker in running for obj in worker.wait_objects]
+            mp_connection.wait(objects, max(timeout, 0.0))
         elif timeout is not None:
-            time.sleep(max(timeout, 0.0))  # lint: allow[DET001] -- backoff windows are real time
-        else:  # pragma: no cover - defensive: nothing to wait on
-            time.sleep(self.config.poll_interval)  # lint: allow[DET001] -- ditto
+            time.sleep(timeout)  # lint: allow[DET001] -- backoff windows are real time
 
     def _launch_eligible(self, pending, running, pool, report, progress) -> bool:
         """Start (or inline-run) every eligible pending job; True if any."""

@@ -1,22 +1,22 @@
-"""Serializable job descriptors and content-addressed job keys.
+"""Job descriptors and content-addressed job keys.
 
 A fleet *job* is one deterministic cell of a sweep: a scenario
-measurement, a chaos cell, a perf measurement, or a probe (the fleet's
-own self-test job). The spec dataclasses live next to the harnesses they
-describe — :class:`~repro.sim.scenario.ScenarioSpec`,
-:class:`~repro.sim.chaos.ChaosSpec`, :class:`~repro.sim.bench.BenchSpec`
-— this module registers them under their ``kind`` strings, adds the
-fleet-only :class:`ProbeSpec`, and derives the **content-addressed job
+measurement, a chaos cell, or a probe (the fleet's own self-test job).
+The spec dataclasses live next to the harnesses they describe —
+:class:`~repro.sim.scenario.ScenarioSpec`,
+:class:`~repro.sim.chaos.ChaosSpec` — and this module adds the
+fleet-only :class:`ProbeSpec` and derives the **content-addressed job
 key**: a SHA-256 over the canonical JSON of ``(spec, engine tier, code
 version)``. Same spec + same engine + same code ⇒ same key ⇒ a cached
 result is valid; any of the three changing re-keys the cell, which is
 what makes incremental re-runs after code changes safe.
 
-Every spec class implements the same small protocol::
+A spec's frozen dataclass fields are its only encoding: the key hashes
+them together with ``kind``, and a pool worker receives the spec object
+itself, pickled over its pipe. Every spec class implements the same
+small protocol::
 
-    kind                      # class attribute, the registry string
-    to_dict() -> dict         # JSON-safe, includes "kind"
-    from_dict(dict) -> Spec
+    kind                      # class attribute, hashed into the key
     label() -> str            # short human-readable cell name
     reproducer() -> str       # one-line command rerunning the cell
     run(attempt: int) -> dict # JSON-safe payload; "ok" key is the verdict
@@ -28,12 +28,10 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Protocol
 
 from repro._version import __version__
-from repro.sim.bench import SCENARIOS as BENCH_SCENARIOS
-from repro.sim.bench import BenchSpec
 from repro.sim.chaos import SCENARIOS as CHAOS_SCENARIOS
 from repro.sim.chaos import ChaosSpec
 from repro.sim.scenario import ScenarioSpec
@@ -43,11 +41,9 @@ KEY_SCHEMA = "repro-fleet-job/1"
 
 
 class JobSpecLike(Protocol):
-    """The structural type every registered spec satisfies."""
+    """The structural type every spec (a frozen dataclass) satisfies."""
 
     kind: str
-
-    def to_dict(self) -> dict: ...
 
     def label(self) -> str: ...
 
@@ -91,33 +87,15 @@ class ProbeSpec:
                 f"choose from {self.BEHAVIORS}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "behavior": self.behavior,
-            "succeed_after": self.succeed_after,
-            "hang_seconds": self.hang_seconds,
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProbeSpec":
-        return cls(
-            behavior=data.get("behavior", "ok"),
-            succeed_after=int(data.get("succeed_after", 1)),
-            hang_seconds=float(data.get("hang_seconds", 3600.0)),
-            value=int(data.get("value", 0)),
-        )
-
     def label(self) -> str:
         return f"probe:{self.behavior}/{self.value}"
 
     def reproducer(self) -> str:
-        """One-line command that reruns exactly this probe."""
-        spec = json.dumps(self.to_dict(), sort_keys=True)
+        """One-line command that reruns exactly this probe (the dataclass
+        ``repr`` is the Python expression that rebuilds it)."""
         return (
-            "python -c \"from repro.fleet.jobs import spec_from_dict; "
-            f"print(spec_from_dict({spec!r}).run(attempt=1))\""
+            "python -c \"from repro.fleet.jobs import ProbeSpec; "
+            f"print({self!r}.run(attempt=1))\""
         )
 
     def run(self, attempt: int = 1) -> dict:
@@ -137,26 +115,6 @@ class ProbeSpec:
                 f"probe {self.behavior!r} failing on attempt {attempt}"
             )
         return {"ok": True, "value": self.value, "attempt": attempt}
-
-
-#: kind string -> spec class. New job kinds register here.
-SPEC_KINDS: dict[str, type] = {
-    ScenarioSpec.kind: ScenarioSpec,
-    ChaosSpec.kind: ChaosSpec,
-    BenchSpec.kind: BenchSpec,
-    ProbeSpec.kind: ProbeSpec,
-}
-
-
-def spec_from_dict(data: dict | str) -> JobSpecLike:
-    """Rebuild a spec from its ``to_dict`` form (or its JSON string)."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    kind = data.get("kind")
-    if kind not in SPEC_KINDS:
-        known = ", ".join(sorted(SPEC_KINDS))
-        raise ValueError(f"unknown job kind {kind!r} (known: {known})")
-    return SPEC_KINDS[kind].from_dict(data)
 
 
 def canonical_json(obj) -> str:
@@ -179,7 +137,7 @@ def job_key(
     material = canonical_json(
         {
             "schema": KEY_SCHEMA,
-            "spec": spec.to_dict(),
+            "spec": {"kind": spec.kind, **asdict(spec)},
             "engine": engine,
             "code": code_version,
         }
@@ -199,24 +157,6 @@ def chaos_grid(
         for name in names
         for seed in seeds
         for intensity in intensities
-    ]
-
-
-def bench_grid(
-    scenarios: Iterable[str] | None = None,
-    accesses: int = 6_000,
-    repeat: int = 1,
-) -> list[BenchSpec]:
-    """The bench-kind campaign: one perf-measurement cell per scenario.
-
-    This is the ``fleet bench`` preset CI's perf-smoke job runs — the
-    engine-equivalence verdicts of :class:`~repro.sim.bench.BenchSpec`
-    fanned through the supervised fleet.
-    """
-    names = list(scenarios) if scenarios is not None else list(BENCH_SCENARIOS)
-    return [
-        BenchSpec(scenario=name, accesses=accesses, repeat=repeat)
-        for name in names
     ]
 
 

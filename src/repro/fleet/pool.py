@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 
-from repro.fleet.jobs import JobSpecLike, spec_from_dict
+from repro.fleet.jobs import JobSpecLike
 
 #: Attempt outcome statuses.
 OUTCOME_OK = "ok"
@@ -74,7 +74,7 @@ def _now() -> float:
     return time.monotonic()  # lint: allow[DET001] -- supervision timeouts are real time
 
 
-def execute_job(spec_dict: dict, attempt: int, trace_path: str | None) -> dict:
+def execute_job(spec: JobSpecLike, attempt: int, trace_path: str | None) -> dict:
     """Run one job body and return its payload (raises on job error).
 
     With ``trace_path`` set, the job runs under its own fresh
@@ -88,7 +88,6 @@ def execute_job(spec_dict: dict, attempt: int, trace_path: str | None) -> dict:
     from repro.trace.session import TraceSession, tracing
     from repro.trace.sinks import ChromeTraceSink
 
-    spec = spec_from_dict(spec_dict)
     if trace_path:
         sink = ChromeTraceSink(trace_path)
         session = TraceSession(
@@ -191,10 +190,11 @@ class PoolWorker:
         timeout: float,
         trace_path: str | None = None,
     ) -> None:
-        """Lease this (idle) slot to one attempt and send the job."""
+        """Lease this (idle) slot to one attempt and send the job (the
+        frozen spec itself: the pipe pickles it)."""
         message = {
             "op": "job",
-            "spec": spec.to_dict(),
+            "spec": spec,
             "attempt": attempt,
             "trace_path": trace_path,
         }

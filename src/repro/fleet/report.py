@@ -1,12 +1,12 @@
 """Fleet-level reporting: per-cell outcomes, counters, chaos aggregation.
 
-A :class:`FleetReport` is the merged verdict of one dispatch: every cell
-ends **terminal** — ``cached`` (served from the result cache),
-``computed`` (ran to completion this invocation) or ``quarantined``
-(failed ``max_attempts`` times; reported with a one-line reproducer and
-never allowed to wedge the fleet). Reports serialize to JSON
-(``repro-fleet-report/1``), merge across shards, and aggregate chaos
-campaigns into a single verdict table: cells, verifier failures, summed
+A :class:`FleetReport` is the verdict of one dispatch: every cell ends
+**terminal** — ``cached`` (served from the result cache), ``computed``
+(ran to completion this invocation) or ``quarantined`` (failed
+``max_attempts`` times; reported with a one-line reproducer and never
+allowed to wedge the fleet). Reports serialize to JSON
+(``repro-fleet-report/1``) and aggregate chaos campaigns into a single
+verdict table: cells, verifier failures, summed
 :class:`~repro.inject.plan.ResilienceStats`, and a reproducer command for
 every failing cell.
 """
@@ -61,31 +61,16 @@ class JobOutcome:
             "payload": self.payload,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobOutcome":
-        return cls(
-            key=data["key"],
-            kind=data["kind"],
-            label=data["label"],
-            status=data["status"],
-            attempts=int(data.get("attempts", 0)),
-            seconds=float(data.get("seconds", 0.0)),
-            ok=bool(data.get("ok", True)),
-            failures=list(data.get("failures", [])),
-            reproducer=data.get("reproducer", ""),
-            payload=data.get("payload"),
-        )
-
 
 @dataclass
 class FleetReport:
-    """Everything one dispatch (or a merge of several) produced."""
+    """Everything one dispatch produced."""
 
     outcomes: list[JobOutcome] = field(default_factory=list)
     engine: str = "vector"
     code_version: str = ""
     #: How attempts ran: ``inline`` (workers=0) or ``pooled`` (warm-worker
-    #: pool); ``mixed`` after merging shards that disagree.
+    #: pool).
     dispatch_mode: str = ""
     #: Pool mode only: worker processes killed and replaced (timeout,
     #: crash, or idle death).
@@ -133,28 +118,6 @@ class FleetReport:
     @property
     def ok(self) -> bool:
         return not self.interrupted and not self.failing()
-
-    # -- composition ----------------------------------------------------------
-
-    def merge(self, other: "FleetReport") -> "FleetReport":
-        """Fold another shard's report into this one (self is mutated)."""
-        self.outcomes.extend(other.outcomes)
-        if not self.dispatch_mode:
-            self.dispatch_mode = other.dispatch_mode
-        elif other.dispatch_mode and other.dispatch_mode != self.dispatch_mode:
-            self.dispatch_mode = "mixed"
-        self.worker_recycles += other.worker_recycles
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.crashes += other.crashes
-        self.errors += other.errors
-        self.injected_crashes += other.injected_crashes
-        self.injected_hangs += other.injected_hangs
-        for name, value in other.cache.items():
-            self.cache[name] = self.cache.get(name, 0) + value
-        self.interrupted = self.interrupted or other.interrupted
-        self.wall_seconds += other.wall_seconds
-        return self
 
     # -- chaos campaign aggregation -------------------------------------------
 
@@ -225,26 +188,6 @@ class FleetReport:
             "chaos": self.chaos_summary(),
             "outcomes": [o.to_dict() for o in self.outcomes],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetReport":
-        report = cls(
-            outcomes=[JobOutcome.from_dict(o) for o in data.get("outcomes", [])],
-            engine=data.get("engine", "vector"),
-            code_version=data.get("code_version", ""),
-            dispatch_mode=data.get("dispatch_mode", ""),
-            worker_recycles=int(data.get("worker_recycles", 0)),
-            retries=int(data.get("retries", 0)),
-            timeouts=int(data.get("timeouts", 0)),
-            crashes=int(data.get("crashes", 0)),
-            errors=int(data.get("errors", 0)),
-            injected_crashes=int(data.get("injected_crashes", 0)),
-            injected_hangs=int(data.get("injected_hangs", 0)),
-            cache=dict(data.get("cache", {})),
-            interrupted=bool(data.get("interrupted", False)),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-        )
-        return report
 
     # -- rendering ------------------------------------------------------------
 

@@ -138,11 +138,6 @@ class VmSyscalls:
         delta = mm.tree.ops.stats.delta(before)
         return SyscallResult(value=0, cycles=syscall_cycles(delta, WorkCounters(), shoot))
 
-    def sys_set_mempolicy(self, process: Process, policy: PlacementPolicy) -> SyscallResult:
-        """Set the process-default data placement policy (numactl)."""
-        process.mm.data_policy = policy
-        return SyscallResult(value=0, cycles=0.0)
-
     def sys_migrate_process(
         self,
         process: Process,

@@ -174,25 +174,6 @@ def _aliases_for(index: ProjectIndex) -> dict[str, _Aliases]:
 # -- structural detectors -----------------------------------------------------
 
 
-def _ctx_vars(fn: FunctionInfo, al: _Aliases) -> set[str]:
-    """Locals bound from ``multiprocessing.get_context()``."""
-    out: set[str] = set()
-    for stmt in iter_statements(fn.node):
-        if not isinstance(stmt, ast.Assign):
-            continue
-        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-        if not names:
-            continue
-        for sub in ast.walk(stmt.value):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "get_context"
-            ):
-                out.update(names)
-    return out
-
-
 def _is_process_ctor(call: ast.Call, al: _Aliases) -> bool:
     """``Process(...)`` — bare alias, ``multiprocessing.Process``, or any
     ``<ctx>.Process`` (contexts flow through too many locals to type)."""

@@ -213,10 +213,6 @@ class Rule(ast.NodeVisitor):
     def current_function(self) -> str | None:
         return self.func_stack[-1] if self.func_stack else None
 
-    @property
-    def current_class(self) -> str | None:
-        return self.class_stack[-1] if self.class_stack else None
-
     def qualname(self) -> str:
         return ".".join(self.class_stack + self.func_stack) or "<module>"
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.units import PAGE_SHIFT, PAGE_SIZE
+from repro.units import PAGE_SIZE
 
 
 class FrameKind(enum.Enum):
@@ -48,15 +48,6 @@ class Frame:
     order: int = 0
 
     @property
-    def phys_addr(self) -> int:
-        """Base physical address of the frame."""
-        return self.pfn << PAGE_SHIFT
-
-    @property
     def nbytes(self) -> int:
         """Size of the allocation this frame heads."""
         return PAGE_SIZE << self.order
-
-    def in_replica_ring(self) -> bool:
-        """True when this frame participates in a replica ring."""
-        return self.replica_next is not None

@@ -31,11 +31,6 @@ class PageTablePageCache:
         if reserve_per_node:
             self.set_reserve(reserve_per_node)
 
-    @property
-    def reserve_target(self) -> int:
-        """Configured frames to hold per node (the sysctl value)."""
-        return self._target
-
     def pooled(self, node: int) -> int:
         """Frames currently sitting in ``node``'s pool."""
         return len(self._pools[node])

@@ -79,9 +79,6 @@ class PhysicalMemory:
         except KeyError:
             raise TopologyError(f"pfn {pfn} is not an allocated frame") from None
 
-    def is_allocated(self, pfn: int) -> bool:
-        return pfn in self._frames
-
     def stats(self, node: int) -> NodeMemStats:
         self.machine.validate_node(node)
         allocator = self._allocators[node]

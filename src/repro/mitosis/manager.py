@@ -16,11 +16,7 @@ from repro.kernel.process import Process
 from repro.kernel.sysctl import MitosisMode
 from repro.mitosis.migration import PtMigrationResult, migrate_process_with_pagetables
 from repro.mitosis.policy import ReplicationTrigger, parse_socket_list
-from repro.mitosis.replication import (
-    collapse_replicas,
-    enable_replication,
-    replica_sockets,
-)
+from repro.mitosis.replication import collapse_replicas
 
 
 @dataclass
@@ -34,7 +30,6 @@ class MitosisManager:
         self,
         process: Process,
         mask: frozenset[int] | str | None,
-        strict: bool = False,
     ) -> None:
         """Set (or clear) the page-table replication mask of a process.
 
@@ -45,11 +40,10 @@ class MitosisManager:
         Mitosis disabled) never mutates the tree, on either the set or the
         clear path.
 
-        By default a per-socket allocation failure *degrades* the request
-        to the satisfiable socket subset (recording a
+        A per-socket allocation failure *degrades* the request to the
+        satisfiable socket subset (recording a
         :class:`~repro.mitosis.degrade.DegradedState` on the mm for the
-        daemon to complete later); ``strict=True`` restores the
-        raise-on-OOM behaviour (the set-up is all-or-nothing either way).
+        daemon to complete later).
         """
         if isinstance(mask, str):
             mask = parse_socket_list(mask)
@@ -69,15 +63,9 @@ class MitosisManager:
                 self.kernel.shootdown.flush_all(self.kernel.cpu_contexts)
             mm.degraded = None
             return
-        if strict:
-            enable_replication(mm.tree, self.kernel.pagecache, mask)
-            mm.replication_mask = mask
-            mm.degraded = None
-            self.kernel.shootdown.flush_all(self.kernel.cpu_contexts)
-        else:
-            from repro.mitosis.degrade import enable_replication_resilient
+        from repro.mitosis.degrade import enable_replication_resilient
 
-            enable_replication_resilient(self.kernel, process, mask)
+        enable_replication_resilient(self.kernel, process, mask)
 
     # Listing 2 naming, for people arriving from the paper.
     numa_set_pgtable_replication_mask = set_replication_mask

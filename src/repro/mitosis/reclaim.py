@@ -17,17 +17,12 @@ from dataclasses import dataclass, field
 
 from repro.kernel.kernel import Kernel
 from repro.mitosis.replication import replica_sockets, shrink_replication
-from repro.units import PAGE_SIZE
 
 
 @dataclass
 class ReclaimReport:
     tables_freed: int = 0
     processes_shrunk: list[int] = field(default_factory=list)
-
-    @property
-    def bytes_freed(self) -> int:
-        return self.tables_freed * PAGE_SIZE
 
 
 def reclaim_replicas(

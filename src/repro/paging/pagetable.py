@@ -240,9 +240,6 @@ class PageTableTree:
 
     # -- lookup helpers -------------------------------------------------------
 
-    def page_by_pfn(self, pfn: int) -> PageTablePage:
-        return self.registry[pfn]
-
     def walk_path(self, va: int) -> list[PteLocation]:
         """Primary-copy path from the root towards ``va``'s leaf entry.
 

@@ -305,6 +305,10 @@ def run_bench(
     scenarios: list[str] | None = None,
 ) -> dict:
     """Run the harness and return the ``repro-bench-engine/2`` report."""
+    if accesses < 1:
+        raise ValueError(f"accesses must be >= 1, got {accesses}")
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
     names = list(scenarios) if scenarios else list(SCENARIOS)
     for name in names:
         if name not in SCENARIOS:
@@ -316,63 +320,6 @@ def run_bench(
         "repeat": repeat,
         "scenarios": {name: run_scenario(SCENARIOS[name], accesses, repeat) for name in names},
     }
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    """Serializable descriptor of one perf measurement (a fleet job).
-
-    The payload is one scenario's ``repro-bench-engine/2`` entry. Timing
-    numbers are wall-clock (never deterministic), but the equivalence
-    verdict is — a cached bench result answers "did the engines agree at
-    this code version", while fresh timings need a fresh run.
-    """
-
-    scenario: str
-    accesses: int = 6_000
-    repeat: int = 1
-    kind = "bench"
-
-    def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            raise ValueError(f"unknown perf scenario {self.scenario!r} (known: {known})")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "scenario": self.scenario,
-            "accesses": self.accesses,
-            "repeat": self.repeat,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchSpec":
-        return cls(
-            scenario=data["scenario"],
-            accesses=int(data.get("accesses", 6_000)),
-            repeat=int(data.get("repeat", 1)),
-        )
-
-    def label(self) -> str:
-        return f"bench:{self.scenario}@{self.accesses}"
-
-    def reproducer(self) -> str:
-        """One-line command that reruns exactly this measurement."""
-        return (
-            f"python -m repro.cli perf --scenario {self.scenario} "
-            f"--accesses {self.accesses} --repeat {self.repeat}"
-        )
-
-    def run(self, attempt: int = 1) -> dict:
-        """Execute the measurement; returns the JSON-safe payload."""
-        result = run_scenario(SCENARIOS[self.scenario], self.accesses, self.repeat)
-        return {
-            "schema": SCHEMA,
-            "ok": result["metrics_equal"],
-            "scenario": self.scenario,
-            **result,
-        }
 
 
 def write_report(report: dict, path: str) -> None:

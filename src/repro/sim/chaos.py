@@ -30,8 +30,8 @@ Every scenario takes an ``intensity`` knob that shapes its fault plan
 (probabilities and transient-fault limits scale with it), so one scenario
 spans a whole *fault-plan grid*: ``(scenario, seed, intensity)`` is the
 cell coordinate the fleet's chaos campaigns sweep
-(:mod:`repro.fleet.dispatcher`). :class:`ChaosSpec` is the serializable
-job descriptor for one such cell, and :meth:`ChaosReport.to_dict` is the
+(:mod:`repro.fleet.dispatcher`). :class:`ChaosSpec` is the frozen job
+descriptor for one such cell, and :meth:`ChaosReport.to_dict` is the
 structured verdict (``chaos --json``) the fleet and CI consume.
 """
 
@@ -69,11 +69,12 @@ def _scaled_limit(base: int, intensity: float) -> int:
 
 @dataclass(frozen=True)
 class ChaosSpec:
-    """Serializable descriptor of one chaos cell (a fleet job).
+    """Frozen descriptor of one chaos cell (a fleet job).
 
     ``(scenario, seed, intensity)`` fully determines the run: the same
     spec always injects the same faults and reaches the same verdict,
-    which is what makes the result cacheable by content hash.
+    which is what makes the result cacheable by a content hash of these
+    fields (:func:`repro.fleet.jobs.job_key`).
     """
 
     scenario: str
@@ -88,23 +89,6 @@ class ChaosSpec:
             )
         if self.intensity <= 0:
             raise ValueError("intensity must be positive")
-
-    # dataflow: sink[determinism] -- the spec dict feeds job_key
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "intensity": self.intensity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosSpec":
-        return cls(
-            scenario=data["scenario"],
-            seed=int(data["seed"]),
-            intensity=float(data.get("intensity", 1.0)),
-        )
 
     def label(self) -> str:
         return f"chaos:{self.scenario}@seed={self.seed},x{self.intensity:g}"

@@ -292,12 +292,14 @@ def measure(setup: ScenarioSetup, engine: EngineConfig | None = None) -> Scenari
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Serializable descriptor of one measured scenario run (a fleet job).
+    """Frozen descriptor of one measured scenario run (a fleet job).
 
     Everything a worker process needs to rebuild and measure the run —
     harness, workload, placement config, THP, seed — in JSON-safe fields.
-    The spec plus the engine tier and code version content-hash into the
-    fleet's cache key (:func:`repro.fleet.jobs.job_key`).
+    The fields are the spec's only encoding: with the engine tier and code
+    version they content-hash into the fleet's cache key
+    (:func:`repro.fleet.jobs.job_key`), and a pool worker receives the
+    pickled spec itself.
     """
 
     harness: str  # "multisocket" | "migration"
@@ -321,37 +323,6 @@ class ScenarioSpec:
                 f"unknown {self.harness} config {self.config!r}; "
                 f"choose from {', '.join(known)}"
             )
-
-    # dataflow: sink[determinism] -- the spec dict feeds job_key
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "harness": self.harness,
-            "workload": self.workload,
-            "config": self.config,
-            "thp": self.thp,
-            "mitosis": self.mitosis,
-            "fragmentation": self.fragmentation,
-            "footprint_mib": self.footprint_mib,
-            "accesses": self.accesses,
-            "seed": self.seed,
-            "n_sockets": self.n_sockets,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        return cls(
-            harness=data["harness"],
-            workload=data["workload"],
-            config=data["config"],
-            thp=bool(data.get("thp", False)),
-            mitosis=bool(data.get("mitosis", False)),
-            fragmentation=float(data.get("fragmentation", 0.0)),
-            footprint_mib=int(data.get("footprint_mib", 64)),
-            accesses=int(data.get("accesses", 20_000)),
-            seed=int(data.get("seed", 1234)),
-            n_sockets=int(data.get("n_sockets", 4)),
-        )
 
     def label(self) -> str:
         return f"scenario:{self.harness}/{self.workload}/{self.config}@seed={self.seed}"

@@ -274,23 +274,13 @@ class TestReportShapes:
     def test_report_round_trips_through_json(self, tmp_path):
         import json
 
-        from repro.fleet import FleetReport
-
         fleet = make_fleet(tmp_path, max_attempts=1)
         report = fleet.run([ProbeSpec(value=1), ProbeSpec(behavior="fail")])
         data = json.loads(json.dumps(report.to_dict()))
+        assert data == report.to_dict()
         assert data["schema"] == "repro-fleet-report/1"
-        rebuilt = FleetReport.from_dict(data)
-        assert rebuilt.jobs == report.jobs
-        assert rebuilt.quarantined == report.quarantined == 1
-        assert rebuilt.render() == report.render()
-
-    def test_merge_folds_counters_and_outcomes(self, tmp_path):
-        a = make_fleet(tmp_path / "a").run([ProbeSpec(value=1)])
-        b = make_fleet(tmp_path / "b", max_attempts=1).run(
-            [ProbeSpec(behavior="fail")]
-        )
-        merged = a.merge(b)
-        assert merged.jobs == 2
-        assert merged.quarantined == 1
-        assert not merged.ok
+        assert data["jobs"] == report.jobs == 2
+        assert data["quarantined"] == report.quarantined == 1
+        assert [o["status"] for o in data["outcomes"]] == [
+            STATUS_COMPUTED, STATUS_QUARANTINED
+        ]

@@ -1,19 +1,22 @@
-"""Job specs: serialization round-trips, content-addressed keys, grids."""
+"""Job specs: pickle round-trips, content-addressed keys, grids."""
 
-import json
+import dataclasses
+import os
+import pickle
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.fleet.jobs import (
     ProbeSpec,
-    SPEC_KINDS,
     canonical_json,
     chaos_grid,
     job_key,
     scenario_grid,
-    spec_from_dict,
 )
-from repro.sim.bench import BenchSpec
 from repro.sim.chaos import SCENARIOS as CHAOS_SCENARIOS
 from repro.sim.chaos import ChaosSpec
 from repro.sim.scenario import ScenarioSpec
@@ -29,28 +32,27 @@ class TestSpecRoundTrips:
                 mitosis=True, thp=True, seed=9, accesses=5_000,
             ),
             ChaosSpec(scenario="replication-oom", seed=3, intensity=2.0),
-            BenchSpec(scenario="gups-4socket", accesses=2_000, repeat=2),
             ProbeSpec(behavior="flaky", succeed_after=3, value=17),
         ],
         ids=lambda s: s.kind,
     )
-    def test_to_dict_from_dict_round_trip(self, spec):
-        data = spec.to_dict()
-        assert data["kind"] == spec.kind
-        rebuilt = spec_from_dict(data)
+    def test_pickle_round_trip(self, spec):
+        """A pool worker receives the spec pickled over its pipe: the copy
+        must be equal and derive the same cache key."""
+        rebuilt = pickle.loads(pickle.dumps(spec))
         assert rebuilt == spec
-        # and through an actual JSON string (the pipe / cache format)
-        assert spec_from_dict(json.dumps(data)) == spec
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown job kind"):
-            spec_from_dict({"kind": "no-such-kind"})
+        assert job_key(rebuilt) == job_key(spec)
 
     def test_every_registered_kind_satisfies_the_protocol(self):
-        for kind, cls in SPEC_KINDS.items():
-            assert cls.kind == kind
-            for method in ("to_dict", "from_dict", "label", "reproducer", "run"):
-                assert callable(getattr(cls, method)), f"{kind} lacks {method}"
+        classes = (ScenarioSpec, ChaosSpec, ProbeSpec)
+        assert len({cls.kind for cls in classes}) == len(classes)
+        for cls in classes:
+            # job_key hashes the fields; frozen keeps them fixed after keying.
+            assert dataclasses.is_dataclass(cls), cls.kind
+            assert cls.__dataclass_params__.frozen, cls.kind
+            assert "kind" not in {f.name for f in dataclasses.fields(cls)}
+            for method in ("label", "reproducer", "run"):
+                assert callable(getattr(cls, method)), f"{cls.kind} lacks {method}"
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -85,6 +87,32 @@ class TestJobKey:
         assert job_key(spec, engine="scalar") != job_key(spec, engine="vector")
         assert job_key(spec, code_version="0.0.0") != job_key(spec)
 
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                ScenarioSpec(
+                    harness="migration", workload="gups", config="RPI-LD",
+                    mitosis=True, footprint_mib=8, accesses=2_000, seed=3,
+                ),
+                "d852fcfa360cac562a1fe07b94e4ffcf358384aeb919042138874460b8704a9c",
+            ),
+            (
+                ChaosSpec(scenario="swap-stall", seed=9, intensity=0.5),
+                "9406e355cd098a9d53864c10979c8665f4c9b6e989fba34d651efee1b1feeef5",
+            ),
+            (
+                ProbeSpec(behavior="flaky", succeed_after=3, value=17),
+                "c8ea82bd7f17220ccc333a763db7587bdc65aaf48da857c5573cbbfcd95d39bc",
+            ),
+        ],
+        ids=["scenario", "chaos", "probe"],
+    )
+    def test_key_is_pinned(self, spec, digest):
+        """Keys name existing cache entries: a refactor of how specs are
+        encoded must reproduce these digests byte for byte."""
+        assert job_key(spec, engine="vector", code_version="pinned") == digest
+
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
 
@@ -114,6 +142,19 @@ class TestReproducers:
         spec = ScenarioSpec(harness="migration", workload="gups", config="RPI-LD")
         line = spec.reproducer()
         assert "scenario migration gups RPI-LD" in line
+
+    def test_probe_reproducer_runs_in_a_fresh_interpreter(self):
+        spec = ProbeSpec(value=17)
+        argv = shlex.split(spec.reproducer())
+        assert argv[0] == "python"
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, *argv[1:]], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == repr(spec.run(attempt=1))
 
 
 class TestProbe:

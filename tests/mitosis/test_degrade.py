@@ -16,7 +16,7 @@ from repro.machine.topology import Machine, Socket
 from repro.mitosis.background import run_to_completion, start_background_replication
 from repro.mitosis.daemon import MitosisDaemon
 from repro.mitosis.degrade import enable_replication_resilient, tables_missing_on
-from repro.mitosis.replication import replica_sockets
+from repro.mitosis.replication import enable_replication, replica_sockets
 from repro.sim.metrics import RunMetrics
 from repro.units import KIB, MIB, PAGE_SIZE
 
@@ -118,11 +118,13 @@ class TestInjectedDegradeRecoverArc:
         assert run() == run()
 
     def test_strict_mode_still_raises(self, kernel2, proc2):
+        """The all-or-nothing primitive under the resilient path still
+        raises, and leaves the mm's mask and degraded state alone."""
         plan = FaultPlan()
         plan.pagecache_oom(node=1)
         install_fault_plan(kernel2, plan)
         with pytest.raises(OutOfMemoryError):
-            kernel2.mitosis.set_replication_mask(proc2, BOTH, strict=True)
+            enable_replication(proc2.mm.tree, kernel2.pagecache, BOTH)
         assert proc2.mm.degraded is None
         assert proc2.mm.replication_mask is None
 

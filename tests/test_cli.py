@@ -170,6 +170,26 @@ class TestChaos:
         assert gentle["intensity"] == 0.25 and hostile["intensity"] == 4.0
         assert hostile["faults_injected"] > gentle["faults_injected"]
 
+    @pytest.mark.parametrize("intensity", ["0", "-1.5"])
+    def test_non_positive_intensity_is_usage_error(self, capsys, intensity):
+        code, _, err = run(capsys, "chaos", "--intensity", intensity)
+        assert code == 2
+        assert "error: intensity must be positive" in err
+
+
+class TestPerf:
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--repeat", "repeat must be >= 1"), ("--accesses", "accesses must be >= 1")],
+        ids=["repeat", "accesses"],
+    )
+    def test_non_positive_counts_are_usage_errors(self, capsys, tmp_path, flag, message):
+        out = tmp_path / "bench.json"
+        code, _, err = run(capsys, "perf", flag, "0", "--out", str(out))
+        assert code == 2
+        assert f"error: {message}" in err
+        assert not out.exists()
+
 
 class TestFleet:
     def test_campaign_inline_and_resume(self, capsys, tmp_path):

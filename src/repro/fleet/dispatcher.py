@@ -139,6 +139,8 @@ class FleetConfig:
             )
         if self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout:g}s")
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
 
 @dataclass

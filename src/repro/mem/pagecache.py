@@ -75,8 +75,12 @@ class PageTablePageCache:
         else:
             self.physmem.free(frame)
 
-    def drain(self) -> None:
-        """Return all pooled frames to the allocator (e.g. memory pressure)."""
-        for pool in self._pools.values():
-            while pool:
-                self.physmem.free(pool.pop())
+    def drain(self, node: int) -> int:
+        """Return ``node``'s pooled frames to the allocator (e.g. memory
+        pressure on that node); returns how many. The reserve target
+        stays, so later frees refill the pool."""
+        pool = self._pools[node]
+        drained = len(pool)
+        while pool:
+            self.physmem.free(pool.pop())
+        return drained

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import OutOfMemoryError, ReplicationError
-from repro.kernel.policy import FirstTouchPolicy, PlacementPolicy
 from repro.mem.frame import Frame
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.accessed_dirty import clear_ad_everywhere, read_entry_or_ad
@@ -29,21 +28,13 @@ from repro.trace.session import current_session
 class MitosisPagingOps(PagingOps):
     """Replicating backend: one page-table copy per socket in the mask."""
 
-    def __init__(
-        self,
-        pagecache: PageTablePageCache,
-        mask: frozenset[int],
-        pt_policy: PlacementPolicy | None = None,
-    ):
+    def __init__(self, pagecache: PageTablePageCache, mask: frozenset[int]):
         super().__init__()
         if not mask:
             raise ReplicationError("replication mask must name at least one socket")
         self.pagecache = pagecache
         #: Sockets that hold a replica.
         self.mask = frozenset(mask)
-        #: Placement for the primary copy when its socket is outside the
-        #: mask (only relevant while transitioning; normally unused).
-        self.pt_policy = pt_policy or FirstTouchPolicy()
 
     # -- allocation -----------------------------------------------------------
 
@@ -133,15 +124,70 @@ class MitosisPagingOps(PagingOps):
                     apply(member, index, value)
                     self.stats.pte_writes += 1
 
+    def remove_copies(
+        self,
+        tree: PageTableTree,
+        rings: list[list[PageTablePage]],
+        doomed: list[PageTablePage],
+    ) -> tuple[int, int]:
+        """Take the ``doomed`` copies out of ``rings`` and free them, the
+        inverse of :meth:`alloc_table`; returns ``(freed, repointed)``.
+
+        Each ring in ``rings`` is given primary first. A ring that loses
+        its primary promotes its first survivor (``tree.root`` follows).
+        Surviving upper-level copies that point at a doomed child are
+        repointed at the child's :func:`~repro.mitosis.ring.local_copy`
+        among its survivors. Every ring is relinked from its survivors,
+        and one left with a single copy is unlinked. The doomed copies
+        are then unregistered and freed in the order given. Counters are
+        the caller's to keep.
+        """
+        gone = {page.pfn for page in doomed}
+        kept: list[list[PageTablePage]] = []
+        survivors: dict[int, list[PageTablePage]] = {}  # doomed pfn -> its ring's survivors
+        for members in rings:
+            keep = [member for member in members if member.pfn not in gone]
+            kept.append(keep)
+            if not keep or len(keep) == len(members):
+                continue
+            survivors.update((member.pfn, keep) for member in members if member.pfn in gone)
+            head = keep[0]
+            if head.primary is not None and head.primary.pfn in gone:
+                if tree.root is head.primary:
+                    tree.root = head
+                head.primary = None
+                for member in keep[1:]:
+                    member.primary = head
+        repointed = 0
+        # Nothing points into a ring torn down whole, so teardown skips the scan.
+        for keep in kept if survivors else ():
+            if not keep or keep[0].level == LEAF_LEVEL:
+                continue
+            for member in keep:
+                for index, entry in enumerate(member.entries):
+                    if not pte_present(entry) or pte_huge(entry):
+                        continue
+                    child_ring = survivors.get(pte_pfn(entry))
+                    if child_ring is not None:
+                        child = local_copy(child_ring, member.node)
+                        value = make_pte(child.pfn, pte_flags(entry))
+                        self.apply_entry_write(member, index, value)
+                        repointed += 1
+        for members, keep in zip(rings, kept):
+            unlink_ring(members)
+            if len(keep) > 1:
+                link_ring(keep)
+        for page in doomed:
+            del tree.registry[page.pfn]
+            self.pagecache.free(page.frame)
+        return len(doomed), repointed
+
     def release_table(self, tree: PageTableTree, page: PageTablePage) -> None:
         """Free the whole replica ring of ``page``."""
         members = ring_members(tree, page)
         self.stats.ring_hops += len(members)
-        unlink_ring(members)
-        for member in members:
-            del tree.registry[member.pfn]
-            self.pagecache.free(member.frame)
-        self.stats.tables_released += len(members)
+        freed, _ = self.remove_copies(tree, [members], members)
+        self.stats.tables_released += freed
         session = current_session()
         if session is not None:
             session.instant(

@@ -64,8 +64,6 @@ def reclaim_replicas(
                     mm.replication_mask = None
                 kernel.shootdown.flush_all(kernel.cpu_contexts)
     # Page-cache reserves on this node are insurance too.
-    if not satisfied() and kernel.pagecache.pooled(node):
-        pooled_before = kernel.pagecache.pooled(node)
-        kernel.pagecache.set_reserve(0)
-        report.tables_freed += pooled_before
+    if not satisfied():
+        report.tables_freed += kernel.pagecache.drain(node)
     return report

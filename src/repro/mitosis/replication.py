@@ -11,21 +11,28 @@ cleared, and by page-table migration's eager-free mode, §5.5).
 from __future__ import annotations
 
 from repro.errors import OutOfMemoryError, ReplicationError
-from repro.kernel.policy import PlacementPolicy
 from repro.kernel.pvops import NativePagingOps
 from repro.mem.frame import Frame
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.backend import MitosisPagingOps
-from repro.mitosis.ring import link_ring, ring_members, unlink_ring
-from repro.paging.levels import LEAF_LEVEL
-from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
-from repro.paging.pte import make_pte, pte_flags, pte_huge, pte_pfn, pte_present
+from repro.mitosis.lazy import LazyMitosisPagingOps
+from repro.mitosis.ring import ring_members
+from repro.paging.pagetable import PageTablePage, PageTableTree
 from repro.trace.session import current_session
 
 
 def replica_sockets(tree: PageTableTree) -> frozenset[int]:
     """Sockets currently holding a copy of the tree's root."""
     return frozenset(member.node for member in ring_members(tree, tree.root))
+
+
+def _apply_queued_updates(tree: PageTableTree) -> None:
+    """Apply a lazy backend's deferred updates (§7.2) to every copy before
+    the rings change, so none is lost with a swapped backend or replayed
+    into a freed copy's reused frame."""
+    if isinstance(tree.ops, LazyMitosisPagingOps):
+        for socket in tree.ops.queues:
+            tree.ops.sync_socket(tree, socket)
 
 
 # protocol: defers[translation-visibility] -- caller owns the TLB shootdown after the table change
@@ -58,6 +65,7 @@ def _enable_replication(
 ) -> MitosisPagingOps:
     if not mask:
         raise ReplicationError("empty mask; use collapse_replicas to disable")
+    _apply_queued_updates(tree)
     primaries = list(tree.iter_tables())
     new_ops = MitosisPagingOps(pagecache, mask)
     new_ops.stats = tree.ops.stats  # carry counters across the backend swap
@@ -93,7 +101,7 @@ def _enable_replication(
         for primary, plan in zip(reversed(primaries), reversed(plans)):
             new_ops.alloc_table(tree, primary.level, primary.node, primary=primary, take=plan.pop)
     except Exception:
-        _rollback_partial_enable(tree, pagecache, primaries, plans, fresh)
+        _rollback_partial_enable(tree, new_ops, primaries, plans, fresh)
         raise
 
     tree.ops = new_ops
@@ -102,50 +110,24 @@ def _enable_replication(
 
 def _rollback_partial_enable(
     tree: PageTableTree,
-    pagecache: PageTablePageCache,
+    new_ops: MitosisPagingOps,
     primaries: list[PageTablePage],
     plans: list[dict[int, Frame]],
     fresh: list[Frame],
 ) -> None:
     """Unwind a failed :func:`enable_replication` mid-walk.
 
-    The copies built so far are the registered pages on ``fresh`` frames.
-    Surviving copies may point at one of them: repoint those entries at
-    the child ring's primary first, then unlink the new copies out of
-    their rings, drop them from the registry and hand their frames back
-    to the page-cache. Frames not yet taken from ``plans`` go back too.
+    The copies built so far are the registered pages on ``fresh`` frames;
+    they leave their rings through :meth:`MitosisPagingOps.remove_copies`.
+    Frames not yet taken from ``plans`` go back to the page-cache too.
     """
-    created = {f.pfn: tree.registry[f.pfn] for f in fresh if f.pfn in tree.registry}
+    created = [tree.registry[f.pfn] for f in fresh if f.pfn in tree.registry]
     rings = [ring_members(tree, primary) for primary in primaries]
-    # Repoint survivors away from copies that are about to be freed.
-    for members in rings:
-        if members[0].level == LEAF_LEVEL:
-            continue
-        for member in members:
-            if member.pfn in created:
-                continue
-            for index, entry in enumerate(member.entries):
-                if not pte_present(entry) or pte_huge(entry):
-                    continue
-                doomed = created.get(pte_pfn(entry))
-                if doomed is not None:
-                    PagingOps.apply_entry_write(
-                        member, index, make_pte(doomed.primary.pfn, pte_flags(entry))
-                    )
-    # Restore ring linkage and free every fresh copy.
-    for members in rings:
-        keep = [m for m in members if m.pfn not in created]
-        if len(keep) < len(members):
-            unlink_ring(members)
-            if len(keep) > 1:
-                link_ring(keep)
-    for copy in created.values():
-        del tree.registry[copy.pfn]
-        pagecache.free(copy.frame)
-        tree.ops.stats.tables_allocated -= 1
+    freed, _ = new_ops.remove_copies(tree, rings, created)
+    new_ops.stats.tables_allocated -= freed
     for plan in plans:
         for frame in plan.values():
-            pagecache.free(frame)
+            new_ops.pagecache.free(frame)
     session = current_session()
     if session is not None:
         # The fixup arc: a failed enable was unwound back to the
@@ -190,66 +172,26 @@ def _shrink_replication(
     pagecache: PageTablePageCache,
     drop_sockets: frozenset[int],
 ) -> int:
-    # Pass A: decide what goes. Primaries always stay.
-    rings = []
-    dropping: dict[int, PageTablePage] = {}  # dropped pfn -> its ring's primary
-    for primary in tree.iter_tables():
-        members = ring_members(tree, primary)
-        rings.append((primary, members))
-        for member in members:
-            if member.is_replica and member.node in drop_sockets:
-                dropping[member.pfn] = primary
-
-    # Pass B: surviving copies must not point at dropped child replicas —
-    # repoint them at the child's primary (a remote-but-valid fallback,
-    # exactly what an unmasked socket walks anyway).
-    for primary, members in rings:
-        if primary.level == LEAF_LEVEL:
-            continue
-        for member in members:
-            if member.pfn in dropping:
-                continue
-            for index, entry in enumerate(member.entries):
-                if not pte_present(entry) or pte_huge(entry):
-                    continue
-                target = dropping.get(pte_pfn(entry))
-                if target is not None:
-                    PagingOps.apply_entry_write(
-                        member, index, make_pte(target.pfn, pte_flags(entry))
-                    )
-                    tree.ops.stats.pte_writes += 1
-
-    # Pass C: relink rings and free the dropped frames.
-    freed = 0
-    for primary, members in rings:
-        keep = [m for m in members if m.pfn not in dropping]
-        drop = [m for m in members if m.pfn in dropping]
-        if not drop:
-            continue
-        unlink_ring(members)
-        link_ring(keep)
-        for member in drop:
-            del tree.registry[member.pfn]
-            pagecache.free(member.frame)
-            tree.ops.stats.tables_released += 1
-            freed += 1
-    if isinstance(tree.ops, MitosisPagingOps):
-        # New tables keep covering whatever the mask still asks for.
-        new_mask = tree.ops.mask - drop_sockets
-        tree.ops.mask = new_mask or frozenset({tree.root.node})
-        # Downgrade to the native backend only when *every* ring is a
-        # singleton (rings are heterogeneous when primaries sit outside
-        # the mask, so the root ring alone proves nothing).
-        all_single = all(
-            page.frame.replica_next is None or page.frame.replica_next == page.pfn
-            for page in tree.registry.values()
-        )
-        if all_single:
-            new_ops = NativePagingOps(pagecache)
-            new_ops.stats = tree.ops.stats
-            tree.ops = new_ops
-            for page in tree.registry.values():
-                page.frame.replica_next = None
+    ops = tree.ops
+    if not isinstance(ops, MitosisPagingOps):
+        return 0  # nothing is replicated
+    _apply_queued_updates(tree)
+    rings = [ring_members(tree, primary) for primary in tree.iter_tables()]
+    # Primaries always stay. A survivor that pointed at a dropped child
+    # replica now points at the child's primary, a remote but valid
+    # fallback (exactly what an unmasked socket walks anyway).
+    dropping = [m for ring in rings for m in ring if m.is_replica and m.node in drop_sockets]
+    freed, repointed = ops.remove_copies(tree, rings, dropping)
+    ops.stats.pte_writes += repointed
+    ops.stats.tables_released += freed
+    # New tables keep covering whatever the mask still asks for.
+    ops.mask = (ops.mask - drop_sockets) or frozenset({tree.root.node})
+    # Downgrade to the native backend only when *every* ring is a
+    # singleton (rings are heterogeneous when primaries sit outside the
+    # mask, so the root ring alone proves nothing).
+    if all(page.frame.replica_next is None for page in tree.registry.values()):
+        tree.ops = NativePagingOps(pagecache)
+        tree.ops.stats = ops.stats
     return freed
 
 
@@ -258,7 +200,6 @@ def collapse_replicas(
     tree: PageTableTree,
     pagecache: PageTablePageCache,
     keep_socket: int,
-    pt_policy: PlacementPolicy | None = None,
 ) -> NativePagingOps:
     """Dissolve replication, keeping only the copy on ``keep_socket``.
 
@@ -276,11 +217,11 @@ def collapse_replicas(
     """
     session = current_session()
     if session is None:
-        return _collapse_replicas(tree, pagecache, keep_socket, pt_policy)
+        return _collapse_replicas(tree, pagecache, keep_socket)
     with session.span(
         "mitosis.collapse", category="mitosis", keep_socket=keep_socket
     ):
-        return _collapse_replicas(tree, pagecache, keep_socket, pt_policy)
+        return _collapse_replicas(tree, pagecache, keep_socket)
 
 
 # protocol: defers[translation-visibility] -- caller owns the TLB shootdown after the table change
@@ -288,29 +229,15 @@ def _collapse_replicas(
     tree: PageTableTree,
     pagecache: PageTablePageCache,
     keep_socket: int,
-    pt_policy: PlacementPolicy | None = None,
 ) -> NativePagingOps:
     # Gap-fill: guarantee every ring has a copy on the kept socket before
-    # any mutation (enable_replication is idempotent and OOM-atomic).
-    enable_replication(tree, pagecache, frozenset({keep_socket}))
-    new_ops = NativePagingOps(pagecache, pt_policy=pt_policy)
-    new_ops.stats = tree.ops.stats
-
-    for primary in list(tree.iter_tables()):
-        members = ring_members(tree, primary)
-        keep = next((m for m in members if m.node == keep_socket), None)
-        assert keep is not None, "gap-fill guaranteed a copy on the kept socket"
-        unlink_ring(members)
-        keep.primary = None
-        for member in members:
-            if member is keep:
-                continue
-            del tree.registry[member.pfn]
-            pagecache.free(member.frame)
-            new_ops.stats.tables_released += 1
-        if primary is tree.root:
-            new_root = keep
-
-    tree.root = new_root
-    tree.ops = new_ops
-    return new_ops
+    # any mutation (enable_replication is idempotent and OOM-atomic, and
+    # applies a lazy backend's queued updates first).
+    ops = enable_replication(tree, pagecache, frozenset({keep_socket}))
+    rings = [ring_members(tree, primary) for primary in tree.iter_tables()]
+    doomed = [m for ring in rings for m in ring if m.node != keep_socket]
+    freed, _ = ops.remove_copies(tree, rings, doomed)
+    ops.stats.tables_released += freed
+    tree.ops = NativePagingOps(pagecache)
+    tree.ops.stats = ops.stats
+    return tree.ops

@@ -42,6 +42,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="timeout must be positive"):
             FleetConfig(timeout=timeout)
 
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_max_attempts_below_one_rejected(self, attempts):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            FleetConfig(max_attempts=attempts)
+
 
 class TestEngineTier:
     """Cache keys and the report name the tier the jobs actually ran on."""

@@ -146,8 +146,8 @@ class KernelMachine(RuleBasedStateMachine):
 
     def teardown(self):
         self.kernel.destroy_process(self.process)
-        self.kernel.pagecache.drain()
         for node in range(N_SOCKETS):
+            self.kernel.pagecache.drain(node)
             assert self.kernel.physmem.stats(node).used_frames == 0, "frame leak"
 
 

@@ -95,6 +95,6 @@ class TestAllocation:
 
     def test_drain_releases_everything(self, physmem2):
         cache = PageTablePageCache(physmem2, reserve_per_node=3)
-        cache.drain()
+        assert [cache.drain(node) for node in (0, 1)] == [3, 3]
         assert cache.pooled(0) == 0
         assert physmem2.stats(0).used_frames == 0

@@ -188,3 +188,21 @@ class TestReclaimPressure:
                 members = ring_members(tree, primary)
                 assert sum(1 for m in members if m.primary is None) == 1
                 assert all(m.node != 2 for m in members)
+
+
+class TestReclaimPageCache:
+    def test_only_the_reclaimed_nodes_pool_is_released(self, machine2):
+        from repro.kernel.kernel import Kernel
+        from repro.kernel.sysctl import MitosisMode, Sysctl
+
+        kernel = Kernel(
+            machine2,
+            sysctl=Sysctl(mitosis_mode=MitosisMode.PER_PROCESS, pt_pagecache_frames=8),
+        )
+        assert (kernel.pagecache.pooled(0), kernel.pagecache.pooled(1)) == (8, 8)
+        report = reclaim_replicas(kernel, node=1, target_free_frames=10**9)
+        assert report.tables_freed == 8
+        assert (kernel.pagecache.pooled(0), kernel.pagecache.pooled(1)) == (8, 0)
+        # The §5.1 reserve target stands: a freed table frame refills the pool.
+        kernel.pagecache.free(kernel.pagecache.alloc(1))
+        assert kernel.pagecache.pooled(1) == 1

@@ -90,6 +90,28 @@ class TestScenario:
         assert "unknown migration config" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-8"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["numactl", "gups"],
+        ["scenario", "migration", "gups", "RPI-LD"],
+        ["dump", "memcached"],
+        ["fleet", "sweep"],
+        ["trace", "dump", "memcached"],
+    ],
+    ids=["numactl", "scenario", "dump", "fleet", "trace"],
+)
+def test_footprint_below_one_mib_is_usage_error(capsys, tmp_path, argv, value):
+    cache = tmp_path / "cache"
+    extra = ["--cache-dir", str(cache)] if argv[0] == "fleet" else []
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--footprint-mib", value, *extra])
+    assert exc.value.code == 2
+    assert "argument --footprint-mib: must be at least 1" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 class TestAnalysisCommands:
     def test_dump(self, capsys):
         code, out, _ = run(capsys, "dump", "memcached", "--footprint-mib", "16")
@@ -281,6 +303,16 @@ class TestFleet:
         )
         assert code == 2
         assert f"error: {message}" in err
+        assert out == ""  # rejected before any cell ran
+        assert not (tmp_path / "cache").exists()
+
+    def test_max_attempts_below_one_rejected(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "fleet", "campaign", "--seeds", "0", "--max-attempts", "0",
+            "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert code == 2
+        assert "error: max_attempts must be >= 1" in err
         assert out == ""  # rejected before any cell ran
         assert not (tmp_path / "cache").exists()
 

@@ -62,7 +62,8 @@ class PTEWriteBypassError(ReproError):
 
     Raised by :class:`repro.lint.sanitizer.PTESanitizer` (debug mode) when
     a store into ``PageTablePage.entries`` does not originate inside
-    ``PagingOps.apply_entry_write`` or a hardware walker — the runtime
+    ``PagingOps.apply_entry_write``, its run form ``apply_entry_run`` or
+    a hardware walker — the runtime
     twin of the ``PVOPS001`` static rule.
     """
 

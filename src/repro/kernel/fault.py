@@ -12,9 +12,12 @@ skew in §3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import and_
 
 from repro.errors import ProtectionFault, SegmentationFault
 from repro.kernel.costs import WorkCounters
+from repro.kernel.policy import PlacementPolicy
 from repro.kernel.process import MappedFrame, MemoryDescriptor, Process
 from repro.kernel.thp import ThpController
 from repro.kernel.vma import Vma
@@ -22,7 +25,7 @@ from repro.mem.frame import Frame
 from repro.mem.physmem import PhysicalMemory
 from repro.paging.levels import LEAF_LEVEL, level_index
 from repro.paging.pagetable import PageTablePage
-from repro.paging.pte import pte_writable
+from repro.paging.pte import PTE_WRITABLE, pte_writable
 from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE
 
 
@@ -127,8 +130,10 @@ class PageFaultHandler:
         check only), and every fresh page is one fault with its own
         placement decision and data frame, allocated in the same order.
         The difference is cost: THP eligibility is scanned once per 2 MiB
-        window, and each leaf table is descended to once and gets its run
-        of fresh PTEs in one PV-Ops call under one ``mm.lock()``.
+        window, each leaf table is descended to once under one
+        ``mm.lock()``, and each run of fresh pages in it gets its frames
+        from one physical-memory call, its PTEs from one PV-Ops run write
+        and its records in one update.
 
         Returns the pages zeroed. On an exception every page before the
         failing one stays mapped, as with the per-page loop.
@@ -163,7 +168,12 @@ class PageFaultHandler:
         work: WorkCounters,
     ) -> int:
         """Fault the pages ``[pos, limit)`` of one VMA inside one 2 MiB
-        window (one leaf table); returns where the scan resumes."""
+        window (one leaf table); returns where the scan resumes.
+
+        The window is taken one maximal run at a time: a run of mapped
+        pages is one write-permission check over its table slice, a
+        swapped page is one swap-in, and a run of fresh pages is one
+        :meth:`_fault_run`."""
         mm = process.mm
         frames = mm.frames
         head = frames.get(pos & ~(HUGE_PAGE_SIZE - 1))
@@ -178,52 +188,70 @@ class PageFaultHandler:
         policy = vma.data_policy or mm.data_policy
         try_huge = allow_huge
         table: PageTablePage | None = None
-        run_start = pos
-        run: list[Frame] = []
         with mm.lock():
-            try:
-                while pos < limit:
-                    mapped = frames.get(pos)
-                    if mapped is not None or pos in swapped:
-                        # Not a fresh page: it ends the current run.
-                        if run:
-                            self._map_leaves(mm, vma, table, run_start, run)
-                            run = []
-                        try_huge = False
-                        if mapped is None:
-                            self.handle(process, pos, socket, is_write=True)  # swap-in
-                        else:
-                            if table is None:
-                                location = mm.tree.leaf_location(pos)
-                                assert location is not None
-                                table = location.page
-                            if not pte_writable(table.entries[level_index(pos, LEAF_LEVEL)]):
-                                raise ProtectionFault(pos, "write")
-                        pos += PAGE_SIZE
-                        run_start = pos
-                        continue
-                    self.faults_handled += 1
-                    node = policy.choose_node(socket)
-                    if try_huge:
-                        # The window is empty here, so one scan decides it.
-                        try_huge = False
-                        if self.thp.eligible(mm, vma, pos):
+            while pos < limit:
+                end = pos + PAGE_SIZE
+                if pos in frames:
+                    while end < limit and end in frames:
+                        end += PAGE_SIZE
+                    if table is None:
+                        location = mm.tree.leaf_location(pos)
+                        assert location is not None
+                        table = location.page
+                    _check_writable(table, pos, end)
+                elif pos in swapped:
+                    self.handle(process, pos, socket, is_write=True)  # swap-in
+                else:
+                    run: list[Frame] = []
+                    if table is None:
+                        # The first fresh page keeps handle()'s order: the
+                        # THP decision (the window is empty here, so one
+                        # scan decides it), its data frame, then the descent.
+                        self.faults_handled += 1
+                        node = policy.choose_node(socket)
+                        if try_huge and self.thp.eligible(mm, vma, pos):
                             frame = self.thp.alloc(node)
                             if frame is not None:
                                 self._map_huge(mm, vma, pos, frame, socket)
                                 work.pages_zeroed_2m += 1
                                 return pos + HUGE_PAGE_SIZE
-                    frame = self.physmem.alloc_frame_fallback(node)
-                    if table is None:
-                        # After the first page's data frame, as in handle().
+                        run.append(self.physmem.alloc_frame_fallback(node))
                         table = mm.tree.leaf_table(pos, LEAF_LEVEL, socket)
-                    run.append(frame)
-                    work.pages_zeroed_4k += 1
-                    pos += PAGE_SIZE
-            finally:
-                if run:
-                    self._map_leaves(mm, vma, table, run_start, run)
+                    while end < limit and end not in frames and end not in swapped:
+                        end += PAGE_SIZE
+                    self._fault_run(mm, vma, table, pos, end, policy, socket, run)
+                    work.pages_zeroed_4k += len(run)
+                try_huge = False
+                pos = end
         return pos
+
+    def _fault_run(
+        self,
+        mm: MemoryDescriptor,
+        vma: Vma,
+        table: PageTablePage,
+        base: int,
+        end: int,
+        policy: PlacementPolicy,
+        socket: int,
+        run: list[Frame],
+    ) -> None:
+        """Fault the fresh pages ``[base, end)`` of ``table``; ``run``
+        holds the frames of its first pages if they are allocated already.
+        One frame pass allocates the rest (one placement decision and one
+        fault each), then one run write maps every page allocated, also
+        when an allocation fails part-way. The caller holds ``mm.lock()``."""
+        count = (end - base) // PAGE_SIZE - len(run)
+        done = len(run)
+        try:
+            self.physmem.alloc_frames_fallback(count, partial(policy.choose_node, socket), run)
+        except BaseException:
+            self.faults_handled += len(run) - done + 1  # the failing page too
+            raise
+        finally:
+            if run:
+                self._map_leaves(mm, vma, table, base, run)
+        self.faults_handled += count
 
     @staticmethod
     def _map_huge(mm: MemoryDescriptor, vma: Vma, va: int, frame: Frame, socket: int) -> None:
@@ -241,6 +269,20 @@ class PageFaultHandler:
         leaf ``table`` with one run write, and record them in ``mm``.
         The caller holds ``mm.lock()``."""
         mm.tree.map_run(table, base, [frame.pfn for frame in frames], vma.prot)
-        for offset, frame in enumerate(frames):
-            va = base + offset * PAGE_SIZE
-            mm.frames[va] = MappedFrame(va=va, frame=frame, huge=False)
+        vas = range(base, base + len(frames) * PAGE_SIZE, PAGE_SIZE)
+        mm.frames.update({va: MappedFrame(va, frame, False) for va, frame in zip(vas, frames)})
+
+
+def _check_writable(table: PageTablePage, base: int, end: int) -> None:
+    """The write-permission check of spurious write faults on the mapped
+    pages ``[base, end)`` of the leaf ``table``, in one pass.
+
+    Raises:
+        ProtectionFault: at the first read-only page.
+    """
+    first = level_index(base, LEAF_LEVEL)
+    entries = table.entries[first : first + (end - base) // PAGE_SIZE]
+    if reduce(and_, entries) & PTE_WRITABLE:
+        return
+    offset = next(i for i, entry in enumerate(entries) if not pte_writable(entry))
+    raise ProtectionFault(base + offset * PAGE_SIZE, "write")

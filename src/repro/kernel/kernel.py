@@ -10,6 +10,8 @@ require.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.inject.plan import ResilienceStats
 from repro.kernel.autonuma import AutoNuma
 from repro.kernel.fault import PageFaultHandler
@@ -54,14 +56,14 @@ class Kernel(VmSyscalls):
         self.contention = ContentionTracker()
         self.thp = ThpController(self.physmem)
         self.fault_handler = PageFaultHandler(self.physmem, self.thp)
-        self.swap = SwapManager(self)
-        self.fault_handler.swap = self.swap
-        self.autonuma = AutoNuma(self.physmem)
-        self.scheduler = Scheduler(self.physmem)
         self.shootdown = TlbShootdown()
         #: Hardware translation contexts registered by the engine; the
         #: shootdown path flushes them.
         self.cpu_contexts: list[tuple[TlbHierarchy, MmuCaches]] = []
+        self.swap = SwapManager(self.physmem, self.shootdown, self.cpu_contexts)
+        self.fault_handler.swap = self.swap
+        self.autonuma = AutoNuma(self.physmem)
+        self.scheduler = Scheduler(self.physmem)
         self.processes: dict[int, Process] = {}
         self._next_pid = 1
         self._mitosis = None
@@ -74,11 +76,14 @@ class Kernel(VmSyscalls):
     @property
     def mitosis(self):
         """The Mitosis policy manager (created lazily to keep the kernel
-        importable without the mitosis package and vice versa)."""
+        importable without the mitosis package and vice versa).
+
+        It reaches the kernel through a weak proxy, so a dropped kernel
+        is freed at once instead of waiting for the cyclic collector."""
         if self._mitosis is None:
             from repro.mitosis.manager import MitosisManager
 
-            self._mitosis = MitosisManager(self)
+            self._mitosis = MitosisManager(weakref.proxy(self))
         return self._mitosis
 
     def create_process(

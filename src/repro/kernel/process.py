@@ -42,7 +42,7 @@ class MmLock:
             self._depth -= 1
 
 
-@dataclass
+@dataclass(slots=True)
 class MappedFrame:
     """Bookkeeping for one mapped leaf: the backing frame and its size."""
 

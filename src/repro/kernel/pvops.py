@@ -50,9 +50,7 @@ class NativePagingOps(PagingOps):
     def set_pte_run(
         self, tree: PageTableTree, page: PageTablePage, start_index: int, values: list[int]
     ) -> None:
-        apply = self.apply_entry_write
-        for offset, value in enumerate(values):
-            apply(page, start_index + offset, value)
+        self.apply_entry_run(page, start_index, values)
         self.stats.pte_writes += len(values)
 
     def read_pte(self, tree: PageTableTree, page: PageTablePage, index: int) -> int:

@@ -21,7 +21,11 @@ from dataclasses import dataclass, field
 from repro.errors import InvalidMappingError, OutOfMemoryError
 from repro.inject.plan import SITE_SWAP_STALL
 from repro.kernel.process import MappedFrame, Process
+from repro.mem.physmem import PhysicalMemory
 from repro.paging.pte import PTE_ACCESSED, PTE_DIRTY
+from repro.tlb.mmu_cache import MmuCaches
+from repro.tlb.shootdown import TlbShootdown
+from repro.tlb.tlb import TlbHierarchy
 from repro.units import PAGE_SIZE
 
 #: Cost of writing one 4 KiB page to the swap device.
@@ -91,10 +95,22 @@ class SwapStats:
 
 
 class SwapManager:
-    """Clock-style reclaim over one kernel's processes."""
+    """Clock-style reclaim over one kernel's processes.
 
-    def __init__(self, kernel, device: SwapDevice | None = None):
-        self.kernel = kernel
+    It holds the kernel parts it uses, not the kernel: the physical
+    memory it frees and allocates, and the shootdown with the contexts
+    it flushes."""
+
+    def __init__(
+        self,
+        physmem: PhysicalMemory,
+        shootdown: TlbShootdown,
+        cpu_contexts: list[tuple[TlbHierarchy, MmuCaches]],
+        device: SwapDevice | None = None,
+    ):
+        self.physmem = physmem
+        self.shootdown = shootdown
+        self.cpu_contexts = cpu_contexts
         self.device = device or SwapDevice(capacity_slots=1 << 20)
         self.stats = SwapStats()
         #: Optional :class:`repro.inject.plan.FaultPlan` for I/O stalls.
@@ -166,9 +182,9 @@ class SwapManager:
         with mm.lock():
             removed = mm.tree.unmap_page(va)
         mm.swapped[va] = SwapEntry(slot=slot, prot=removed.flags)
-        self.kernel.physmem.free(mapped.frame)
+        self.physmem.free(mapped.frame)
         del mm.frames[va]
-        cycles += self.kernel.shootdown.flush_all(self.kernel.cpu_contexts)
+        cycles += self.shootdown.flush_all(self.cpu_contexts)
         self.stats.pages_swapped_out += 1
         return cycles
 
@@ -181,7 +197,7 @@ class SwapManager:
         vma = mm.vmas.find(va)
         assert vma is not None, "swapped page outside any VMA"
         policy = vma.data_policy or mm.data_policy
-        frame = self.kernel.physmem.alloc_frame_fallback(policy.choose_node(socket))
+        frame = self.physmem.alloc_frame_fallback(policy.choose_node(socket))
         with mm.lock():
             mm.tree.map_page(va, frame.pfn, entry.prot, node_hint=socket)
         mm.frames[va] = MappedFrame(va=va, frame=frame, huge=False)

@@ -28,7 +28,8 @@ This package is that tooling, in two halves:
 * **dynamic**: :class:`repro.lint.sanitizer.PTESanitizer`, a debug-mode
   guard around :class:`~repro.paging.pagetable.PageTablePage` entries
   that records writer provenance and raises on any store that does not
-  originate inside ``apply_entry_write`` (or a hardware walker).
+  originate inside ``apply_entry_write`` or ``apply_entry_run`` (or a
+  hardware walker).
 
 See ``docs/static-analysis.md`` for the rule catalogue and the
 suppression policy (``# lint: allow[<RULE>] -- justification``).

@@ -1,9 +1,9 @@
 """PV-Ops contract rules.
 
 ``PVOPS001`` — every physical page-table entry store must flow through
-``PagingOps.apply_entry_write`` (paper §5.2, Listing 1): it is the single
-choke point that keeps valid-entry counts correct and, under Mitosis,
-keeps replicas coherent. Any other ``*.entries[...]`` store or in-place
+``PagingOps.apply_entry_write`` or its run form ``apply_entry_run``
+(paper §5.2, Listing 1): they are the choke point that keeps valid-entry
+counts correct and, under Mitosis, keeps replicas coherent. Any other ``*.entries[...]`` store or in-place
 mutation is a replication-coherence bypass — written directly, or through
 a local the function bound to ``<x>.entries`` (``entries = page.entries;
 entries[i] = v``), the static twin of what the runtime ``PTESanitizer``
@@ -28,9 +28,10 @@ import ast
 from repro.lint.core import Rule, register_rule
 from repro.lint.flow import iter_statements
 
-#: The one blessed writer function. A raw entries store is legal only
-#: lexically inside a function with this name (the PV-Ops choke point).
-BLESSED_WRITER = "apply_entry_write"
+#: The blessed writer functions. A raw entries store is legal only
+#: lexically inside a function with one of these names (the PV-Ops choke
+#: point: one entry, or one run of entries).
+BLESSED_WRITERS = frozenset({"apply_entry_write", "apply_entry_run"})
 
 #: ``module:qualname`` sites exempt from PVOPS001 without an inline
 #: comment. Kept empty on purpose: exemptions should be visible at the
@@ -145,7 +146,7 @@ class PteWriteRule(Rule):
     visit_AsyncFunctionDef = _visit_function
 
     def _allowed_here(self) -> bool:
-        if self.current_function == BLESSED_WRITER:
+        if self.current_function in BLESSED_WRITERS:
             return True
         return f"{self.module}:{self.qualname()}" in PVOPS001_ALLOWLIST
 

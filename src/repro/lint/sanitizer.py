@@ -6,8 +6,9 @@ afterwards gets its ``entries`` list wrapped in :class:`GuardedEntries`,
 whose ``__setitem__`` walks the caller stack and
 
 * **allows** stores originating inside ``PagingOps.apply_entry_write``
-  (the PV-Ops choke point) or inside a hardware walker's ``walk`` (real
-  MMUs set A/D bits without telling the OS — §5.4);
+  or its run form ``apply_entry_run`` (the PV-Ops choke point) or inside
+  a hardware walker's ``walk`` or ``walk_into`` (real MMUs set A/D bits
+  without telling the OS — §5.4);
 * **records** writer provenance (function, file, line) for every store in
   a bounded ring, so a chaos failure can answer "who wrote this PTE?";
 * **raises** :class:`~repro.errors.PTEWriteBypassError` on anything else.
@@ -32,14 +33,16 @@ from repro.paging.pagetable import PageTablePage
 ENV_FLAG = "REPRO_PTE_SANITIZER"
 
 #: Stack frames whose mere presence legitimises a store: the PV-Ops choke
-#: point, anywhere it is defined.
-ALLOWED_WRITER_FUNCTIONS = frozenset({"apply_entry_write"})
+#: point and its run form, anywhere they are defined.
+ALLOWED_WRITER_FUNCTIONS = frozenset({"apply_entry_write", "apply_entry_run"})
 
 #: ``(function name, filename suffix)`` pairs for hardware-side writers:
-#: the 1D and the nested (2D) page-table walkers set A/D bits directly,
-#: exactly as the MMU does — outside PV-Ops *by design*.
+#: the 1D walker (per walk, and batched into caller-owned arrays) and the
+#: nested (2D) walker set A/D bits directly, exactly as the MMU does —
+#: outside PV-Ops *by design*.
 HARDWARE_WRITERS: tuple[tuple[str, str], ...] = (
     ("walk", "paging/walker.py"),
+    ("walk_into", "paging/walker.py"),
     ("walk", "virt/nested.py"),
 )
 
@@ -218,7 +221,7 @@ class PTESanitizer:
             depth += 1
         record = WriteRecord(
             page_pfn=entries.page_pfn,
-            index=index if isinstance(index, int) else -1,
+            index=index if isinstance(index, int) else getattr(index, "start", -1),
             value=value if isinstance(value, int) else 0,
             writer=nearest.f_code.co_name,
             filename=nearest.f_code.co_filename,

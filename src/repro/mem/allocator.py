@@ -81,7 +81,8 @@ class NodeAllocator:
                 fault plan injected one — indistinguishable to callers, by
                 design).
         """
-        self._maybe_inject(PAGE_SIZE)
+        if self.fault_plan is not None:
+            self._maybe_inject(PAGE_SIZE)
         if self._free_ranges:
             last = self._free_ranges[-1]
             pfn = last[0]
@@ -96,9 +97,9 @@ class NodeAllocator:
             self._free_ranges.append([head + 1, PAGES_PER_HUGE_PAGE - 1])
             self._used_frames += 1
             return head
-        if self._bump < self.pfn_end:
-            pfn = self._bump
-            self._bump += 1
+        pfn = self._bump
+        if pfn < self.pfn_base + self.capacity_frames:
+            self._bump = pfn + 1
             self._used_frames += 1
             return pfn
         raise OutOfMemoryError(self.node, PAGE_SIZE)

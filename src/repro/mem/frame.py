@@ -26,7 +26,7 @@ class FrameKind(enum.Enum):
     PINNED = "pinned"
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """Metadata for one 4 KiB physical frame.
 

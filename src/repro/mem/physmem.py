@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import OutOfMemoryError, TopologyError
 from repro.machine.topology import Machine
@@ -140,7 +141,36 @@ class PhysicalMemory:
         try:
             return self.alloc_frame(preferred, kind=kind)
         except OutOfMemoryError:
-            pass
+            return self._fallback_frame(preferred, kind)
+
+    def alloc_frames_fallback(self, count: int, choose: Callable[[], int], out: list[Frame]) -> None:
+        """Append ``count`` 4 KiB data frames to ``out``, each exactly as
+        ``alloc_frame_fallback(choose())`` would allocate it, in order:
+        a strict try on the chosen node, then the other nodes in id order.
+
+        ``choose`` is called once per frame, just before that frame's
+        allocation, so when an allocation raises, ``out`` holds every
+        frame allocated before it and ``choose`` was called once for the
+        failing frame and never after it.
+        """
+        allocators = self._allocators
+        records = self._frames
+        append = out.append
+        for _ in range(count):
+            node = choose()
+            if not 0 <= node < len(allocators):
+                self.machine.validate_node(node)
+            try:
+                pfn = allocators[node].alloc_frame()
+            except OutOfMemoryError:
+                append(self._fallback_frame(node, FrameKind.DATA))
+                continue
+            frame = records[pfn] = Frame(pfn, node, FrameKind.DATA)
+            append(frame)
+
+    def _fallback_frame(self, preferred: int, kind: FrameKind) -> Frame:
+        """The strict allocation on ``preferred`` failed: take a frame from
+        the first other node that has one, in id order."""
         for node in self.machine.node_ids():
             if node == preferred:
                 continue

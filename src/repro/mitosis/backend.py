@@ -20,7 +20,7 @@ from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.accessed_dirty import clear_ad_everywhere, read_entry_or_ad
 from repro.mitosis.ring import link_ring, local_copy, ring_members, unlink_ring
 from repro.paging.levels import LEAF_LEVEL
-from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
+from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps, present_runs
 from repro.paging.pte import make_pte, pte_flags, pte_huge, pte_pfn, pte_present
 from repro.trace.session import current_session
 
@@ -105,13 +105,21 @@ class MitosisPagingOps(PagingOps):
         fresh: list[PageTablePage],
     ) -> None:
         """Copy ``primary``'s entries into the ``fresh`` copies and point
-        every member's table entries at the child's local copy."""
+        every member's table entries at the child's local copy. A leaf
+        table's runs of present entries go to each copy as one run store."""
+        entries = primary.entries
+        if primary.level == LEAF_LEVEL:
+            for first, last in present_runs(entries, 0, len(entries)):
+                values = entries[first:last]
+                for member in fresh:
+                    self.apply_entry_run(member, first, values)
+                self.stats.pte_writes += len(fresh) * len(values)
+            return
         apply = self.apply_entry_write
-        upper = primary.level > LEAF_LEVEL
-        for index, entry in enumerate(primary.entries):
+        for index, entry in enumerate(entries):
             if not pte_present(entry):
                 continue
-            if not upper or pte_huge(entry):
+            if pte_huge(entry):
                 for member in fresh:
                     apply(member, index, entry)
                 self.stats.pte_writes += len(fresh)

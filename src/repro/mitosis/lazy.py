@@ -11,7 +11,9 @@ believe it to be straightforward."
 
 * a PTE write is applied to the **home replica** (the writer's socket)
   immediately and appended as an *update message* to every other replica's
-  queue — no cross-socket stores on the write path;
+  queue — no cross-socket stores on the write path. The primary copy is
+  the exception: the kernel's own software walks (``translate``,
+  ``walk_path``) read it, so it is always written at once too;
 * a replica drains its queue when one of its sockets faults on a stale
   entry (:meth:`handle_stale_fault`) or at an explicit synchronisation
   point (:meth:`sync_socket`), batching the deferred writes;
@@ -27,7 +29,7 @@ actually used.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from repro.mem.pagecache import PageTablePageCache
@@ -68,8 +70,11 @@ class LazyMitosisPagingOps(MitosisPagingOps):
 
     def __init__(self, pagecache: PageTablePageCache, mask: frozenset[int]):
         super().__init__(pagecache, mask)
-        #: socket -> queue of pending updates for that socket's replicas.
-        self.queues: dict[int, deque[UpdateMessage]] = {s: deque() for s in sorted(mask)}
+        #: socket -> queue of pending updates for that socket's replicas
+        #: (a replica left outside a narrowed mask gets a queue on demand).
+        self.queues: defaultdict[int, deque[UpdateMessage]] = defaultdict(
+            deque, {s: deque() for s in sorted(mask)}
+        )
         self.lazy_stats = LazyStats()
         #: The socket whose replica is updated synchronously. The kernel
         #: sets this to the faulting/mutating thread's socket.
@@ -108,7 +113,7 @@ class LazyMitosisPagingOps(MitosisPagingOps):
                 member_value = make_pte(
                     local_copy(child_ring, member.node).pfn, pte_flags(value)
                 )
-            if member is home:
+            if member is home or not member.is_replica:
                 self.apply_entry_write(member, index, member_value)
                 self.stats.pte_writes += 1
             else:

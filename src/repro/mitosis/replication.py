@@ -17,7 +17,7 @@ from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.backend import MitosisPagingOps
 from repro.mitosis.lazy import LazyMitosisPagingOps
 from repro.mitosis.ring import ring_members
-from repro.paging.pagetable import PageTablePage, PageTableTree
+from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
 from repro.trace.session import current_session
 
 
@@ -46,7 +46,8 @@ def enable_replication(
     Copies that already exist are kept; missing ones are allocated, wired
     semantically (upper levels point at same-socket children) and
     ring-linked. The tree's ops backend is swapped to
-    :class:`MitosisPagingOps` so subsequent updates stay consistent.
+    :class:`MitosisPagingOps` so subsequent updates stay consistent (a
+    lazy backend is swapped for a lazy one).
     """
     session = current_session()
     if session is None:
@@ -67,7 +68,7 @@ def _enable_replication(
         raise ReplicationError("empty mask; use collapse_replicas to disable")
     _apply_queued_updates(tree)
     primaries = list(tree.iter_tables())
-    new_ops = MitosisPagingOps(pagecache, mask)
+    new_ops = _replicating_backend(tree.ops, pagecache, mask)
     new_ops.stats = tree.ops.stats  # carry counters across the backend swap
 
     # Pass 0: reserve every frame the replication will need *before*
@@ -106,6 +107,20 @@ def _enable_replication(
 
     tree.ops = new_ops
     return new_ops
+
+
+def _replicating_backend(
+    ops: PagingOps, pagecache: PageTablePageCache, mask: frozenset[int]
+) -> MitosisPagingOps:
+    """The backend a tree replicated on ``mask`` runs: eager, unless it
+    already propagates lazily (§7.2), which stays lazy with the same home
+    socket and counters."""
+    if not isinstance(ops, LazyMitosisPagingOps):
+        return MitosisPagingOps(pagecache, mask)
+    lazy = LazyMitosisPagingOps(pagecache, mask)
+    lazy.home_socket = ops.home_socket
+    lazy.lazy_stats = ops.lazy_stats
+    return lazy
 
 
 def _rollback_partial_enable(

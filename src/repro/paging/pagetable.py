@@ -39,7 +39,9 @@ from repro.paging.pte import (
     PTE_HUGE,
     PTE_PRESENT,
     TABLE_FLAGS,
+    count_present,
     make_pte,
+    make_ptes,
     pte_flags,
     pte_huge,
     pte_pfn,
@@ -138,8 +140,8 @@ class PagingOps(abc.ABC):
     """Backend interface for all physical page-table effects (PV-Ops).
 
     Backends must route every entry mutation through
-    :meth:`apply_entry_write` so valid-entry counts stay correct on every
-    physical copy.
+    :meth:`apply_entry_write` (or its run form, :meth:`apply_entry_run`)
+    so valid-entry counts stay correct on every physical copy.
     """
 
     def __init__(self) -> None:
@@ -200,8 +202,9 @@ class PagingOps(abc.ABC):
         the valid-entry count and returns the old value.
 
         This is the PV-Ops choke point — every physical entry store in
-        the simulator funnels through here, which makes it the one place
-        a ``pvops.entry_writes`` trace counter can observe them all.
+        the simulator funnels through here or through its run form,
+        :meth:`apply_entry_run`, which makes them the one place a
+        ``pvops.entry_writes`` trace counter can observe them all.
         Counter-only (no event objects): this site is far too hot for
         per-write events, and with tracing disabled it costs exactly one
         ``is None`` test.
@@ -213,6 +216,32 @@ class PagingOps(abc.ABC):
         if session is not None:
             session.count("pvops.entry_writes")
         return old
+
+    @staticmethod
+    def apply_entry_run(page: PageTablePage, start: int, values: list[int]) -> None:
+        """Physically store ``values`` at consecutive entries of ``page``
+        from ``start``: the run form of :meth:`apply_entry_write`.
+
+        One slice store and one valid-entry count update leave the same
+        entries and count as one :meth:`apply_entry_write` per value, and
+        ``pvops.entry_writes`` grows by ``len(values)``. It is the only
+        other function allowed to store entries.
+
+        Raises:
+            IndexError: the run leaves the table (nothing is written).
+        """
+        if not values:
+            return
+        stop = start + len(values)
+        entries = page.entries
+        if start < 0 or stop > len(entries):
+            raise IndexError(f"entry run [{start}, {stop}) leaves its table")
+        old = entries[start:stop]
+        entries[start:stop] = values
+        page.valid_count += count_present(values) - count_present(old)
+        session = current_session()
+        if session is not None:
+            session.count("pvops.entry_writes", float(len(values)))
 
 
 class PageTableTree:
@@ -340,7 +369,8 @@ class PageTableTree:
 
     def map_run(self, table: PageTablePage, va: int, data_pfns: list[int], flags: int) -> None:
         """Map consecutive pages from ``va`` to ``data_pfns`` in ``table``
-        (from :meth:`leaf_table`) with one PV-Ops run write.
+        (from :meth:`leaf_table`) with one PV-Ops run write. The run's
+        slots and PTE values are checked once per run, not per page.
 
         The page size is the table's: 2 MiB leaves at L2, 4 KiB at L1.
 
@@ -353,12 +383,12 @@ class PageTableTree:
         if stop > PTES_PER_TABLE:
             raise InvalidMappingError(f"run of {len(data_pfns)} pages at 0x{va:x} leaves its table")
         entries = table.entries
-        for index in range(start, stop):
-            if pte_present(entries[index]):
-                size = HUGE_PAGE_SIZE if table.level == HUGE_LEAF_LEVEL else PAGE_SIZE
-                raise InvalidMappingError(f"va 0x{va + (index - start) * size:x} is already mapped")
+        if count_present(entries[start:stop]):
+            index = next(i for i in range(start, stop) if pte_present(entries[i]))
+            size = HUGE_PAGE_SIZE if table.level == HUGE_LEAF_LEVEL else PAGE_SIZE
+            raise InvalidMappingError(f"va 0x{va + (index - start) * size:x} is already mapped")
         leaf_flags = flags | PTE_PRESENT | (PTE_HUGE if table.level == HUGE_LEAF_LEVEL else 0)
-        self.ops.set_pte_run(self, table, start, [make_pte(pfn, leaf_flags) for pfn in data_pfns])
+        self.ops.set_pte_run(self, table, start, make_ptes(data_pfns, leaf_flags))
 
     # protocol: defers[translation-visibility] -- caller owns the TLB shootdown
     def unmap_page(self, va: int) -> Translation:
@@ -399,7 +429,7 @@ class PageTableTree:
         """
         path, stop, resume = self._leaf_slots(va, end)
         table, start = path[-1]
-        runs = list(_present_runs(table.entries, start, stop))
+        runs = list(present_runs(table.entries, start, stop))
         if not runs:
             return resume
         for first, last in runs:
@@ -443,7 +473,7 @@ class PageTableTree:
         path, stop, resume = self._leaf_slots(va, end)
         table, start = path[-1]
         read = self.ops.read_pte_local
-        for first, last in _present_runs(table.entries, start, stop):
+        for first, last in present_runs(table.entries, start, stop):
             values = []
             for index in range(first, last):
                 entry = read(table, index)
@@ -570,15 +600,15 @@ class PageTableTree:
         return len(self.registry)
 
 
-def _present_runs(entries: list[int], start: int, stop: int) -> Iterator[tuple[int, int]]:
+def present_runs(entries: list[int], start: int, stop: int) -> Iterator[tuple[int, int]]:
     """``(first, last)`` bounds of each run of consecutive present
     entries in ``entries[start:stop]``."""
     index = start
     while index < stop:
-        if not pte_present(entries[index]):
+        if not entries[index] & PTE_PRESENT:
             index += 1
             continue
         first = index
-        while index < stop and pte_present(entries[index]):
+        while index < stop and entries[index] & PTE_PRESENT:
             index += 1
         yield first, index

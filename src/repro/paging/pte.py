@@ -35,6 +35,8 @@ PTE_AD_BITS = PTE_ACCESSED | PTE_DIRTY
 
 #: Mask covering the PFN field (bits 12..51).
 _PFN_MASK = ((1 << 52) - 1) & ~((1 << 12) - 1)
+#: One past the highest frame number a PTE can hold.
+_PFN_LIMIT = 1 << 40
 #: All non-PFN bits (flags).
 FLAGS_MASK = ~_PFN_MASK & ((1 << 64) - 1)
 
@@ -44,11 +46,30 @@ TABLE_FLAGS = PTE_PRESENT | PTE_WRITABLE | PTE_USER
 
 def make_pte(pfn: int, flags: int) -> int:
     """Encode a PTE from a frame number and flag bits."""
-    if pfn < 0 or pfn >= (1 << 40):
+    if pfn < 0 or pfn >= _PFN_LIMIT:
         raise ValueError(f"pfn {pfn} out of range")
     if flags & _PFN_MASK:
         raise ValueError("flags overlap the PFN field")
     return (pfn << 12) | flags
+
+
+def make_ptes(pfns: list[int], flags: int) -> list[int]:
+    """:func:`make_pte` over a run of frames sharing ``flags``: the same
+    values and the same errors, checked once per run."""
+    if not pfns:
+        return []
+    if min(pfns) < 0 or max(pfns) >= _PFN_LIMIT:
+        bad = next(pfn for pfn in pfns if pfn < 0 or pfn >= _PFN_LIMIT)
+        raise ValueError(f"pfn {bad} out of range")
+    if flags & _PFN_MASK:
+        raise ValueError("flags overlap the PFN field")
+    return [(pfn << 12) | flags for pfn in pfns]
+
+
+def count_present(ptes: list[int]) -> int:
+    """How many of ``ptes`` are present, in one pass without a Python
+    call per entry (the present bit is bit 0, so each term is 0 or 1)."""
+    return sum(map(PTE_PRESENT.__and__, ptes))
 
 
 def pte_pfn(pte: int) -> int:

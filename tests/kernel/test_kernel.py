@@ -1,5 +1,8 @@
 """Kernel facade: process lifecycle, sysctl modes, CR3 selection."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.kernel.kernel import Kernel
@@ -102,3 +105,25 @@ class TestMmLock:
         kernel2.sys_mmap(process, 4 * PAGE_SIZE, populate=True)
         assert process.mm.lock.acquisitions > before
         assert not process.mm.lock.held
+
+
+class TestDroppedKernel:
+    def test_freed_at_del_without_the_cyclic_collector(self, machine2):
+        """Neither the swap manager nor the Mitosis manager keeps its
+        kernel alive, so dropping a kernel frees its frames, records and
+        tables at once, not at the next generation-2 collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            kernel = Kernel(machine2, sysctl=Sysctl(mitosis_mode=MitosisMode.PER_PROCESS))
+            process = kernel.create_process("p", socket=0)
+            va = kernel.sys_mmap(process, 16 * PAGE_SIZE, populate=True).value
+            kernel.swap.swap_out(process, va)
+            kernel.touch(process, va, is_write=True)  # swap-in
+            kernel.mitosis.set_replication_mask(process, frozenset({0, 1}))
+            assert process.mm.replicated and kernel.swap.stats.pages_swapped_in == 1
+            alive = weakref.ref(kernel)
+            del kernel, process
+            assert alive() is None
+        finally:
+            gc.enable()

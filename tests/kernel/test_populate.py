@@ -97,6 +97,9 @@ def snapshot(kernel, process, work, error) -> dict:
         ],
         "ops": mm.tree.ops.stats,
         "faults": kernel.fault_handler.faults_handled,
+        # Where the placement cursor stands: the policy is asked once per
+        # attempted page, the page an OOM stopped at included.
+        "next_node": [mm.data_policy.choose_node(socket) for socket in kernel.machine.node_ids()],
         "thp": kernel.thp.stats,
         "swap": kernel.swap.stats,
         "memory": [kernel.physmem.stats(n) for n in kernel.machine.node_ids()],
@@ -161,25 +164,35 @@ def test_thp_quirk_resumes_one_huge_page_past_the_fault(backend):
     assert ARENA + 1032 * PAGE_SIZE in mapped
 
 
-@pytest.mark.parametrize("backend", ["native", "mitosis"])
-def test_injected_oom_mid_run_leaves_per_page_state(backend):
+def mid_run_oom() -> FaultPlan:
     """Four consecutive failed strict allocations exhaust one page's whole
     fallback order, in the middle of a leaf run."""
+    return FaultPlan(seed=3, rules=[FaultRule(site=SITE_ALLOCATOR_OOM, on_calls={90, 91, 92, 93})])
 
-    def plan():
-        return FaultPlan(seed=3, rules=[FaultRule(site=SITE_ALLOCATOR_OOM, on_calls={90, 91, 92, 93})])
 
-    expected = run(oracle_populate, RANGES, plan=plan, backend=backend)
-    assert run(new_populate, RANGES, plan=plan, backend=backend) == expected
+def probabilistic_oom() -> FaultPlan:
+    return FaultPlan(seed=11, rules=[FaultRule(site=SITE_ALLOCATOR_OOM, probability=0.35)])
+
+
+def page_table_oom() -> FaultPlan:
+    """The first page-table refill fails: the descent for window 1's leaf
+    table, after its first data frame was allocated."""
+    plan = FaultPlan(seed=5)
+    plan.pagecache_oom(on_calls={1})
+    return plan
+
+
+@pytest.mark.parametrize("backend", ["native", "mitosis"])
+def test_injected_oom_mid_run_leaves_per_page_state(backend):
+    expected = run(oracle_populate, RANGES, plan=mid_run_oom, backend=backend)
+    assert run(new_populate, RANGES, plan=mid_run_oom, backend=backend) == expected
     assert expected["error"] is not None
     assert expected["plan"][0], "the plan never fired"
 
 
 @pytest.mark.parametrize("backend", ["native", "mitosis"])
 def test_seeded_probabilistic_oom_matches(backend):
-    def plan():
-        return FaultPlan(seed=11, rules=[FaultRule(site=SITE_ALLOCATOR_OOM, probability=0.35)])
-
+    plan = probabilistic_oom
     expected = run(oracle_populate, RANGES, plan=plan, backend=backend, thp="on")
     assert run(new_populate, RANGES, plan=plan, backend=backend, thp="on") == expected
     assert expected["error"] is not None
@@ -188,16 +201,24 @@ def test_seeded_probabilistic_oom_matches(backend):
 
 @pytest.mark.parametrize("backend", ["native", "mitosis"])
 def test_page_table_oom_matches(backend):
-    """The first page-table refill fails: the descent for window 1's leaf
-    table, after its first data frame was allocated."""
+    expected = run(oracle_populate, RANGES, plan=page_table_oom, backend=backend)
+    assert run(new_populate, RANGES, plan=page_table_oom, backend=backend) == expected
+    assert expected["error"] is not None
 
-    def plan():
-        plan = FaultPlan(seed=5)
-        plan.pagecache_oom(on_calls={1})
-        return plan
 
-    expected = run(oracle_populate, RANGES, plan=plan, backend=backend)
-    assert run(new_populate, RANGES, plan=plan, backend=backend) == expected
+@pytest.mark.parametrize("backend", ["native", "mitosis"])
+@pytest.mark.parametrize(
+    "plan, thp",
+    [(mid_run_oom, "off"), (probabilistic_oom, "on"), (page_table_oom, "off")],
+    ids=["mid-run", "probabilistic", "page-table"],
+)
+def test_injected_oom_under_interleave(plan, thp, backend):
+    """The injected OOMs again, with the interleave cursor in the snapshot:
+    a run that asked the policy for pages past the failing one would
+    leave it elsewhere."""
+    config = dict(backend=backend, thp=thp, policy="interleave")
+    expected = run(oracle_populate, RANGES, plan=plan, **config)
+    assert run(new_populate, RANGES, plan=plan, **config) == expected
     assert expected["error"] is not None
 
 

@@ -301,12 +301,18 @@ def test_every_pte_write_holds_mm_lock(backend, monkeypatch):
     kernel, process = build(backend, thp=True)
     held = []
     store = PagingOps.apply_entry_write
+    store_run = PagingOps.apply_entry_run
 
     def checked(page, index, value):
         held.append(process.mm.lock.held)
         return store(page, index, value)
 
+    def checked_run(page, start, values):
+        held.append(process.mm.lock.held)
+        store_run(page, start, values)
+
     monkeypatch.setattr(PagingOps, "apply_entry_write", staticmethod(checked))
+    monkeypatch.setattr(PagingOps, "apply_entry_run", staticmethod(checked_run))
     for op in SEQUENCES["across"] + [("munmap", 0, 4 * W)]:
         apply(kernel, process, op)
     assert held and all(held)

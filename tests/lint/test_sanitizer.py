@@ -96,6 +96,16 @@ class TestVerdicts:
             assert record.allowed is False
             assert record.value == 0xBAD
 
+    def test_run_store_passes(self, tree_factory):
+        with PTESanitizer() as san:
+            tree, physmem = tree_factory()
+            leaf = tree.leaf_table(0, node_hint=0)
+            pfns = [physmem.alloc_frame(0).pfn for _ in range(4)]
+            tree.map_run(leaf, 0, pfns, FLAGS)
+        assert [tree.translate(i * 4096).pfn for i in range(4)] == pfns
+        assert san.violations == 0
+        assert san.records[-1].writer == "apply_entry_run" and san.records[-1].index == 0
+
     def test_hardware_walker_ad_store_is_allowed(self, tree_factory):
         with PTESanitizer() as sanitizer:
             tree, physmem = tree_factory()
@@ -133,6 +143,24 @@ class TestVerdicts:
 
 
 class TestEndToEnd:
+    def test_vector_engine_run_is_clean_under_sanitizer(self):
+        """The batched tier's walks store A/D bits through
+        ``HardwareWalker.walk_into``, a hardware writer like ``walk``."""
+        from repro.sim.engine import EngineConfig, Simulator
+        from repro.sim.scenario import setup_multisocket
+
+        with PTESanitizer() as sanitizer:
+            setup = setup_multisocket("canneal", "F+M", footprint=MIB, n_sockets=2, seed=3)
+            process = setup.process
+            simulator = Simulator(
+                setup.kernel, EngineConfig(accesses_per_thread=2_000, seed=3, engine="vector")
+            )
+            sockets = [thread.socket for thread in process.threads]
+            metrics = simulator.run(process, setup.workload, sockets, setup.va_base)
+        assert sum(thread.escape_l1_miss for thread in metrics.threads) > 0  # walks ran
+        assert any(record.writer == "walk_into" for record in sanitizer.records)
+        assert sanitizer.violations == 0
+
     def test_chaos_scenarios_run_clean_under_sanitizer(self):
         from repro.sim.chaos import SCENARIOS, run_chaos
 

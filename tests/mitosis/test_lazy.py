@@ -3,6 +3,7 @@ eager destructive updates."""
 
 import pytest
 
+from repro.errors import InvalidMappingError
 from repro.kernel.policy import FixedNodePolicy
 from repro.kernel.pvops import NativePagingOps
 from repro.mem.pagecache import PageTablePageCache
@@ -158,3 +159,45 @@ class TestLifecycle:
         result = HardwareWalker(tree).walk(0x300000, socket=1, set_ad_bits=False)
         assert result.translation is not None
         assert result.translation.pfn == second
+
+
+class TestHomeOffThePrimarySocket:
+    """Home socket 1 while every primary sits on socket 0."""
+
+    def test_primary_sees_an_additive_write_at_once(self, lazy_tree):
+        physmem, tree, ops = lazy_tree
+        ops.home_socket = 1
+        pfn = physmem.alloc_frame(0).pfn
+        tree.map_page(0x5000, pfn, FLAGS)
+        assert tree.translate(0x5000).pfn == pfn
+        with pytest.raises(InvalidMappingError):
+            tree.map_page(0x5000, physmem.alloc_frame(0).pfn, FLAGS)
+        home = HardwareWalker(tree).walk(0x5000, socket=1, set_ad_bits=False)
+        assert home.translation is not None and home.translation.pfn == pfn
+        assert ops.pending(0) == 0 and ops.pending(1) == 0  # nothing left to defer
+
+    def test_reenabling_a_mask_keeps_lazy_propagation(self, lazy_tree):
+        physmem, tree, ops = lazy_tree
+        ops.home_socket = 1
+        enable_replication(tree, ops.pagecache, MASK)
+        lazy = tree.ops
+        assert isinstance(lazy, LazyMitosisPagingOps)
+        assert lazy.home_socket == 1 and lazy.lazy_stats is ops.lazy_stats
+        assert lazy.stats is ops.stats and lazy.mask == MASK
+        lazy.home_socket = 0
+        tree.map_page(0x300000, physmem.alloc_frame(0).pfn, FLAGS)
+        assert lazy.pending(1) > 0  # socket 1's replica waits for a fault
+        assert HardwareWalker(tree).walk(0x300000, socket=1, set_ad_bits=False).faulted
+
+    def test_narrowed_mask_still_queues_for_the_copies_it_keeps(self, lazy_tree):
+        """Enabling a narrower mask keeps the existing copies on the other
+        sockets; the lazy backend still queues their updates."""
+        physmem, tree, ops = lazy_tree
+        enable_replication(tree, ops.pagecache, frozenset({0}))
+        assert isinstance(tree.ops, LazyMitosisPagingOps) and tree.ops.mask == {0}
+        pfn = physmem.alloc_frame(0).pfn
+        tree.map_page(0x300000, pfn, FLAGS)
+        assert tree.ops.pending(1) > 0
+        tree.ops.handle_stale_fault(tree, socket=1)
+        walk = HardwareWalker(tree).walk(0x300000, socket=1, set_ad_bits=False)
+        assert walk.translation is not None and walk.translation.pfn == pfn

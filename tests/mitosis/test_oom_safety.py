@@ -14,11 +14,37 @@ from repro.machine.topology import Machine, Socket
 from repro.mem.pagecache import PageTablePageCache
 from repro.mem.physmem import PhysicalMemory
 from repro.mitosis.replication import enable_replication
-from repro.paging.pagetable import PageTableTree
+from repro.paging.pagetable import PageTableTree, PagingOps
 from repro.paging.pte import PTE_USER, PTE_WRITABLE
 from repro.units import MIB, PAGE_SIZE
 
 FLAGS = PTE_WRITABLE | PTE_USER
+
+
+def fail_entry_store(monkeypatch, number: int, message: str) -> None:
+    """Make the ``number``-th physical entry store raise
+    ``RuntimeError(message)``, counting every entry of a run store: a run
+    holding it stores the entries before it, then raises."""
+    real_write = PagingOps.apply_entry_write
+    real_run = PagingOps.apply_entry_run
+    stores = {"n": 0}
+
+    def write(page, index, value):
+        stores["n"] += 1
+        if stores["n"] == number:
+            raise RuntimeError(message)
+        return real_write(page, index, value)
+
+    def run(page, start, values):
+        head = number - stores["n"] - 1  # entries stored before the failing one
+        stores["n"] += len(values)
+        if 0 <= head < len(values):
+            real_run(page, start, values[:head])
+            raise RuntimeError(message)
+        real_run(page, start, values)
+
+    monkeypatch.setattr(PagingOps, "apply_entry_write", staticmethod(write))
+    monkeypatch.setattr(PagingOps, "apply_entry_run", staticmethod(run))
 
 
 @pytest.fixture
@@ -162,18 +188,8 @@ class TestMidWalkRollback:
     def test_pass2_write_failure_rolls_back(self, healthy, monkeypatch):
         physmem, cache, tree = healthy
         before = snapshot(physmem, tree)
-        from repro.paging.pagetable import PagingOps
-
-        real_write = PagingOps.apply_entry_write
-        calls = {"n": 0}
-
-        def flaky_write(page, index, value):
-            calls["n"] += 1
-            if calls["n"] == 5:  # fail while filling the new copies
-                raise RuntimeError("injected pass-2 failure")
-            return real_write(page, index, value)
-
-        monkeypatch.setattr(PagingOps, "apply_entry_write", staticmethod(flaky_write))
+        # Fail while filling the new copies, after four entries were stored.
+        fail_entry_store(monkeypatch, 5, "injected pass-2 failure")
         with pytest.raises(RuntimeError):
             enable_replication(tree, cache, frozenset({0, 1}))
         assert_restored(physmem, tree, before)
@@ -219,21 +235,10 @@ class TestMidWalkRollback:
         enable_replication(tree, cache, frozenset({0, 1}))
         before = snapshot(physmem, tree)
 
-        from repro.paging.pagetable import PagingOps
-
-        real_write = PagingOps.apply_entry_write
-        calls = {"n": 0}
-
-        def flaky_write(page, index, value):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("injected extension failure")
-            return real_write(page, index, value)
-
-        monkeypatch.setattr(PagingOps, "apply_entry_write", staticmethod(flaky_write))
+        fail_entry_store(monkeypatch, 1, "injected extension failure")
         with pytest.raises(RuntimeError):
             enable_replication(tree, cache, frozenset({0, 1, 2}))
-        monkeypatch.setattr(PagingOps, "apply_entry_write", staticmethod(real_write))
+        monkeypatch.undo()
 
         assert dict(tree.iter_mappings()) == before["mappings"]
         assert set(tree.registry) == before["registry"]

@@ -4,7 +4,9 @@ A run write must be indistinguishable from the single writes it
 replaces on every backend: the entries and valid counts of every
 physical copy, the ``OpsStats`` counters, and the trace counters a live
 session sees (``pvops.entry_writes``, ``mitosis.set_pte``,
-``mitosis.set_pte_replica_writes``).
+``mitosis.set_pte_replica_writes``). The same holds one layer down for
+the physical run store, ``PagingOps.apply_entry_run``, against one
+``apply_entry_write`` per value.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from repro.mitosis.lazy import LazyMitosisPagingOps
 from repro.mitosis.naive import NaiveMitosisPagingOps
 from repro.mitosis.ring import ring_members
 from repro.paging.levels import HUGE_LEAF_LEVEL, LEAF_LEVEL
-from repro.paging.pagetable import PageTableTree
+from repro.paging.pagetable import PageTableTree, PagingOps
 from repro.paging.pte import PTE_PRESENT, PTE_USER, PTE_WRITABLE, TABLE_FLAGS, make_pte, pte_pfn
 from repro.trace.session import tracing
-from repro.units import MIB
+from repro.units import MIB, PTES_PER_TABLE
 
 LEAF = PTE_PRESENT | PTE_WRITABLE | PTE_USER
 VA = 1 << 30
@@ -131,3 +133,55 @@ def test_upper_level_run_rewires_each_replica_to_its_local_child(kind):
                     child = tree.registry[pte_pfn(member.entries[100 + offset])]
                     assert child.node == member.node
     assert results[0] == results[1]
+
+
+# -- the physical run store --------------------------------------------------------
+
+
+def _table_with_entries():
+    physmem = PhysicalMemory(Machine.homogeneous(1, cores_per_socket=1, memory_per_socket=8 * MIB))
+    tree = PageTableTree(NativePagingOps(PageTablePageCache(physmem)))
+    leaf = tree.leaf_table(VA, LEAF_LEVEL, node_hint=0)
+    PagingOps.apply_entry_write(leaf, 10, make_pte(77, LEAF))
+    PagingOps.apply_entry_write(leaf, 12, make_pte(78, LEAF))
+    PagingOps.apply_entry_write(leaf, 13, make_pte(79, LEAF) & ~PTE_PRESENT)
+    return leaf
+
+
+@pytest.mark.parametrize(
+    "start, values",
+    [
+        (START, VALUES),  # fresh, cleared, overwritten and non-present slots
+        (0, [make_pte(200 + i, LEAF) for i in range(PTES_PER_TABLE)]),  # the whole table
+        (PTES_PER_TABLE - 1, [make_pte(300, LEAF)]),  # the last slot alone
+        (12, [0, 0]),  # clears a present and a non-present entry
+        (START, []),
+    ],
+)
+def test_apply_entry_run_equals_single_entry_writes(start, values):
+    """Entries, valid-entry count and the ``pvops.entry_writes`` counter
+    match one ``apply_entry_write`` per value."""
+    results = []
+    for store in ("single", "run"):
+        with tracing() as session:
+            leaf = _table_with_entries()
+            before = dict(session.metrics.counters)
+            if store == "single":
+                for offset, value in enumerate(values):
+                    PagingOps.apply_entry_write(leaf, start + offset, value)
+            else:
+                PagingOps.apply_entry_run(leaf, start, values)
+            after = dict(session.metrics.counters)
+        results.append((list(leaf.entries), leaf.valid_count, before, after))
+        assert leaf.valid_count == sum(1 for entry in leaf.entries if entry & PTE_PRESENT)
+    assert results[0] == results[1]
+
+
+def test_apply_entry_run_out_of_the_table_writes_nothing():
+    leaf = _table_with_entries()
+    entries, valid = list(leaf.entries), leaf.valid_count
+    for start in (PTES_PER_TABLE - 1, -1):
+        with pytest.raises(IndexError):
+            PagingOps.apply_entry_run(leaf, start, [make_pte(1, LEAF), make_pte(2, LEAF)])
+    assert list(leaf.entries) == entries and len(leaf.entries) == PTES_PER_TABLE
+    assert leaf.valid_count == valid

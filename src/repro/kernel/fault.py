@@ -107,7 +107,7 @@ class PageFaultHandler:
 
         frame = self.physmem.alloc_frame_fallback(node)
         with mm.lock():
-            table = mm.tree.leaf_table(base, LEAF_LEVEL, socket)
+            table = self._leaf_table_for(mm, base, socket, frame)
             self._map_leaves(mm, vma, table, base, [frame])
         work.pages_zeroed_4k += 1
         return FaultResult(va=va, mapped_bytes=PAGE_SIZE, huge=False, work=work)
@@ -216,7 +216,7 @@ class PageFaultHandler:
                                 work.pages_zeroed_2m += 1
                                 return pos + HUGE_PAGE_SIZE
                         run.append(self.physmem.alloc_frame_fallback(node))
-                        table = mm.tree.leaf_table(pos, LEAF_LEVEL, socket)
+                        table = self._leaf_table_for(mm, pos, socket, run[0])
                     while end < limit and end not in frames and end not in swapped:
                         end += PAGE_SIZE
                     self._fault_run(mm, vma, table, pos, end, policy, socket, run)
@@ -252,6 +252,18 @@ class PageFaultHandler:
             if run:
                 self._map_leaves(mm, vma, table, base, run)
         self.faults_handled += count
+
+    def _leaf_table_for(
+        self, mm: MemoryDescriptor, va: int, socket: int, frame: Frame
+    ) -> PageTablePage:
+        """Descend to ``va``'s leaf table for a fault whose data ``frame``
+        is allocated already. If the descent fails (a page-table OOM), the
+        frame goes back before the error propagates: nothing maps it."""
+        try:
+            return mm.tree.leaf_table(va, LEAF_LEVEL, socket)
+        except BaseException:
+            self.physmem.free(frame)
+            raise
 
     @staticmethod
     def _map_huge(mm: MemoryDescriptor, vma: Vma, va: int, frame: Frame, socket: int) -> None:

@@ -16,6 +16,7 @@ from repro.mem.frame import Frame
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.backend import MitosisPagingOps
 from repro.mitosis.lazy import LazyMitosisPagingOps
+from repro.mitosis.naive import NaiveMitosisPagingOps
 from repro.mitosis.ring import ring_members
 from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps
 from repro.trace.session import current_session
@@ -47,7 +48,7 @@ def enable_replication(
     semantically (upper levels point at same-socket children) and
     ring-linked. The tree's ops backend is swapped to
     :class:`MitosisPagingOps` so subsequent updates stay consistent (a
-    lazy backend is swapped for a lazy one).
+    lazy or naive backend is swapped for one of its own kind).
     """
     session = current_session()
     if session is None:
@@ -114,7 +115,10 @@ def _replicating_backend(
 ) -> MitosisPagingOps:
     """The backend a tree replicated on ``mask`` runs: eager, unless it
     already propagates lazily (§7.2), which stays lazy with the same home
-    socket and counters."""
+    socket and counters, or naively (§5.2), which keeps its walk-per-replica
+    accounting."""
+    if isinstance(ops, NaiveMitosisPagingOps):
+        return NaiveMitosisPagingOps(pagecache, mask)
     if not isinstance(ops, LazyMitosisPagingOps):
         return MitosisPagingOps(pagecache, mask)
     lazy = LazyMitosisPagingOps(pagecache, mask)

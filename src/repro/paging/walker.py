@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from repro.paging.levels import HUGE_LEAF_LEVEL, LEAF_LEVEL, level_index
 from repro.paging.pagetable import PageTablePage, PageTableTree, Translation
 from repro.paging.pte import (
+    _PFN_MASK,
+    FLAGS_MASK,
     PTE_ACCESSED,
     PTE_DIRTY,
     PTE_HUGE,
@@ -150,17 +152,28 @@ class HardwareWalker:
         traversal, same hardware A/D stores — minus the per-level
         :class:`LevelAccess` and :class:`WalkResult` allocations, which
         dominate the scalar walker's cost on walk-heavy streams
-        (docs/performance.md). ``tests/paging`` pins the twin against the
+        (docs/performance.md). It makes no call per level: the PTE bits
+        are locals, the PFN and flags are masked out inline, and the
+        :class:`Translation` is built by ``tuple.__new__``, skipping the
+        namedtuple's Python-level ``__new__`` (the result is still a
+        ``Translation``). ``tests/paging`` pins the twin against the
         reference walk.
         """
+        tree = self.tree
+        registry = tree.registry
         if start is not None:
             page, level = start
         else:
-            root_pfn = self.tree.ops.root_pfn_for_socket(self.tree, socket)
-            page = self.tree.registry[root_pfn]
-            level = self.tree.geometry.root_level
-        registry = self.tree.registry
+            page = registry[tree.ops.root_pfn_for_socket(tree, socket)]
+            level = tree.geometry.root_level
+        present = PTE_PRESENT
+        huge = PTE_HUGE
+        accessed = PTE_ACCESSED
+        leaf_ad = (PTE_ACCESSED | PTE_DIRTY) if is_write else PTE_ACCESSED
+        pfn_mask = _PFN_MASK
+        flags_mask = FLAGS_MASK
         line_mask = ~(CACHE_LINE_SIZE - 1)
+        new_translation = tuple.__new__
         n = 0
         while True:
             index = (va >> (12 + 9 * (level - 1))) & 511
@@ -172,19 +185,18 @@ class HardwareWalker:
             out_lines[n] = (pfn << 12) + (index * 8 & line_mask)
             n += 1
             entry = page.entries[index]
-            if not entry & PTE_PRESENT:
+            if not entry & present:
                 return n, None
-            is_leaf = level == LEAF_LEVEL or (level == HUGE_LEAF_LEVEL and entry & PTE_HUGE)
-            new_entry = entry | PTE_ACCESSED
-            if is_write and is_leaf:
-                new_entry |= PTE_DIRTY
+            is_leaf = level == LEAF_LEVEL or (level == HUGE_LEAF_LEVEL and entry & huge)
+            new_entry = entry | (leaf_ad if is_leaf else accessed)
             if new_entry != entry:
                 # lint: allow[PVOPS001] -- hardware A/D store: the MMU writes the walked replica directly, outside PV-Ops (§5.4)
                 page.entries[index] = new_entry
                 entry = new_entry
             if is_leaf:
-                offset_bits = 21 if level == HUGE_LEAF_LEVEL else 12
-                leaf_pfn = pte_pfn(entry) + ((va >> 12) & ((1 << (offset_bits - 12)) - 1))
-                return n, Translation(pfn=leaf_pfn, flags=pte_flags(entry), level=level)
-            page = registry[pte_pfn(entry)]
+                leaf_pfn = (entry & pfn_mask) >> 12
+                if level == HUGE_LEAF_LEVEL:
+                    leaf_pfn += (va >> 12) & 511
+                return n, new_translation(Translation, (leaf_pfn, entry & flags_mask, level))
+            page = registry[(entry & pfn_mask) >> 12]
             level -= 1

@@ -19,12 +19,14 @@ access, a per-walk list-of-dicts for the trace span — capped the vector
 tier at ~1x. This module is the batched counterpart for all three
 classes:
 
-* :func:`run_escape_span` interprets a *run* of escape-side accesses with
-  semantics identical to ``_ThreadExecution.run_span`` (same counter
-  increments, same IEEE-754 accumulation order, same LRU transitions),
-  but with the TLB-hierarchy probes inlined and the walker entered
-  through the allocation-free :meth:`HardwareWalker.walk_into` batch
-  entry point;
+* :meth:`EscapeRunner.run` interprets a *run* of escape-side accesses
+  with semantics identical to ``_ThreadExecution.run_span`` (same
+  counter increments, same IEEE-754 accumulation order, same LRU
+  transitions), but with every step of the miss path inlined — the TLB
+  and paging-structure-cache probes, the LLC probes and the fills — and
+  the walker entered through the allocation-free
+  :meth:`HardwareWalker.walk_into` batch entry point, the one call a
+  walk makes;
 * faults *partition* a span instead of ending batching: the span flushes
   deferred trace state, services the fault through the unchanged kernel
   path, and resumes batched on the next access;
@@ -42,6 +44,8 @@ reference loop fails the differential suite before it ships.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+from repro.paging.levels import HUGE_LEAF_LEVEL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import _ThreadExecution
@@ -190,13 +194,31 @@ class EscapeRunner:
         epoch slice exactly as the reference loop aligns them.
 
         Semantics are access-for-access identical to
-        ``_ThreadExecution.run_span`` over the same elements: the TLB
-        hierarchy probes are inlined (same probe order, same counter and
-        LRU transitions as :meth:`TlbHierarchy.lookup`, pinned by
-        ``tests/sim/test_escape.py``), walks enter
-        through :meth:`HardwareWalker.walk_into`, faults take the
-        unchanged kernel path (after a trace flush — fault sites emit
-        instants inline), and every accumulator folds in the same order.
+        ``_ThreadExecution.run_span`` over the same elements, and a walk
+        costs one pass through this loop plus one call into
+        :meth:`HardwareWalker.walk_into`. Every other step of the miss
+        path is inlined, with the same probe order, counter, LRU and
+        eviction transitions as the method it stands for:
+
+        * the TLB hierarchy probe (:meth:`TlbHierarchy.lookup`);
+        * the paging-structure-cache probe (:meth:`MmuCaches.lookup`);
+        * one LLC probe per fetched level (:meth:`SocketLlc.access`);
+        * the PSC fill of every walked level above 1
+          (:meth:`MmuCaches.insert`), the start level's included;
+        * the TLB fills: one L1 fill for L2 hits and walks
+          (``TlbHierarchy._fill_l1``), then the L2 fill of a walk
+          (:meth:`TlbHierarchy.insert`), chosen by page size.
+
+        ``tests/sim/test_escape.py`` pins every copy to its method.
+        Faults take the unchanged kernel path (after a trace flush —
+        fault sites emit instants inline) and re-walk from CR3 without a
+        PSC probe, and every accumulator folds in the same order.
+
+        While neither 2 MiB TLB structure holds an entry their probes
+        cannot hit, so the loop skips them and counts their misses in
+        locals. Only a walk to a huge leaf can fill them during a span
+        (an L2 2 MiB hit needs an entry; flushes only remove entries), so
+        that walk adds the pending misses and ends the skip.
         """
         ex = self.ex
         tracebuf = self.tracebuf
@@ -206,19 +228,23 @@ class EscapeRunner:
         l1_2m = tlb.l1_2m
         l2_4k = tlb.l2_4k
         l2_2m = tlb.l2_2m
-        sets1_4, n1_4, st1_4 = l1_4k._sets, l1_4k.n_sets, l1_4k.stats
-        sets1_2, n1_2, st1_2 = l1_2m._sets, l1_2m.n_sets, l1_2m.stats
-        sets2_4, n2_4, st2_4 = l2_4k._sets, l2_4k.n_sets, l2_4k.stats
-        sets2_2, n2_2, st2_2 = l2_2m._sets, l2_2m.n_sets, l2_2m.stats
+        sets1_4, n1_4, ways1_4, st1_4 = l1_4k._sets, l1_4k.n_sets, l1_4k.ways, l1_4k.stats
+        sets1_2, n1_2, ways1_2, st1_2 = l1_2m._sets, l1_2m.n_sets, l1_2m.ways, l1_2m.stats
+        sets2_4, n2_4, ways2_4, st2_4 = l2_4k._sets, l2_4k.n_sets, l2_4k.ways, l2_4k.stats
+        sets2_2, n2_2, ways2_2, st2_2 = l2_2m._sets, l2_2m.n_sets, l2_2m.ways, l2_2m.stats
         totals = tlb.totals
         totals_l1 = totals.l1
         totals_l2 = totals.l2
-        fill_l1 = tlb._fill_l1
-        tlb_insert = tlb.insert
-        mmu_lookup = ex.mmu.lookup
-        mmu_insert = ex.mmu.insert
+        # Inlined paging-structure caches and the socket's LLC.
+        mmu = ex.mmu
+        psc_probe = mmu._probe
+        psc_fill = mmu._fill
+        psc_stats = mmu.stats
+        psc_hits = psc_stats.hits_at_level
+        llc_lines = ex.llc._lines
+        llc_capacity = ex.llc.capacity_lines
+        llc_stats = ex.llc.stats
         walk_into = ex.walker.walk_into
-        llc_access = ex.llc_access
         registry = ex.registry
         handle_fault = ex.fault_handler.handle
         process = ex.process
@@ -253,110 +279,187 @@ class EscapeRunner:
         # it for economic reasons (short run / cooldown / bail-out), never
         # for correctness. Folded once, as the span's L1-hit delta.
         l1_hits_start = totals_l1.hits
+        # The 2 MiB structures' skipped probes and the misses they owe.
+        skip_2m = not (l1_2m.occupancy() or l2_2m.occupancy())
+        pending_l1_2m = pending_l2_2m = 0
 
-        for i in range(lo, hi):
-            va = vas[i]
-            # -- L1 probe (split 4 KiB / 2 MiB), inlined Tlb.lookup ------------
-            vpn = va >> 12
-            entry_set = sets1_4[vpn % n1_4]
-            translation = entry_set.get(vpn)
-            if translation is not None:
-                entry_set.move_to_end(vpn)
-                st1_4.hits += 1
-            else:
-                st1_4.misses += 1
-                hvpn = va >> 21
-                entry_set = sets1_2[hvpn % n1_2]
-                translation = entry_set.get(hvpn)
-                if translation is not None:
-                    entry_set.move_to_end(hvpn)
-                    st1_2.hits += 1
-                else:
-                    st1_2.misses += 1
-            if translation is not None:
-                totals_l1.hits += 1
-            else:
-                totals_l1.misses += 1
-                # -- L2 probe ---------------------------------------------------
-                entry_set = sets2_4[vpn % n2_4]
+        try:
+            for i in range(lo, hi):
+                va = vas[i]
+                # -- L1 probe (split 4 KiB / 2 MiB), inlined Tlb.lookup --------
+                vpn = va >> 12
+                entry_set = sets1_4[vpn % n1_4]
                 translation = entry_set.get(vpn)
                 if translation is not None:
                     entry_set.move_to_end(vpn)
-                    st2_4.hits += 1
+                    st1_4.hits += 1
                 else:
-                    st2_4.misses += 1
-                    hvpn = va >> 21
-                    entry_set = sets2_2[hvpn % n2_2]
-                    translation = entry_set.get(hvpn)
-                    if translation is not None:
-                        entry_set.move_to_end(hvpn)
-                        st2_2.hits += 1
+                    st1_4.misses += 1
+                    if skip_2m:
+                        pending_l1_2m += 1
                     else:
-                        st2_2.misses += 1
+                        hvpn = va >> 21
+                        entry_set = sets1_2[hvpn % n1_2]
+                        translation = entry_set.get(hvpn)
+                        if translation is not None:
+                            entry_set.move_to_end(hvpn)
+                            st1_2.hits += 1
+                        else:
+                            st1_2.misses += 1
                 if translation is not None:
-                    totals_l2.hits += 1
-                    fill_l1(va, translation)
+                    totals_l1.hits += 1
                 else:
-                    totals_l2.misses += 1
-                    totals.walks += 1
-                    # -- the walk: PSC probe, batch walker entry ----------------
-                    walks += 1
-                    is_write = writes[i]
-                    n_levels, translation = walk_into(
-                        va, socket, is_write,
-                        out_levels, out_pfns, out_nodes, out_lines,
-                        mmu_lookup(va),
-                    )
-                    faulted = translation is None
-                    if faulted:
-                        if tracebuf is not None:
-                            # Fault sites emit instants inline; flush the
-                            # deferred walk spans first so the record
-                            # stream keeps the scalar tier's order.
-                            tracebuf.flush()
-                        fr = handle_fault(
-                            process, va, socket,
-                            is_write=is_write, allow_huge=allow_huge,
-                        )
-                        faults += 1
-                        fault_cycles += fr.work.cycles() + fr.io_cycles
+                    totals_l1.misses += 1
+                    # -- L2 probe -----------------------------------------------
+                    entry_set = sets2_4[vpn % n2_4]
+                    translation = entry_set.get(vpn)
+                    if translation is not None:
+                        entry_set.move_to_end(vpn)
+                        st2_4.hits += 1
+                    else:
+                        st2_4.misses += 1
+                        if skip_2m:
+                            pending_l2_2m += 1
+                        else:
+                            hvpn = va >> 21
+                            entry_set = sets2_2[hvpn % n2_2]
+                            translation = entry_set.get(hvpn)
+                            if translation is not None:
+                                entry_set.move_to_end(hvpn)
+                                st2_2.hits += 1
+                            else:
+                                st2_2.misses += 1
+                    if translation is not None:
+                        totals_l2.hits += 1
+                    else:
+                        totals_l2.misses += 1
+                        totals.walks += 1
+                        walks += 1
+                        # -- PSC probe, inlined MmuCaches.lookup ----------------
+                        psc_stats.lookups += 1
+                        start = None
+                        for level, cache, shift in psc_probe:
+                            tag = va >> shift
+                            page = cache.get(tag)
+                            if page is not None:
+                                cache.move_to_end(tag)
+                                psc_hits[level] = psc_hits.get(level, 0) + 1
+                                start = (page, level)
+                                break
+                        # -- the walk: the one call below this loop -------------
+                        is_write = writes[i]
                         n_levels, translation = walk_into(
                             va, socket, is_write,
-                            out_levels, out_pfns, out_nodes, out_lines,
+                            out_levels, out_pfns, out_nodes, out_lines, start,
                         )
-                        assert translation is not None
-                    last = n_levels - 1
-                    walk_start = walk_cycles
-                    for j in range(n_levels):
-                        hit = llc_access(out_lines[j])
-                        if hit and j == last and pollution_rolls[i]:
-                            # Data traffic evicted this leaf PTE line
-                            # since the last walk that used it.
-                            hit = False
-                        if hit:
-                            walk_llc_hits += 1
-                            cost = walk_llc_hit_cost
-                        else:
-                            cost = walk_cost[out_nodes[j]]
-                        walk_cycles += cost
+                        faulted = translation is None
+                        if faulted:
+                            if tracebuf is not None:
+                                # Fault sites emit instants inline; flush the
+                                # deferred walk spans first so the record
+                                # stream keeps the scalar tier's order.
+                                tracebuf.flush()
+                            fr = handle_fault(
+                                process, va, socket,
+                                is_write=is_write, allow_huge=allow_huge,
+                            )
+                            faults += 1
+                            fault_cycles += fr.work.cycles() + fr.io_cycles
+                            n_levels, translation = walk_into(
+                                va, socket, is_write,
+                                out_levels, out_pfns, out_nodes, out_lines,
+                            )
+                            assert translation is not None
+                        last = n_levels - 1
+                        walk_start = walk_cycles
+                        for j in range(n_levels):
+                            # -- LLC probe, inlined SocketLlc.access ------------
+                            line = out_lines[j]
+                            if line in llc_lines:
+                                llc_lines.move_to_end(line)
+                                llc_stats.hits += 1
+                                # A polluted leaf line: data traffic evicted
+                                # it since the last walk that used it.
+                                hit = j != last or not pollution_rolls[i]
+                            else:
+                                llc_stats.misses += 1
+                                if len(llc_lines) >= llc_capacity:
+                                    llc_lines.popitem(last=False)
+                                llc_lines[line] = None
+                                hit = False
+                            if hit:
+                                walk_llc_hits += 1
+                                cost = walk_llc_hit_cost
+                            else:
+                                cost = walk_cost[out_nodes[j]]
+                            walk_cycles += cost
+                            level = out_levels[j]
+                            if tracebuf is not None:
+                                tb_level(level)
+                                tb_node(out_nodes[j])
+                                tb_hit(hit)
+                                tb_cost(cost)
+                            if level > 1:
+                                # -- PSC fill, inlined MmuCaches.insert ---------
+                                fill = psc_fill.get(level)
+                                if fill is not None:
+                                    cache, shift, capacity = fill
+                                    tag = va >> shift
+                                    page = registry[out_pfns[j]]
+                                    if tag in cache:
+                                        cache.move_to_end(tag)
+                                    elif len(cache) >= capacity:
+                                        cache.popitem(last=False)
+                                        psc_stats.evictions += 1
+                                    cache[tag] = page
                         if tracebuf is not None:
-                            tb_level(out_levels[j])
-                            tb_node(out_nodes[j])
-                            tb_hit(hit)
-                            tb_cost(cost)
-                        if out_levels[j] > 1:
-                            mmu_insert(va, registry[out_pfns[j]])
-                    tlb_insert(va, translation)
-                    if tracebuf is not None:
-                        tracebuf.walk(va, faulted, walk_cycles - walk_start, n_levels)
-                    walk_refs += n_levels
-            # -- the data access itself ----------------------------------------
-            if hit_rolls[i]:
-                data_cycles += llc_hit_cost
-            else:
-                data_cycles += data_cost[translation.pfn // frames_per_node]
-            if autonuma is not None and ((abs_base + i) & sample_mask) == 0:
-                autonuma.record_access(process, va, socket)
+                            tracebuf.walk(va, faulted, walk_cycles - walk_start, n_levels)
+                        walk_refs += n_levels
+                        # -- L2 fill, inlined Tlb.insert --------------------------
+                        if translation.level == HUGE_LEAF_LEVEL:
+                            if skip_2m:
+                                # The span's first 2 MiB fill: the skipped
+                                # probes' misses land before it.
+                                st1_2.misses += pending_l1_2m
+                                st2_2.misses += pending_l2_2m
+                                pending_l1_2m = pending_l2_2m = 0
+                                skip_2m = False
+                            key = va >> 21
+                            entry_set, ways, stats = sets2_2[key % n2_2], ways2_2, st2_2
+                        else:
+                            key = vpn
+                            entry_set, ways, stats = sets2_4[key % n2_4], ways2_4, st2_4
+                        if key in entry_set:
+                            entry_set.move_to_end(key)
+                        elif len(entry_set) >= ways:
+                            entry_set.popitem(last=False)
+                            stats.evictions += 1
+                        entry_set[key] = translation
+                    # -- L1 fill (L2 hit or walk), inlined Tlb.insert ---------
+                    if translation.level == HUGE_LEAF_LEVEL:
+                        key = va >> 21
+                        entry_set, ways, stats = sets1_2[key % n1_2], ways1_2, st1_2
+                    else:
+                        key = vpn
+                        entry_set, ways, stats = sets1_4[key % n1_4], ways1_4, st1_4
+                    if key in entry_set:
+                        entry_set.move_to_end(key)
+                    elif len(entry_set) >= ways:
+                        entry_set.popitem(last=False)
+                        stats.evictions += 1
+                    entry_set[key] = translation
+                # -- the data access itself ------------------------------------
+                if hit_rolls[i]:
+                    data_cycles += llc_hit_cost
+                else:
+                    data_cycles += data_cost[translation.pfn // frames_per_node]
+                if autonuma is not None and ((abs_base + i) & sample_mask) == 0:
+                    autonuma.record_access(process, va, socket)
+        finally:
+            # Also on an exception from the fault path, so the 2 MiB
+            # counters stay where the reference loop leaves them.
+            st1_2.misses += pending_l1_2m
+            st2_2.misses += pending_l2_2m
 
         ex.data_cycles = data_cycles
         ex.walk_cycles = walk_cycles

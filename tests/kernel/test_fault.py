@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ProtectionFault, SegmentationFault
+from repro.errors import OutOfMemoryError, ProtectionFault, SegmentationFault
+from repro.inject.plan import FaultPlan, install_fault_plan
 from repro.kernel.policy import FixedNodePolicy, InterleavePolicy
 from repro.kernel.vma import PROT_DEFAULT
 from repro.mem.fragmentation import FragmentationInjector
@@ -124,3 +125,44 @@ class TestThpFaults:
         va = kernel2.sys_mmap(process, MIB).value
         result = kernel2.fault_handler.handle(process, va, socket=0, allow_huge=True)
         assert not result.huge
+
+
+def _used_frames(kernel) -> int:
+    return sum(kernel.physmem.stats(node).used_frames for node in kernel.machine.node_ids())
+
+
+class TestPageTableOomKeepsNoFrame:
+    """A page-table OOM during a fault maps nothing, so it must leave no
+    data frame allocated either: the frame taken before the descent goes
+    back before the error propagates."""
+
+    @staticmethod
+    def _arena(kernel2):
+        """A fresh 4 KiB VMA, then a plan that fails the next page-table
+        page-cache refill: the first fault's descent."""
+        process = kernel2.create_process("oom", socket=0)
+        va = kernel2.sys_mmap(process, 16 * PAGE_SIZE, use_huge=False).value
+        plan = FaultPlan(seed=1)
+        plan.pagecache_oom(on_calls={1})
+        install_fault_plan(kernel2, plan)
+        return process, va, plan
+
+    def test_failed_touch(self, kernel2):
+        process, va, plan = self._arena(kernel2)
+        used = _used_frames(kernel2)
+        with pytest.raises(OutOfMemoryError):
+            kernel2.touch(process, va, is_write=True)
+        assert plan.log, "the plan never fired"
+        assert _used_frames(kernel2) == used
+        assert not process.mm.frames
+        assert kernel2.fault_handler.faults_handled == 1  # the attempt counts
+
+    def test_failed_populate(self, kernel2):
+        process, va, plan = self._arena(kernel2)
+        used = _used_frames(kernel2)
+        with pytest.raises(OutOfMemoryError):
+            kernel2.fault_handler.populate(process, va, va + 16 * PAGE_SIZE, socket=0)
+        assert plan.log, "the plan never fired"
+        assert _used_frames(kernel2) == used
+        assert not process.mm.frames
+        assert kernel2.fault_handler.faults_handled == 1

@@ -2,17 +2,21 @@
 
 import pytest
 
+from repro.inject import FaultPlan, install_fault_plan
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.backend import MitosisPagingOps
+from repro.mitosis.daemon import MitosisDaemon
 from repro.mitosis.naive import (
     NaiveMitosisPagingOps,
     naive_update_cost_refs,
     ring_update_cost_refs,
 )
+from repro.mitosis.replication import enable_replication
 from repro.paging.pagetable import PageTableTree
 from repro.paging.pte import PTE_USER, PTE_WRITABLE
 from repro.paging.walker import HardwareWalker
-from repro.units import PAGE_SIZE
+from repro.sim.metrics import RunMetrics
+from repro.units import MIB, PAGE_SIZE
 
 FLAGS = PTE_WRITABLE | PTE_USER
 MASK = frozenset({0, 1, 2, 3})
@@ -66,3 +70,60 @@ class TestNaiveBackend:
         assert naive_update_cost_refs(1) == 4
         for n in (1, 2, 4, 8, 16):
             assert naive_update_cost_refs(n) == 2 * ring_update_cost_refs(n)
+
+
+class TestMaskChangesKeepTheNaiveBackend:
+    """A mask change swaps the backend for one on the new mask; a naive
+    tree must stay naive, with its counters, or the §5.2 ablation would
+    quietly measure the ring design instead."""
+
+    @staticmethod
+    def _naive(tree, pagecache):
+        naive = NaiveMitosisPagingOps(pagecache, tree.ops.mask)
+        naive.stats = tree.ops.stats
+        tree.ops = naive
+        return naive
+
+    @staticmethod
+    def _naive_accounting(tree, physmem, va):
+        """One leaf update: the naive backend charges walk reads, no hops."""
+        before = tree.ops.stats.snapshot()
+        tree.map_page(va, physmem.alloc_frame(0).pfn, FLAGS)
+        delta = tree.ops.stats.delta(before)
+        return delta.ring_hops, delta.pte_reads > 0
+
+    def test_reenable(self, physmem4):
+        cache = PageTablePageCache(physmem4)
+        tree = PageTableTree(MitosisPagingOps(cache, frozenset({0, 1})))
+        tree.map_page(0x1000, physmem4.alloc_frame(0).pfn, FLAGS)
+        naive = self._naive(tree, cache)
+        stats = naive.stats
+        writes = stats.pte_writes
+        enable_replication(tree, cache, frozenset({0, 1}))
+        assert type(tree.ops) is NaiveMitosisPagingOps
+        assert tree.ops.stats is stats and stats.pte_writes == writes
+        enable_replication(tree, cache, frozenset({0, 1, 2}))
+        assert type(tree.ops) is NaiveMitosisPagingOps
+        assert tree.ops.mask == frozenset({0, 1, 2})
+        assert tree.ops.stats is stats
+        assert self._naive_accounting(tree, physmem4, 0x2000) == (0, True)
+
+    def test_daemon_completing_a_degraded_mask(self, kernel2):
+        process = kernel2.create_process("app", socket=0)
+        process.add_thread(1)
+        kernel2.sys_mmap(process, MIB, populate=True)
+        plan = FaultPlan(seed=7)
+        plan.pagecache_oom(node=1, limit=4)
+        install_fault_plan(kernel2, plan)
+        kernel2.mitosis.set_replication_mask(process, frozenset({0, 1}))
+        tree = process.mm.tree
+        assert process.mm.degraded is not None
+        stats = self._naive(tree, kernel2.pagecache).stats
+        daemon = MitosisDaemon(manager=kernel2.mitosis, process=process)
+        for epoch in range(2):
+            daemon.observe(epoch, RunMetrics())
+        assert [d.action for d in daemon.decisions] == ["retry-degraded", "complete-mask"]
+        assert type(tree.ops) is NaiveMitosisPagingOps
+        assert tree.ops.mask == frozenset({0, 1})
+        assert tree.ops.stats is stats
+        assert self._naive_accounting(tree, kernel2.physmem, 1 << 30) == (0, True)

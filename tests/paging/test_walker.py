@@ -5,7 +5,8 @@ import pytest
 from repro.kernel.policy import FixedNodePolicy
 from repro.kernel.pvops import NativePagingOps
 from repro.mem.pagecache import PageTablePageCache
-from repro.paging.pagetable import PageTableTree
+from repro.paging.levels import GEOMETRY_5LEVEL
+from repro.paging.pagetable import PageTableTree, Translation
 from repro.paging.pte import PTE_USER, PTE_WRITABLE, pte_accessed, pte_dirty
 from repro.paging.walker import HardwareWalker
 from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE
@@ -101,6 +102,7 @@ class TestWalkInto:
         reference = walker.walk(0x1000, socket=0)
         assert rows == self._reference_rows(reference)
         assert translation == reference.translation
+        assert type(translation) is Translation
 
     def test_matches_reference_walk_huge(self, tree_remote_pt, physmem2):
         frame = physmem2.alloc_huge_frame(0)
@@ -110,7 +112,26 @@ class TestWalkInto:
         reference = walker.walk(3 * PAGE_SIZE, socket=0)
         assert rows == self._reference_rows(reference)
         assert translation == reference.translation
+        assert type(translation) is Translation
         assert translation.pfn == frame.pfn + 3
+        assert translation.page_size == HUGE_PAGE_SIZE
+
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_matches_reference_walk_5_level(self, physmem2, huge):
+        ops = NativePagingOps(PageTablePageCache(physmem2), pt_policy=FixedNodePolicy(1))
+        tree = PageTableTree(ops, node_hint=1, geometry=GEOMETRY_5LEVEL)
+        va = (1 << 50) + 5 * HUGE_PAGE_SIZE  # above the 4-level 48-bit space
+        frame = physmem2.alloc_huge_frame(0) if huge else physmem2.alloc_frame(0)
+        tree.map_page(va, frame.pfn, FLAGS, huge=huge)
+        walker = HardwareWalker(tree)
+        probe = va + 7 * PAGE_SIZE if huge else va
+        rows, translation = self._into(walker, probe, 0, is_write=True)
+        reference = walker.walk(probe, socket=0, is_write=True)
+        assert rows == self._reference_rows(reference)
+        assert [row[0] for row in rows] == ([5, 4, 3, 2] if huge else [5, 4, 3, 2, 1])
+        assert translation == reference.translation
+        assert type(translation) is Translation
+        assert translation.pfn == frame.pfn + (7 if huge else 0)
 
     def test_fault_reports_partial_levels(self, tree_remote_pt):
         walker = HardwareWalker(tree_remote_pt)

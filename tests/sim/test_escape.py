@@ -14,6 +14,7 @@ end.
 
 import itertools
 import random
+from collections import Counter
 from contextlib import nullcontext
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.sim import engine as engine_module
 from repro.sim.engine import _CHUNK, EngineConfig, Simulator, _ResidencyLut, _ThreadExecution
 from repro.sim.escape import EscapeRunner, WalkTraceBuffer
 from repro.sim.metrics import RunMetrics, ThreadMetrics
-from repro.tlb.mmu_cache import MmuCaches
+from repro.tlb.mmu_cache import MmuCacheConfig, MmuCaches
 from repro.tlb.tlb import TlbConfig, TlbHierarchy
 from repro.trace.session import TraceSession, tracing
 from repro.units import GIB, HUGE_PAGE_SIZE, KIB, MIB, PAGE_SHIFT, PAGE_SIZE
@@ -197,6 +198,177 @@ class TestInlinedProbe:
             assert stats.hits and stats.misses and stats.evictions, (name, stats)
 
 
+#: Small paging-structure caches and LLC, so that a few thousand walks
+#: evict from the level-2 and level-3 PSCs and from the LLC.
+SMALL_MMU = MmuCacheConfig(entries_per_level={1: 2, 2: 2, 3: 2})
+SMALL_LLC = 16 * 64
+#: One 512 GiB region: a level-3 table's span.
+FAR = 1 << 39
+
+
+def _walk_process():
+    """A THP kernel whose regions sit in five 1 GiB regions of three
+    512 GiB ones: populated 2 MiB and 4 KiB pages, and unpopulated ones
+    of both sizes for demand faults (2 MiB ones map through THP)."""
+    kernel = Kernel(
+        Machine.homogeneous(2, cores_per_socket=1, memory_per_socket=64 * MIB),
+        sysctl=Sysctl(thp_enabled=True),
+    )
+    process = kernel.create_process("walks", socket=0)
+    regions = {}
+    for name, va, size, populate, huge in (
+        ("huge", GIB, HUGE_PAGES * HUGE_PAGE_SIZE, True, True),
+        ("small", 2 * GIB, 48 * PAGE_SIZE, True, False),
+        ("fault_small", 2 * FAR + GIB, 32 * PAGE_SIZE, False, False),
+        ("far_small", FAR + GIB, 48 * PAGE_SIZE, True, False),
+        ("fault_huge", FAR + 2 * GIB, 2 * HUGE_PAGE_SIZE, False, True),
+    ):
+        kernel.sys_mmap(process, size, populate=populate, fixed_va=va, use_huge=huge)
+        regions[name] = (va, size)
+    return kernel, process, regions
+
+
+def _walk_stream(seed, regions, n=3000, small_only=300):
+    """``(vas, writes, hit_rolls, pollution_rolls)``: ``small_only``
+    accesses to 4 KiB pages, then the first touch of an unpopulated
+    2 MiB page (a THP fault), then every region mixed. Recent pages
+    recur, so the L1 and L2 TLBs, the PSCs and the LLC all hit too."""
+    rng = random.Random(seed)
+
+    def pick(names):
+        va, size = regions[rng.choice(names)]
+        return va + rng.randrange(size)
+
+    vas = []
+    for k in range(n):
+        if k == small_only:
+            vas.append(regions["fault_huge"][0] + rng.randrange(HUGE_PAGE_SIZE))
+        elif vas and rng.random() < 0.4:
+            vas.append(rng.choice(vas[-8:]))
+        elif k < small_only:
+            vas.append(pick(["small", "far_small", "fault_small"]))
+        else:
+            vas.append(pick(list(regions)))
+    rolls = [[rng.random() < 0.3 for _ in range(n)] for _ in range(3)]
+    return vas, *rolls
+
+
+def _walk_path_state(ex, llc) -> dict:
+    """Everything the miss path touches: the four TLB structures, every
+    PSC level's entries in LRU order and the PSC stats, the socket LLC's
+    lines in LRU order and its stats, the slice's accumulators, and the
+    page tables (hardware A/D bits included)."""
+    tlb, mmu = ex.tlb, ex.mmu
+    registry = ex.process.mm.tree.registry
+    return {
+        "tlb": [
+            (name, getattr(tlb, name).stats, list(getattr(tlb, name).resident_items()))
+            for name in STRUCTURES
+        ],
+        "totals": tlb.totals,
+        "psc": _psc_entries(mmu),
+        "psc_stats": mmu.stats,
+        "llc": list(llc._lines),
+        "llc_stats": llc.stats,
+        "accumulators": (
+            ex.data_cycles, ex.walk_cycles, ex.walks, ex.walk_refs,
+            ex.walk_llc_hits, ex.faults, ex.fault_cycles,
+        ),
+        "frames": [(va, m.frame.pfn, m.huge) for va, m in ex.process.mm.frames.items()],
+        "tables": [(pfn, list(registry[pfn].entries)) for pfn in sorted(registry)],
+    }
+
+
+def _psc_entries(mmu) -> list:
+    """Each PSC level's ``(tag, table pfn)`` entries, in LRU order."""
+    return [
+        (level, [(tag, page.pfn) for tag, page in cache.items()])
+        for level, cache in mmu._caches.items()
+    ]
+
+
+class TestInlinedWalkPath:
+    """Below the TLB probe, EscapeRunner.run inlines the PSC probe and
+    fill (MmuCaches.lookup/insert), one LLC probe per fetched level
+    (SocketLlc.access) and the TLB fills (TlbHierarchy.insert and the L1
+    fill of an L2 hit). Spans through the runner and the same stream
+    through run_span (lookup + walk_one) on an identical kernel must
+    leave every structure in the same state: entries, LRU order, stats,
+    accumulators and page tables. The first span starts with both 2 MiB
+    TLB structures empty and maps a THP page through a fault mid-span,
+    so the skipped 2 MiB probes and their pending misses are pinned
+    too."""
+
+    def _contexts(self, kernel, process):
+        sim = Simulator(kernel, EngineConfig(tlb=TINY_TLB, mmu=SMALL_MMU, pt_llc_bytes=SMALL_LLC))
+        llcs = {node: SocketLlc(SMALL_LLC) for node in kernel.machine.node_ids()}
+        ex = _ThreadExecution(
+            sim, process, HardwareWalker(process.mm.tree),
+            (TlbHierarchy(TINY_TLB), MmuCaches(SMALL_MMU)), llcs, 0, 2.0,
+            ThreadMetrics(thread=0, socket=0),
+        )
+        return ex, llcs[0]
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    @pytest.mark.parametrize("spans", [1, 7])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_matches_walk_one(self, seed, spans, traced):
+        sessions, states = {}, {}
+        evicted_at = Counter()
+        for tier in ("reference", "runner"):
+            kernel, process, regions = _walk_process()
+            stream = _walk_stream(seed, regions)
+            n = len(stream[0])
+            session = sessions[tier] = TraceSession(sinks=()) if traced else None
+            with tracing(session) if traced else nullcontext():
+                ex, llc = self._contexts(kernel, process)
+                if tier == "reference":
+                    insert = ex.mmu.insert
+
+                    def spy(va, page, mmu=ex.mmu):
+                        before = mmu.stats.evictions
+                        insert(va, page)
+                        evicted_at[page.level] += mmu.stats.evictions - before
+
+                    ex.mmu.insert = spy
+                    ex.run_span(*stream)
+                else:
+                    runner = EscapeRunner(ex)
+                    bounds = [n * k // spans for k in range(spans + 1)]
+                    tlb = ex.tlb
+                    assert bounds[1] > 300  # the THP fault falls in the first span
+                    for lo, hi in zip(bounds, bounds[1:]):
+                        skipping = not (tlb.l1_2m.occupancy() or tlb.l2_2m.occupancy())
+                        assert skipping == (lo == 0)
+                        runner.run(*stream, lo, hi, 0)
+                    runner.close()
+            states[tier] = _walk_path_state(ex, llc)
+
+        assert states["runner"] == states["reference"]
+        assert ex.escape_bailout == ex.tlb.totals.l1.hits
+        if traced:
+            events = {
+                tier: [(e.name, e.ts, e.dur, e.track, e.args) for e in session.events]
+                for tier, session in sessions.items()
+            }
+            assert events["runner"] == events["reference"]
+        # The stream exercises what it pins: hits, misses and evictions in
+        # every TLB structure, PSC evictions at levels 2 and 3, LLC
+        # evictions, and demand faults of both page sizes.
+        for name, stats, _entries in states["reference"]["tlb"]:
+            assert stats.hits and stats.misses and stats.evictions, (name, stats)
+        assert evicted_at[2] and evicted_at[3], evicted_at
+        psc_stats = states["reference"]["psc_stats"]
+        assert psc_stats.hits_at_level.get(2) and psc_stats.hits_at_level.get(3)
+        llc_stats = states["reference"]["llc_stats"]
+        assert llc_stats.hits and llc_stats.misses > llc.capacity_lines
+        frames = states["reference"]["frames"]
+        for name, huge in (("fault_huge", True), ("fault_small", False)):
+            start, size = regions[name]
+            assert {h for va, _pfn, h in frames if start <= va < start + size} == {huge}
+        assert ex.faults > 2
+
+
 class _FixedStream(Workload):
     """One thread's prepared address stream, as a workload."""
 
@@ -249,13 +421,15 @@ def _run_stream(kernel, process, vas, engine, socket=0, **config) -> RunMetrics:
 
 def _hardware_state(kernel) -> list:
     """Per-structure stats and resident entries (LRU order within a
-    set) of every core's TLB hierarchy, plus its hierarchy counters."""
+    set) of every core's TLB hierarchy, plus its hierarchy counters, and
+    its MMU caches: stats and each level's entries in LRU order."""
     state = []
-    for tlb, _mmu in kernel.cpu_contexts:
+    for tlb, mmu in kernel.cpu_contexts:
         for name in STRUCTURES:
             structure = getattr(tlb, name)
             state.append((name, structure.stats, list(structure.resident_items())))
         state.append(tlb.totals)
+        state.append((mmu.stats, _psc_entries(mmu)))
     return state
 
 

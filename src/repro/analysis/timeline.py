@@ -59,7 +59,7 @@ class PlacementTimeline:
 
         mm = self.process.mm
         n = self.kernel.machine.n_sockets
-        data_nodes = {va: mapped.frame.node for va, mapped in mm.frames.items()}
+        data_nodes = {va: frame.node for va, frame in mm.frames.items()}
         pt_nodes = {pfn: page.node for pfn, page in mm.tree.registry.items()}
         remote = {
             socket: dump_tree(mm.tree, self.kernel.physmem, n, socket=socket).remote_leaf_fraction(

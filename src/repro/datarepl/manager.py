@@ -25,6 +25,7 @@ from repro.kernel.process import Process
 from repro.mitosis.ring import ring_members
 from repro.paging.pte import make_pte, pte_flags, pte_pfn
 from repro.paging.pagetable import PagingOps
+from repro.mem.allocator import HUGE_ORDER
 from repro.mem.frame import Frame, FrameKind
 from repro.units import PAGE_SIZE
 
@@ -73,12 +74,12 @@ class DataReplicationManager:
         for va in vas:
             if max_pages is not None and count >= max_pages:
                 break
-            mapped = mm.frames.get(va)
-            if mapped is None or mapped.huge:
+            frame = mm.frames.get(va)
+            if frame is None or frame.order == HUGE_ORDER:
                 continue  # huge pages: copy cost dwarfs benefit; skip
             if (process.pid, va) in self._copies:
                 continue
-            if self._replicate_one(process, va, mapped.frame, targets):
+            if self._replicate_one(process, va, frame, targets):
                 count += 1
         return count
 
@@ -123,16 +124,16 @@ class DataReplicationManager:
         if copies is None:
             return 0.0
         mm = process.mm
-        mapped = mm.frames[va]
-        keep = copies.pop(writing_socket, mapped.frame)
+        original = mm.frames[va]
+        keep = copies.pop(writing_socket, original)
         location = mm.tree.leaf_location(va)
         flags = pte_flags(location.page.entries[location.index])
         with mm.lock():
             for member in ring_members(mm.tree, location.page):
                 PagingOps.apply_entry_write(member, location.index, make_pte(keep.pfn, flags))
-        if keep is not mapped.frame:
-            self.kernel.physmem.free(mapped.frame)
-            mapped.frame = keep
+        if keep is not original:
+            self.kernel.physmem.free(original)
+            mm.frames[va] = keep
         for frame in copies.values():
             self.kernel.physmem.free(frame)
         self.stats.collapses += 1

@@ -15,7 +15,7 @@ from repro.kernel.policy import (
     InterleavePolicy,
     PlacementPolicy,
 )
-from repro.kernel.process import MappedFrame, MemoryDescriptor, MmLock, Process, Thread
+from repro.kernel.process import MemoryDescriptor, MmLock, Process, Thread
 from repro.kernel.pvops import NativePagingOps
 from repro.kernel.scheduler import Scheduler, SchedulerStats
 from repro.kernel.swap import SwapDevice, SwapEntry, SwapManager, SwapStats
@@ -39,7 +39,6 @@ __all__ = [
     "InterleavePolicy",
     "Kernel",
     "LoadBalancer",
-    "MappedFrame",
     "Move",
     "MemoryDescriptor",
     "MitosisMode",

@@ -43,10 +43,10 @@ class AutoNuma:
 
     def record_access(self, process: Process, va: int, socket: int) -> None:
         """One sampled (hint-faulted) access from ``socket``."""
-        mapped = process.mm.frame_at(va)
-        if mapped is None:
+        hit = process.mm.frame_at(va)
+        if hit is None:
             return
-        key = (process.pid, mapped.va)
+        key = (process.pid, hit[0])
         counter = self._hints.get(key)
         if counter is None:
             counter = self._hints[key] = Counter()
@@ -64,15 +64,14 @@ class AutoNuma:
                 break
             if pid != process.pid or not counter:
                 continue
-            mapped = mm.frames.get(va)
-            if mapped is None:
+            if va not in mm.frames:
                 del self._hints[(pid, va)]
                 continue
             socket, hits = counter.most_common(1)[0]
             if hits / sum(counter.values()) < self.majority_threshold:
                 continue
             copied_before = work.pages_copied
-            if migrate_mapped_page(self.physmem, mm, mapped, socket, work):
+            if migrate_mapped_page(self.physmem, mm, va, socket, work):
                 self.stats.pages_migrated += work.pages_copied - copied_before
                 migrated += 1
             counter.clear()

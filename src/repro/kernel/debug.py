@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
+from repro.mem.allocator import HUGE_ORDER
 from repro.mitosis.ring import ring_members
 from repro.paging.pte import pte_pfn, pte_present
 from repro.units import PAGE_SIZE
@@ -38,14 +39,14 @@ def validate_mm(
     if set(tree_mappings) != set(mm.frames):
         extra = set(tree_mappings) ^ set(mm.frames)
         raise ConsistencyError(f"frames/tree leaf mismatch at {sorted(extra)[:4]}")
-    for va, mapped in mm.frames.items():
+    for va, frame in mm.frames.items():
         translation = tree_mappings[va]
-        if pte_pfn_of(translation) != mapped.frame.pfn:
+        if pte_pfn_of(translation) != frame.pfn:
             raise ConsistencyError(
                 f"va 0x{va:x}: tree maps pfn {pte_pfn_of(translation)}, "
-                f"frames record {mapped.frame.pfn}"
+                f"frames record {frame.pfn}"
             )
-        if mapped.huge != (translation.level == 2):
+        if (frame.order == HUGE_ORDER) != (translation.level == 2):
             raise ConsistencyError(f"va 0x{va:x}: huge flag mismatch")
     overlap = set(mm.swapped) & set(mm.frames)
     if overlap:
@@ -88,9 +89,9 @@ def validate_mm(
             )
 
     # 5. Frame metadata agrees with the allocator's node partition.
-    for mapped in mm.frames.values():
-        if kernel.physmem.node_of_pfn(mapped.frame.pfn) != mapped.frame.node:
-            raise ConsistencyError(f"frame {mapped.frame.pfn} node mismatch")
+    for frame in mm.frames.values():
+        if kernel.physmem.node_of_pfn(frame.pfn) != frame.node:
+            raise ConsistencyError(f"frame {frame.pfn} node mismatch")
 
 
 def pte_pfn_of(translation) -> int:

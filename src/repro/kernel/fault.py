@@ -12,15 +12,16 @@ skew in §3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from operator import and_
 
 from repro.errors import ProtectionFault, SegmentationFault
 from repro.kernel.costs import WorkCounters
 from repro.kernel.policy import PlacementPolicy
-from repro.kernel.process import MappedFrame, MemoryDescriptor, Process
+from repro.kernel.process import MemoryDescriptor, Process
 from repro.kernel.thp import ThpController
 from repro.kernel.vma import Vma
+from repro.mem.allocator import HUGE_ORDER
 from repro.mem.frame import Frame
 from repro.mem.physmem import PhysicalMemory
 from repro.paging.levels import LEAF_LEVEL, level_index
@@ -91,7 +92,8 @@ class PageFaultHandler:
             assert translation is not None
             if is_write and not pte_writable(translation.flags):
                 raise ProtectionFault(va, "write")
-            return FaultResult(va=va, mapped_bytes=0, huge=existing.huge, work=WorkCounters(), did_map=False)
+            huge = existing[1].order == HUGE_ORDER
+            return FaultResult(va=va, mapped_bytes=0, huge=huge, work=WorkCounters(), did_map=False)
 
         self.faults_handled += 1
         policy = vma.data_policy or mm.data_policy
@@ -131,9 +133,10 @@ class PageFaultHandler:
         placement decision and data frame, allocated in the same order.
         The difference is cost: THP eligibility is scanned once per 2 MiB
         window, each leaf table is descended to once under one
-        ``mm.lock()``, and each run of fresh pages in it gets its frames
-        from one physical-memory call, its PTEs from one PV-Ops run write
-        and its records in one update.
+        ``mm.lock()``, and each run of fresh pages in it gets its
+        placement from one policy call, its frames from one
+        physical-memory call (one bulk take per node), its PTEs from one
+        PV-Ops run write and its records in one update.
 
         Returns the pages zeroed. On an exception every page before the
         failing one stays mapped, as with the per-page loop.
@@ -176,14 +179,15 @@ class PageFaultHandler:
         :meth:`_fault_run`."""
         mm = process.mm
         frames = mm.frames
-        head = frames.get(pos & ~(HUGE_PAGE_SIZE - 1))
-        if head is not None and head.huge:
+        window = pos & ~(HUGE_PAGE_SIZE - 1)
+        head = frames.get(window)
+        if head is not None and head.order == HUGE_ORDER:
             # One 2 MiB leaf: every page of the window is the same spurious fault.
             translation = mm.tree.translate(pos)
             assert translation is not None
             if not pte_writable(translation.flags):
                 raise ProtectionFault(pos, "write")
-            return head.va + HUGE_PAGE_SIZE
+            return window + HUGE_PAGE_SIZE
         swapped = mm.swapped if self.swap is not None else {}
         policy = vma.data_policy or mm.data_policy
         try_huge = allow_huge
@@ -238,15 +242,20 @@ class PageFaultHandler:
     ) -> None:
         """Fault the fresh pages ``[base, end)`` of ``table``; ``run``
         holds the frames of its first pages if they are allocated already.
-        One frame pass allocates the rest (one placement decision and one
-        fault each), then one run write maps every page allocated, also
-        when an allocation fails part-way. The caller holds ``mm.lock()``."""
+        One placement call places the rest and one frame pass allocates
+        them (one fault each), then one run write maps every page
+        allocated, also when an allocation fails part-way: the policy then
+        takes back the placements past the failing page. The caller holds
+        ``mm.lock()``."""
         count = (end - base) // PAGE_SIZE - len(run)
         done = len(run)
+        rotation = policy.choose_run(socket, count)
         try:
-            self.physmem.alloc_frames_fallback(count, partial(policy.choose_node, socket), run)
+            self.physmem.alloc_frames_fallback(count, rotation, run)
         except BaseException:
-            self.faults_handled += len(run) - done + 1  # the failing page too
+            attempted = len(run) - done + 1  # the failing page too
+            self.faults_handled += attempted
+            policy.rewind(count - attempted)
             raise
         finally:
             if run:
@@ -271,7 +280,7 @@ class PageFaultHandler:
         base = va & ~(HUGE_PAGE_SIZE - 1)
         with mm.lock():
             mm.tree.map_page(base, frame.pfn, vma.prot, huge=True, node_hint=socket)
-        mm.frames[base] = MappedFrame(va=base, frame=frame, huge=True)
+        mm.frames[base] = frame
 
     @staticmethod
     def _map_leaves(
@@ -281,8 +290,7 @@ class PageFaultHandler:
         leaf ``table`` with one run write, and record them in ``mm``.
         The caller holds ``mm.lock()``."""
         mm.tree.map_run(table, base, [frame.pfn for frame in frames], vma.prot)
-        vas = range(base, base + len(frames) * PAGE_SIZE, PAGE_SIZE)
-        mm.frames.update({va: MappedFrame(va, frame, False) for va, frame in zip(vas, frames)})
+        mm.frames.update(zip(range(base, base + len(frames) * PAGE_SIZE, PAGE_SIZE), frames))
 
 
 def _check_writable(table: PageTablePage, base: int, end: int) -> None:

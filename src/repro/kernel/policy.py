@@ -11,17 +11,28 @@ turn.
 from __future__ import annotations
 
 import abc
-import itertools
 from dataclasses import dataclass, field
 
 
 class PlacementPolicy(abc.ABC):
-    """Chooses the NUMA node for a new page."""
+    """Chooses the NUMA node for a new page, or for a run of new pages."""
 
     @abc.abstractmethod
     def choose_node(self, hint: int) -> int:
         """Pick a node. ``hint`` is the socket of the faulting/allocating
         thread (the "first toucher")."""
+
+    @abc.abstractmethod
+    def choose_run(self, hint: int, count: int) -> tuple[int, ...]:
+        """Place the next ``count`` pages in one call; returns their
+        rotation: page ``i`` of the run goes to
+        ``rotation[i % len(rotation)]``. The nodes, and the state the
+        policy is left in, are those of ``count`` :meth:`choose_node`
+        calls."""
+
+    def rewind(self, count: int) -> None:
+        """Take back the last ``count`` placements (the pages of a run
+        after the one an allocation failure stopped it at)."""
 
     def reset(self) -> None:
         """Forget internal state (e.g. the interleave cursor)."""
@@ -32,6 +43,9 @@ class FirstTouchPolicy(PlacementPolicy):
 
     def choose_node(self, hint: int) -> int:
         return hint
+
+    def choose_run(self, hint: int, count: int) -> tuple[int, ...]:
+        return (hint,)
 
     def reset(self) -> None:  # stateless
         pass
@@ -45,18 +59,28 @@ class InterleavePolicy(PlacementPolicy):
     """Round-robin pages across a node set (``numactl --interleave``)."""
 
     nodes: tuple[int, ...]
-    _cursor: "itertools.cycle[int]" = field(init=False, repr=False)
+    #: Index into ``nodes`` of the next page's node.
+    _cursor: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("interleave needs at least one node")
-        self._cursor = itertools.cycle(self.nodes)
 
     def choose_node(self, hint: int) -> int:
-        return next(self._cursor)
+        cursor = self._cursor
+        self._cursor = (cursor + 1) % len(self.nodes)
+        return self.nodes[cursor]
+
+    def choose_run(self, hint: int, count: int) -> tuple[int, ...]:
+        nodes, cursor = self.nodes, self._cursor
+        self._cursor = (cursor + count) % len(nodes)
+        return nodes[cursor:] + nodes[:cursor]
+
+    def rewind(self, count: int) -> None:
+        self._cursor = (self._cursor - count) % len(self.nodes)
 
     def reset(self) -> None:
-        self._cursor = itertools.cycle(self.nodes)
+        self._cursor = 0
 
 
 @dataclass(frozen=True)
@@ -68,6 +92,9 @@ class FixedNodePolicy(PlacementPolicy):
 
     def choose_node(self, hint: int) -> int:
         return self.node
+
+    def choose_run(self, hint: int, count: int) -> tuple[int, ...]:
+        return (self.node,)
 
     def reset(self) -> None:  # stateless
         pass

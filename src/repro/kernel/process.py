@@ -16,9 +16,10 @@ from typing import Iterator
 
 from repro.kernel.policy import FirstTouchPolicy, PlacementPolicy
 from repro.kernel.vma import VmaList
+from repro.mem.allocator import HUGE_ORDER
 from repro.mem.frame import Frame
-from repro.paging.levels import HUGE_LEAF_LEVEL
 from repro.paging.pagetable import PageTableTree
+from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE
 
 
 class MmLock:
@@ -42,27 +43,15 @@ class MmLock:
             self._depth -= 1
 
 
-@dataclass(slots=True)
-class MappedFrame:
-    """Bookkeeping for one mapped leaf: the backing frame and its size."""
-
-    va: int
-    frame: Frame
-    huge: bool
-
-    @property
-    def level(self) -> int:
-        return HUGE_LEAF_LEVEL if self.huge else 1
-
-
 class MemoryDescriptor:
     """Per-process memory state (Linux's ``mm_struct``)."""
 
     def __init__(self, tree: PageTableTree, va_limit: int):
         self.tree = tree
         self.vmas = VmaList(va_limit)
-        #: leaf VA -> backing data frame (4 KiB or 2 MiB).
-        self.frames: dict[int, MappedFrame] = {}
+        #: leaf VA -> backing data frame: a 2 MiB leaf's frame has order
+        #: ``HUGE_ORDER``, a 4 KiB leaf's order 0.
+        self.frames: dict[int, Frame] = {}
         #: leaf VA -> swap entry for pages evicted to the swap device
         #: (see :mod:`repro.kernel.swap`).
         self.swapped: dict[int, "object"] = {}
@@ -82,20 +71,19 @@ class MemoryDescriptor:
 
     def mapped_bytes(self) -> int:
         """Bytes of physical data memory currently mapped."""
-        return sum(mapped.frame.nbytes for mapped in self.frames.values())
+        return sum(frame.nbytes for frame in self.frames.values())
 
-    def frame_at(self, va: int) -> MappedFrame | None:
-        """The mapped frame whose leaf covers ``va`` (checks both sizes)."""
-        from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE
-
+    def frame_at(self, va: int) -> tuple[int, Frame] | None:
+        """The leaf VA and mapped frame of the leaf covering ``va`` (checks
+        both sizes)."""
         base4k = va & ~(PAGE_SIZE - 1)
         hit = self.frames.get(base4k)
         if hit is not None:
-            return hit
+            return base4k, hit
         base2m = va & ~(HUGE_PAGE_SIZE - 1)
         hit = self.frames.get(base2m)
-        if hit is not None and hit.huge:
-            return hit
+        if hit is not None and hit.order == HUGE_ORDER:
+            return base2m, hit
         return None
 
 

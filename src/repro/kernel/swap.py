@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import InvalidMappingError, OutOfMemoryError
 from repro.inject.plan import SITE_SWAP_STALL
-from repro.kernel.process import MappedFrame, Process
+from repro.kernel.process import Process
+from repro.mem.allocator import HUGE_ORDER
 from repro.mem.physmem import PhysicalMemory
 from repro.paging.pte import PTE_ACCESSED, PTE_DIRTY
 from repro.tlb.mmu_cache import MmuCaches
@@ -144,8 +145,8 @@ class SwapManager:
         mm = process.mm
         tree = mm.tree
         idle: list[int] = []
-        for va, mapped in sorted(mm.frames.items()):
-            if mapped.huge:
+        for va, frame in sorted(mm.frames.items()):
+            if frame.order == HUGE_ORDER:
                 continue
             location = tree.leaf_location(va)
             assert location is not None
@@ -171,8 +172,8 @@ class SwapManager:
     def swap_out(self, process: Process, va: int) -> float:
         """Evict one mapped 4 KiB page; returns cycles (I/O + unmapping)."""
         mm = process.mm
-        mapped = mm.frames.get(va)
-        if mapped is None or mapped.huge:
+        frame = mm.frames.get(va)
+        if frame is None or frame.order == HUGE_ORDER:
             raise InvalidMappingError(f"va 0x{va:x} has no swappable 4 KiB page")
         cycles = SWAP_OUT_CYCLES + self._maybe_stall("out")
         if self.is_dirty(process, va):
@@ -182,7 +183,7 @@ class SwapManager:
         with mm.lock():
             removed = mm.tree.unmap_page(va)
         mm.swapped[va] = SwapEntry(slot=slot, prot=removed.flags)
-        self.physmem.free(mapped.frame)
+        self.physmem.free(frame)
         del mm.frames[va]
         cycles += self.shootdown.flush_all(self.cpu_contexts)
         self.stats.pages_swapped_out += 1
@@ -200,7 +201,7 @@ class SwapManager:
         frame = self.physmem.alloc_frame_fallback(policy.choose_node(socket))
         with mm.lock():
             mm.tree.map_page(va, frame.pfn, entry.prot, node_hint=socket)
-        mm.frames[va] = MappedFrame(va=va, frame=frame, huge=False)
+        mm.frames[va] = frame
         self.device.free_slot(entry.slot)
         self.stats.pages_swapped_in += 1
         return SWAP_IN_CYCLES + self._maybe_stall("in")

@@ -18,6 +18,7 @@ from repro.kernel.costs import WorkCounters, syscall_cycles
 from repro.kernel.policy import PlacementPolicy
 from repro.kernel.process import MemoryDescriptor, Process
 from repro.kernel.vma import PROT_DEFAULT, Vma
+from repro.mem.allocator import HUGE_ORDER
 from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE, page_align_up
 
 
@@ -99,9 +100,9 @@ class VmSyscalls:
         frames, free = mm.frames, self.physmem.free
 
         def release(base: int) -> None:
-            mapped = frames.pop(base)
-            free(mapped.frame)
-            work.pages_freed += 512 if mapped.huge else 1
+            frame = frames.pop(base)
+            free(frame)
+            work.pages_freed += 1 << frame.order
 
         pos = va
         while pos < end:
@@ -168,10 +169,11 @@ class VmSyscalls:
         if not mm.vmas.in_range(va, end):
             raise InvalidMappingError(f"{op} of unmapped range 0x{va:x}+{end - va:#x}")
         for addr in (va, end - 1):
-            mapped = mm.frames.get(addr & ~(HUGE_PAGE_SIZE - 1))
-            if mapped is not None and mapped.huge and (
-                mapped.va < va or mapped.va + HUGE_PAGE_SIZE > end
+            head = addr & ~(HUGE_PAGE_SIZE - 1)
+            frame = mm.frames.get(head)
+            if frame is not None and frame.order == HUGE_ORDER and (
+                head < va or head + HUGE_PAGE_SIZE > end
             ):
                 raise InvalidMappingError(
-                    f"{op} range partially covers the 2 MiB page at 0x{mapped.va:x}"
+                    f"{op} range partially covers the 2 MiB page at 0x{head:x}"
                 )

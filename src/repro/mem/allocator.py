@@ -104,6 +104,61 @@ class NodeAllocator:
             return pfn
         raise OutOfMemoryError(self.node, PAGE_SIZE)
 
+    def alloc_frames(self, count: int) -> list[int]:
+        """Allocate up to ``count`` 4 KiB frames in one call (Linux's
+        ``alloc_pages_bulk``); returns their PFNs.
+
+        The PFNs are those ``count`` calls of :meth:`alloc_frame` would
+        return, in the same order and from the same sources: the last
+        free range first, then a split free huge block, then the bump
+        pointer. An installed fault plan is consulted once per frame, as
+        those calls would consult it. Where one of them would raise, the
+        take stops instead: the result holds the frames allocated before
+        it, and the refused frame's plan call is made.
+        """
+        if self.fault_plan is not None:
+            count = self._plan_allows(count)
+        pfns: list[int] = []
+        ranges = self._free_ranges
+        left = count
+        while left:
+            if ranges:
+                last = ranges[-1]
+                start, size = last
+                if size <= left:
+                    ranges.pop()
+                    take = size
+                else:
+                    take = left
+                    last[0] = start + take
+                    last[1] = size - take
+            elif self._free_huge:
+                # alloc_frame's split: the head, then the tail as a range.
+                ranges.append([self._free_huge.pop(), PAGES_PER_HUGE_PAGE])
+                continue
+            else:
+                start = self._bump
+                self._bump = min(start + left, self.pfn_end)
+                pfns.extend(range(start, self._bump))
+                break  # the bump pointer is the last source
+            pfns.extend(range(start, start + take))
+            left -= take
+        self._used_frames += len(pfns)
+        return pfns
+
+    def _plan_allows(self, count: int) -> int:
+        """How many of ``count`` :meth:`alloc_frame` calls the fault plan
+        lets through: each is one plan call, up to the first refusal or
+        the first call that finds the node empty."""
+        plan = self.fault_plan
+        free = self.free_frames
+        allowed = 0
+        while allowed < count:
+            if plan.fire(SITE_ALLOCATOR_OOM, node=self.node) is not None or allowed == free:
+                break
+            allowed += 1
+        return allowed
+
     def free_frame(self, pfn: int) -> None:
         """Return one 4 KiB frame to the node."""
         self._check_owned(pfn)

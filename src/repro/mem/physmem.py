@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+
+import numpy as np
 
 from repro.errors import OutOfMemoryError, TopologyError
 from repro.machine.topology import Machine
@@ -57,6 +58,8 @@ class PhysicalMemory:
         #: Ascending first PFN of every node, and one past the last PFN.
         self._pfn_bases = [allocator.pfn_base for allocator in self._allocators]
         self._pfn_end = base
+        self._pfn_base_array = np.array(self._pfn_bases, dtype=np.int64)
+        self._node_array = np.array([allocator.node for allocator in self._allocators])
 
     def install_fault_plan(self, plan) -> None:
         """Thread a :class:`repro.inject.plan.FaultPlan` (or ``None``) into
@@ -72,6 +75,18 @@ class PhysicalMemory:
         if not 0 <= pfn < self._pfn_end:
             raise TopologyError(f"pfn {pfn} outside physical memory")
         return self._allocators[bisect_right(self._pfn_bases, pfn) - 1].node
+
+    def nodes_of_pfns(self, pfns: np.ndarray) -> np.ndarray:
+        """:meth:`node_of_pfn` of every PFN of an integer array, in one
+        ``searchsorted`` over the node bases.
+
+        Raises:
+            TopologyError: at the first PFN outside physical memory.
+        """
+        outside = (pfns < 0) | (pfns >= self._pfn_end)
+        if outside.any():
+            raise TopologyError(f"pfn {int(pfns[outside.argmax()])} outside physical memory")
+        return self._node_array[np.searchsorted(self._pfn_base_array, pfns, side="right") - 1]
 
     def frame(self, pfn: int) -> Frame:
         """Metadata of an allocated frame (the ``struct page`` lookup)."""
@@ -143,30 +158,59 @@ class PhysicalMemory:
         except OutOfMemoryError:
             return self._fallback_frame(preferred, kind)
 
-    def alloc_frames_fallback(self, count: int, choose: Callable[[], int], out: list[Frame]) -> None:
-        """Append ``count`` 4 KiB data frames to ``out``, each exactly as
-        ``alloc_frame_fallback(choose())`` would allocate it, in order:
-        a strict try on the chosen node, then the other nodes in id order.
+    def alloc_frames_fallback(self, count: int, rotation: tuple[int, ...], out: list[Frame]) -> None:
+        """Append ``count`` 4 KiB data frames to ``out``, page ``i`` exactly
+        as ``alloc_frame_fallback(rotation[i % len(rotation)])`` would
+        allocate it, in order: a strict try on its node, then the other
+        nodes in id order.
 
-        ``choose`` is called once per frame, just before that frame's
-        allocation, so when an allocation raises, ``out`` holds every
-        frame allocated before it and ``choose`` was called once for the
-        failing frame and never after it.
+        Each node's share is one bulk take (``NodeAllocator.alloc_frames``)
+        and one record update. A one-node run takes its frames in one
+        call; a page the take stops at falls back and the take resumes
+        after it. A rotation over several nodes is taken page by page
+        where per-node takes could reorder the fault plan's calls or the
+        fallbacks: with a plan installed, or a node short of its share.
+
+        When an allocation raises, ``out`` holds every frame allocated
+        before the failing one.
         """
+        if not count:
+            return
         allocators = self._allocators
-        records = self._frames
-        append = out.append
-        for _ in range(count):
-            node = choose()
-            if not 0 <= node < len(allocators):
-                self.machine.validate_node(node)
-            try:
-                pfn = allocators[node].alloc_frame()
-            except OutOfMemoryError:
-                append(self._fallback_frame(node, FrameKind.DATA))
-                continue
-            frame = records[pfn] = Frame(pfn, node, FrameKind.DATA)
-            append(frame)
+        if len(rotation) == 1:
+            node = self.machine.validate_node(rotation[0])
+            while count:
+                taken = self._take(node, count)
+                out.extend(taken)
+                count -= len(taken)
+                if count:
+                    out.append(self._fallback_frame(node, FrameKind.DATA))
+                    count -= 1
+            return
+        period = len(rotation)
+        shares = [len(range(first, count, period)) for first in range(period)]
+        if len(set(rotation)) == period and all(
+            0 <= node < len(allocators)
+            and allocators[node].fault_plan is None
+            and allocators[node].free_frames >= share
+            for node, share in zip(rotation, shares)
+        ):
+            run: list = [None] * count
+            for first, node in enumerate(rotation):
+                run[first::period] = self._take(node, shares[first])
+            out.extend(run)
+            return
+        for i in range(count):
+            out.append(self.alloc_frame_fallback(rotation[i % period]))
+
+    def _take(self, node: int, count: int) -> list[Frame]:
+        """Strictly allocate up to ``count`` data frames on ``node`` with
+        one bulk take and record them; returns them in allocation order,
+        short where the take stopped."""
+        pfns = self._allocators[node].alloc_frames(count)
+        frames = [Frame(pfn, node, FrameKind.DATA) for pfn in pfns]
+        self._frames.update(zip(pfns, frames))
+        return frames
 
     def _fallback_frame(self, preferred: int, kind: FrameKind) -> Frame:
         """The strict allocation on ``preferred`` failed: take a frame from

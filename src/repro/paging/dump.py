@@ -9,12 +9,15 @@ same information from a live :class:`~repro.paging.pagetable.PageTableTree`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.mem.physmem import PhysicalMemory
 from repro.paging.levels import LEAF_LEVEL
 from repro.paging.pagetable import PageTablePage, PageTableTree
-from repro.paging.pte import pte_huge, pte_pfn, pte_present
+from repro.paging.pte import _PFN_MASK, PTE_HUGE, PTE_PRESENT
 
 
 @dataclass
@@ -152,21 +155,28 @@ def dump_tree(
             ]
         return cells[level][node]
 
-    queue: list[PageTablePage] = [root]
+    registry = tree.registry
+    queue: deque[PageTablePage] = deque([root])
     while queue:
-        page = queue.pop(0)
+        page = queue.popleft()
         cell = cell_for(page.level, page.node)
         cell.pages += 1
-        for entry in page.entries:
-            if not pte_present(entry):
-                continue
-            target_pfn = pte_pfn(entry)
-            if page.level == LEAF_LEVEL or pte_huge(entry):
-                target_node = physmem.node_of_pfn(target_pfn)
-                cell.leaf_pointers_to[target_node] += 1
-            else:
-                child = tree.registry[target_pfn]
-                target_node = child.node
+        entries = np.array(page.entries, dtype=np.uint64)
+        present = entries[(entries & PTE_PRESENT).astype(bool)]
+        if page.level == LEAF_LEVEL:
+            leaves = present
+        else:
+            huge = (present & PTE_HUGE).astype(bool)
+            leaves = present[huge]
+            for target_pfn in ((present[~huge] & _PFN_MASK) >> 12).tolist():
+                child = registry[target_pfn]
+                cell.pointers_to[child.node] += 1
                 queue.append(child)
-            cell.pointers_to[target_node] += 1
+        if leaves.size:
+            nodes = physmem.nodes_of_pfns(((leaves & _PFN_MASK) >> 12).astype(np.int64))
+            counts = np.bincount(nodes, minlength=n_sockets).tolist()
+            for target_node, count in enumerate(counts):
+                if count:
+                    cell.leaf_pointers_to[target_node] += count
+                    cell.pointers_to[target_node] += count
     return PageTableDump(n_sockets=n_sockets, root_pfn=root.pfn, cells=cells)

@@ -396,6 +396,10 @@ class _ThreadExecution:
             assert result.translation is not None
         accesses = result.accesses
         leaf_access = accesses[-1]
+        # The PSC fills every walked level above 1 but a hit's start level
+        # (the walk's first), whose entry the lookup promoted already.
+        top = accesses[0].level
+        fill_below = top if start is not None and not faulted else top + 1
         llc_access = self.llc.access
         walk_cost = self.walk_cost
         walk_llc_hit_cost = self.walk_llc_hit_cost
@@ -415,7 +419,7 @@ class _ThreadExecution:
                     walk_cycles += walk_llc_hit_cost
                 else:
                     walk_cycles += walk_cost[access.node]
-                if access.level > 1:
+                if 1 < access.level < fill_below:
                     mmu.insert(va, registry[access.pfn])
             self.walk_cycles = walk_cycles
             self.walk_llc_hits = walk_llc_hits
@@ -436,7 +440,7 @@ class _ThreadExecution:
                     cost = walk_cost[access.node]
                 walk_cycles += cost
                 record((access.level, access.node, hit, cost))
-                if access.level > 1:
+                if 1 < access.level < fill_below:
                     mmu.insert(va, registry[access.pfn])
             self.walk_cycles = walk_cycles
             self.walk_llc_hits = walk_llc_hits

@@ -204,7 +204,8 @@ class EscapeRunner:
         * the paging-structure-cache probe (:meth:`MmuCaches.lookup`);
         * one LLC probe per fetched level (:meth:`SocketLlc.access`);
         * the PSC fill of every walked level above 1
-          (:meth:`MmuCaches.insert`), the start level's included;
+          (:meth:`MmuCaches.insert`) but a PSC hit's start level, whose
+          entry the probe promoted already (the scalar tier skips it too);
         * the TLB fills: one L1 fill for L2 hits and walks
           (``TlbHierarchy._fill_l1``), then the L2 fill of a walk
           (:meth:`TlbHierarchy.insert`), chosen by page size.
@@ -371,6 +372,10 @@ class EscapeRunner:
                             )
                             assert translation is not None
                         last = n_levels - 1
+                        # PSC fills skip a hit's start level (the walk's
+                        # first): the probe promoted its entry already.
+                        top = out_levels[0]
+                        fill_below = top if start is not None and not faulted else top + 1
                         walk_start = walk_cycles
                         for j in range(n_levels):
                             # -- LLC probe, inlined SocketLlc.access ------------
@@ -399,7 +404,7 @@ class EscapeRunner:
                                 tb_node(out_nodes[j])
                                 tb_hit(hit)
                                 tb_cost(cost)
-                            if level > 1:
+                            if 1 < level < fill_below:
                                 # -- PSC fill, inlined MmuCaches.insert ---------
                                 fill = psc_fill.get(level)
                                 if fill is not None:

@@ -89,7 +89,7 @@ class TestWriteCollapse:
         manager.replicate_pages(process)
         va = next(iter(process.mm.frames))
         manager.handle_write(process, va, writing_socket=3)
-        assert process.mm.frames[va].frame.node == 3
+        assert process.mm.frames[va].node == 3
 
 
 class TestOverheadComparison:

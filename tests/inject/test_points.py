@@ -117,4 +117,4 @@ class TestSwapStall:
         install_fault_plan(kernel2, plan)
         cycles = kernel2.swap.swap_in(mapped, va, socket=0)
         assert cycles == pytest.approx(SWAP_IN_CYCLES + 12_345.0)
-        assert mapped.mm.frames[va].frame.nbytes == PAGE_SIZE
+        assert mapped.mm.frames[va].nbytes == PAGE_SIZE

@@ -20,10 +20,10 @@ def hammer(kernel, process, va, socket, times=10):
 class TestBalance:
     def test_majority_access_migrates_page(self, kernel2, proc):
         va = next(iter(proc.mm.frames))
-        assert proc.mm.frames[va].frame.node == 0
+        assert proc.mm.frames[va].node == 0
         hammer(kernel2, proc, va, socket=1)
         kernel2.autonuma.balance(proc)
-        assert proc.mm.frames[va].frame.node == 1
+        assert proc.mm.frames[va].node == 1
         tr = proc.mm.tree.translate(va)
         assert kernel2.physmem.node_of_pfn(tr.pfn) == 1
 
@@ -31,14 +31,14 @@ class TestBalance:
         va = next(iter(proc.mm.frames))
         hammer(kernel2, proc, va, socket=0)
         kernel2.autonuma.balance(proc)
-        assert proc.mm.frames[va].frame.node == 0
+        assert proc.mm.frames[va].node == 0
 
     def test_split_access_below_threshold_keeps_page(self, kernel2, proc):
         va = next(iter(proc.mm.frames))
         hammer(kernel2, proc, va, socket=0, times=5)
         hammer(kernel2, proc, va, socket=1, times=5)
         kernel2.autonuma.balance(proc)
-        assert proc.mm.frames[va].frame.node == 0
+        assert proc.mm.frames[va].node == 0
 
     def test_page_tables_never_migrate(self, kernel2, proc):
         """The paper's §3.1 observation 4, as an invariant."""
@@ -67,14 +67,14 @@ class TestBalance:
         hammer(kernel2, proc, va, socket=1)
         kernel2.autonuma.balance(proc)
         kernel2.autonuma.balance(proc)  # no fresh hints -> no migration back
-        assert proc.mm.frames[va].frame.node == 1
+        assert proc.mm.frames[va].node == 1
 
     def test_forget_drops_state(self, kernel2, proc):
         va = next(iter(proc.mm.frames))
         hammer(kernel2, proc, va, socket=1)
         kernel2.autonuma.forget(proc)
         kernel2.autonuma.balance(proc)
-        assert proc.mm.frames[va].frame.node == 0
+        assert proc.mm.frames[va].node == 0
 
     def test_access_to_unmapped_va_ignored(self, kernel2, proc):
         kernel2.autonuma.record_access(proc, 0x7F0000000000, socket=1)

@@ -61,7 +61,7 @@ class TestRebalance:
         moves = balancer.rebalance()
         moved = kernel4.processes[moves[0].pid]
         # Data followed the process, page-tables did not: the §3.2 state.
-        assert all(m.frame.node == moves[0].to_socket for m in moved.mm.frames.values())
+        assert all(m.node == moves[0].to_socket for m in moved.mm.frames.values())
         assert all(p.node == 0 for p in moved.mm.tree.iter_tables())
 
     def test_mitosis_migration_moves_pagetables(self, kernel4):
@@ -71,7 +71,7 @@ class TestRebalance:
         moves = balancer.rebalance()
         moved = kernel4.processes[moves[0].pid]
         target = moves[0].to_socket
-        assert all(m.frame.node == target for m in moved.mm.frames.values())
+        assert all(m.node == target for m in moved.mm.frames.values())
         assert all(p.node == target for p in moved.mm.tree.iter_tables())
 
     def test_move_log_accumulates(self, kernel4):

@@ -6,6 +6,7 @@ from repro.errors import OutOfMemoryError, ProtectionFault, SegmentationFault
 from repro.inject.plan import FaultPlan, install_fault_plan
 from repro.kernel.policy import FixedNodePolicy, InterleavePolicy
 from repro.kernel.vma import PROT_DEFAULT
+from repro.mem.allocator import HUGE_ORDER
 from repro.mem.fragmentation import FragmentationInjector
 from repro.paging.pte import PTE_USER
 from repro.units import HUGE_PAGE_SIZE, MIB, PAGE_SIZE
@@ -45,15 +46,15 @@ class TestDemandPaging:
     def test_first_touch_places_on_faulting_socket(self, kernel2, proc):
         r0 = kernel2.fault_handler.handle(proc, 0x1000, socket=0)
         r1 = kernel2.fault_handler.handle(proc, 0x2000, socket=1)
-        assert proc.mm.frames[0x1000].frame.node == 0
-        assert proc.mm.frames[0x2000].frame.node == 1
+        assert proc.mm.frames[0x1000].node == 0
+        assert proc.mm.frames[0x2000].node == 1
         assert r0.did_map and r1.did_map
 
     def test_vma_policy_overrides_process_policy(self, kernel2):
         process = kernel2.create_process("p", socket=0)
         va = kernel2.sys_mmap(process, PAGE_SIZE, data_policy=FixedNodePolicy(1)).value
         kernel2.fault_handler.handle(process, va, socket=0)
-        assert process.mm.frames[va].frame.node == 1
+        assert process.mm.frames[va].node == 1
 
     def test_interleave_process_policy(self, kernel2):
         process = kernel2.create_process("p", socket=0, data_policy=InterleavePolicy((0, 1)))
@@ -61,7 +62,7 @@ class TestDemandPaging:
         nodes = []
         for i in range(4):
             kernel2.fault_handler.handle(process, va + i * PAGE_SIZE, socket=0)
-            nodes.append(process.mm.frames[va + i * PAGE_SIZE].frame.node)
+            nodes.append(process.mm.frames[va + i * PAGE_SIZE].node)
         assert nodes == [0, 1, 0, 1]
 
     def test_work_counters_report_zeroing(self, kernel2, proc):
@@ -86,6 +87,22 @@ class TestThpFaults:
         assert result.huge
         assert result.mapped_bytes == HUGE_PAGE_SIZE
         assert thp_proc.mm.tree.translate(va).level == 2
+
+    def test_frame_at_returns_the_covering_leaf(self, kernel2, thp_proc):
+        """``mm.frames`` holds each leaf's ``Frame``; ``frame_at`` answers
+        with the leaf VA it covers from, for both page sizes."""
+        va = thp_proc.mm.vmas.in_range(0, 1 << 40)[0].start
+        handler = kernel2.fault_handler
+        handler.handle(thp_proc, va, socket=0, allow_huge=True)
+        small = va + HUGE_PAGE_SIZE
+        handler.handle(thp_proc, small, socket=1, allow_huge=False)
+        mm = thp_proc.mm
+        huge_frame, small_frame = mm.frames[va], mm.frames[small]
+        assert huge_frame.order == HUGE_ORDER and small_frame.order == 0
+        assert mm.frame_at(va + 5 * PAGE_SIZE + 17) == (va, huge_frame)
+        assert mm.frame_at(small + 17) == (small, small_frame)
+        assert mm.frame_at(small + PAGE_SIZE) is None
+        assert mm.mapped_bytes() == HUGE_PAGE_SIZE + PAGE_SIZE
 
     def test_huge_disallowed_by_caller(self, kernel2, thp_proc):
         va = thp_proc.mm.vmas.in_range(0, 1 << 40)[0].start

@@ -11,16 +11,20 @@ kernels.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import OutOfMemoryError, ProtectionFault
 from repro.inject.plan import SITE_ALLOCATOR_OOM, FaultPlan, FaultRule, install_fault_plan
 from repro.kernel.costs import WorkCounters
 from repro.kernel.kernel import Kernel
-from repro.kernel.policy import InterleavePolicy
+from repro.kernel.policy import FirstTouchPolicy, FixedNodePolicy, InterleavePolicy
+from repro.mem.allocator import NodeAllocator
 from repro.kernel.sysctl import MitosisMode, Sysctl
 from repro.lint.sanitizer import PTESanitizer
 from repro.machine.topology import Machine
+from repro.mem.allocator import HUGE_ORDER
 from repro.mem.fragmentation import FragmentationInjector
 from repro.paging.pte import PTE_USER
 from repro.units import HUGE_PAGE_SIZE, MIB, PAGE_SIZE
@@ -47,6 +51,15 @@ def new_populate(handler, process, start, end, socket, allow_huge) -> WorkCounte
     return handler.populate(process, start, end, socket, allow_huge)
 
 
+def data_policy_for(policy: str, machine: Machine):
+    """The process' data policy; ``fixed`` places on node 2."""
+    if policy == "interleave":
+        return InterleavePolicy(machine.node_ids())
+    if policy == "fixed":
+        return FixedNodePolicy(2)
+    return None
+
+
 def build(backend="native", thp="off", policy="first-touch", memory_mib=32, prepare=True):
     """A 4-socket kernel with one 8 MiB arena (four 2 MiB windows).
 
@@ -60,8 +73,7 @@ def build(backend="native", thp="off", policy="first-touch", memory_mib=32, prep
     )
     if thp == "fragmented":
         FragmentationInjector(kernel.physmem).fragment_machine(1.0)
-    data_policy = InterleavePolicy(machine.node_ids()) if policy == "interleave" else None
-    process = kernel.create_process("p", socket=1, data_policy=data_policy)
+    process = kernel.create_process("p", socket=1, data_policy=data_policy_for(policy, machine))
     if backend == "mitosis":
         kernel.mitosis.replicate_on_all_sockets(process)
     va = kernel.sys_mmap(process, 8 * MIB, fixed_va=ARENA, name="arena").value
@@ -81,7 +93,7 @@ def snapshot(kernel, process, work, error) -> dict:
     return {
         "error": error,
         "work": work,
-        "frames": [(va, m.frame.pfn, m.frame.node, m.huge) for va, m in mm.frames.items()],
+        "frames": [(va, m.pfn, m.node, m.order == HUGE_ORDER) for va, m in mm.frames.items()],
         "swapped": sorted(mm.swapped),
         "tables": [
             (
@@ -109,26 +121,34 @@ def snapshot(kernel, process, work, error) -> dict:
     }
 
 
-def run(populate, ranges, plan=None, **config) -> dict:
+def run(populate, ranges, plan=None, holes=(), **config) -> dict:
     """Build a kernel, then populate each ``(first page, end page, socket)``
-    range of the arena; stops at the first OOM."""
+    range of the arena; stops at the first OOM. With ``holes``, each
+    ``(first page, end page)`` hole is then unmapped (its frames go back
+    to the allocators' free ranges), mapped again empty, and the ranges
+    are populated a second time."""
     kernel, process, va = build(**config)
     if plan is not None:
         install_fault_plan(kernel, plan())
     allow_huge = kernel.sysctl.thp_enabled
     work, error = WorkCounters(), None
     try:
-        for first, end, socket in ranges:
-            done = populate(
-                kernel.fault_handler,
-                process,
-                va + first * PAGE_SIZE,
-                va + end * PAGE_SIZE,
-                socket,
-                allow_huge,
-            )
-            work.pages_zeroed_4k += done.pages_zeroed_4k
-            work.pages_zeroed_2m += done.pages_zeroed_2m
+        for sweep in range(2 if holes else 1):
+            for first, end in holes if sweep else ():
+                start, length = va + first * PAGE_SIZE, (end - first) * PAGE_SIZE
+                kernel.sys_munmap(process, start, length)
+                kernel.sys_mmap(process, length, fixed_va=start)
+            for first, end, socket in ranges:
+                done = populate(
+                    kernel.fault_handler,
+                    process,
+                    va + first * PAGE_SIZE,
+                    va + end * PAGE_SIZE,
+                    socket,
+                    allow_huge,
+                )
+                work.pages_zeroed_4k += done.pages_zeroed_4k
+                work.pages_zeroed_2m += done.pages_zeroed_2m
     except OutOfMemoryError as exc:
         error = str(exc)
     return snapshot(kernel, process, work, error)
@@ -139,7 +159,7 @@ def run(populate, ranges, plan=None, **config) -> dict:
 RANGES = [(520, 2045, 0), (0, 4 * PAGES_PER_WINDOW, 3)]
 
 
-@pytest.mark.parametrize("policy", ["first-touch", "interleave"])
+@pytest.mark.parametrize("policy", ["first-touch", "interleave", "fixed"])
 @pytest.mark.parametrize("thp", ["off", "on", "fragmented"])
 @pytest.mark.parametrize("backend", ["native", "mitosis"])
 def test_populate_matches_per_page_loop(backend, thp, policy):
@@ -148,6 +168,22 @@ def test_populate_matches_per_page_loop(backend, thp, policy):
     assert run(new_populate, RANGES, **config) == expected
     assert expected["error"] is None
     assert len(expected["frames"]) > 1000
+
+
+#: Holes in every window, one of them a whole window, and the swapped page 1500.
+HOLES = [(100, 300), (520, 1100), (1500, 1501), (2040, 2048)]
+
+
+@pytest.mark.parametrize("policy", ["first-touch", "interleave", "fixed"])
+@pytest.mark.parametrize("backend", ["native", "mitosis"])
+def test_populate_over_munmapped_ranges_matches(backend, policy):
+    """Frames freed by munmap are taken again from the free ranges, the
+    last one first, as the per-page loop takes them."""
+    config = dict(backend=backend, policy=policy)
+    expected = run(oracle_populate, RANGES, holes=HOLES, **config)
+    assert run(new_populate, RANGES, holes=HOLES, **config) == expected
+    assert expected["error"] is None
+    assert len(expected["frames"]) == 4 * PAGES_PER_WINDOW
 
 
 @pytest.mark.parametrize("backend", ["native", "mitosis"])
@@ -249,6 +285,32 @@ class TestPopulateSemantics:
         kernel.fault_handler.populate(process, va, va + 8 * MIB, 0, allow_huge=False)
         assert mm.lock.acquisitions - before == 4
         assert kernel.fault_handler.faults_handled == 4 * PAGES_PER_WINDOW
+
+    def test_fresh_run_is_one_allocator_call_and_one_policy_call(self, monkeypatch):
+        """A first-touch run of fresh pages after a mapped one (so the scan
+        holds the leaf table) takes its placement from one policy call and
+        its frames from one node-allocator call."""
+        kernel, process, va = build(prepare=False)
+        handler = kernel.fault_handler
+        handler.handle(process, va, 0, is_write=True, allow_huge=False)
+        calls = Counter()
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        for name in ("alloc_frame", "alloc_frames", "alloc_huge"):
+            spy(NodeAllocator, name)
+        for name in ("choose_node", "choose_run"):
+            spy(FirstTouchPolicy, name)
+        handler.populate(process, va, va + HUGE_PAGE_SIZE, 0, allow_huge=False)
+        assert calls == {"alloc_frames": 1, "choose_run": 1}
+        assert len(process.mm.frames) == PAGES_PER_WINDOW
 
     def test_readonly_mapped_page_raises_after_mapping_earlier_pages(self):
         kernel, process, _ = build(prepare=False)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import InvalidMappingError
 from repro.kernel.swap import SwapDevice
+from repro.mem.allocator import HUGE_ORDER
 from repro.paging.pte import PTE_ACCESSED
 from repro.paging.walker import HardwareWalker
 from repro.units import MIB, PAGE_SIZE
@@ -90,7 +91,7 @@ class TestSwapOutIn:
         assert va not in proc.mm.swapped
         assert kernel2.swap.device.used_slots == 0
         # First-touch on the faulting socket, like any fresh allocation.
-        assert proc.mm.frames[va].frame.node == 1
+        assert proc.mm.frames[va].node == 1
 
     def test_protection_preserved_across_swap(self, kernel2, proc):
         from repro.paging.pte import PTE_USER, pte_writable
@@ -113,7 +114,7 @@ class TestSwapOutIn:
         kernel2.sysctl.thp_enabled = True
         process = kernel2.create_process("huge", socket=0)
         va = kernel2.sys_mmap(process, 2 * MIB, populate=True).value
-        assert process.mm.frames[va].huge
+        assert process.mm.frames[va].order == HUGE_ORDER
         with pytest.raises(InvalidMappingError):
             kernel2.swap.swap_out(process, va)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import InvalidMappingError
+from repro.mem.allocator import HUGE_ORDER
 from repro.paging.pte import PTE_USER, PTE_WRITABLE, pte_writable
 from repro.units import HUGE_PAGE_SIZE, MIB, PAGE_SIZE
 
@@ -17,7 +18,7 @@ def _vm_state(kernel, process):
     mm = process.mm
     return (
         list(mm.vmas),
-        [(va, m.frame.pfn, m.huge) for va, m in mm.frames.items()],
+        [(va, m.pfn, m.order == HUGE_ORDER) for va, m in mm.frames.items()],
         [(pfn, list(page.entries)) for pfn, page in sorted(mm.tree.registry.items())],
         [kernel.physmem.stats(node) for node in (0, 1)],
     )
@@ -89,7 +90,7 @@ class TestMunmap:
     def test_partial_huge_munmap_rejected(self, kernel2, proc):
         kernel2.sysctl.thp_enabled = True
         va = kernel2.sys_mmap(proc, 2 * HUGE_PAGE_SIZE, populate=True).value
-        assert proc.mm.frames[va].huge
+        assert proc.mm.frames[va].order == HUGE_ORDER
         before = _vm_state(kernel2, proc)
         with pytest.raises(InvalidMappingError):
             kernel2.sys_munmap(proc, va, PAGE_SIZE)
@@ -137,16 +138,16 @@ class TestMprotect:
 class TestProcessMigration:
     def test_migrate_moves_threads_and_data(self, kernel2, proc):
         va = kernel2.sys_mmap(proc, 8 * PAGE_SIZE, populate=True).value
-        assert proc.mm.frames[va].frame.node == 0
+        assert proc.mm.frames[va].node == 0
         kernel2.sys_migrate_process(proc, 1)
         assert proc.home_socket == 1
-        assert all(m.frame.node == 1 for m in proc.mm.frames.values())
+        assert all(m.node == 1 for m in proc.mm.frames.values())
 
     def test_migrate_without_data(self, kernel2, proc):
         va = kernel2.sys_mmap(proc, 8 * PAGE_SIZE, populate=True).value
         kernel2.sys_migrate_process(proc, 1, migrate_data=False)
         assert proc.home_socket == 1
-        assert proc.mm.frames[va].frame.node == 0
+        assert proc.mm.frames[va].node == 0
 
     def test_migrate_leaves_pagetables_behind(self, kernel2, proc):
         """Commodity-OS behaviour the paper fixes: data moves, PTs do not."""

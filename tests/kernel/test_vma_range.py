@@ -27,6 +27,7 @@ from repro.kernel.sysctl import MitosisMode, Sysctl
 from repro.kernel.vma import PROT_DEFAULT
 from repro.lint.sanitizer import PTESanitizer
 from repro.machine.topology import Machine
+from repro.mem.allocator import HUGE_ORDER
 from repro.mitosis.lazy import LazyMitosisPagingOps, make_lazy
 from repro.mitosis.naive import NaiveMitosisPagingOps
 from repro.paging.pagetable import PagingOps
@@ -55,12 +56,12 @@ def oracle_munmap(kernel, process, va, length) -> SyscallResult:
     work = WorkCounters()
     for base in _mapped_bases_in_range(mm, va, end):
         mapped = mm.frames.pop(base)
-        if mapped.huge and (base < va or base + HUGE_PAGE_SIZE > end):
+        if mapped.order == HUGE_ORDER and (base < va or base + HUGE_PAGE_SIZE > end):
             raise InvalidMappingError(f"munmap range partially covers the 2 MiB page at 0x{base:x}")
         with mm.lock():
             mm.tree.unmap_page(base)
-        kernel.physmem.free(mapped.frame)
-        work.pages_freed += 512 if mapped.huge else 1
+        kernel.physmem.free(mapped)
+        work.pages_freed += 512 if mapped.order == HUGE_ORDER else 1
     for base in [b for b in mm.swapped if va <= b < end]:
         entry = mm.swapped.pop(base)
         kernel.swap.device.free_slot(entry.slot)
@@ -79,7 +80,7 @@ def oracle_mprotect(kernel, process, va, length, prot) -> SyscallResult:
     before = mm.tree.ops.stats.snapshot()
     for base in _mapped_bases_in_range(mm, va, end):
         mapped = mm.frames[base]
-        if mapped.huge and (base < va or base + HUGE_PAGE_SIZE > end):
+        if mapped.order == HUGE_ORDER and (base < va or base + HUGE_PAGE_SIZE > end):
             raise InvalidMappingError(f"mprotect range partially covers the 2 MiB page at 0x{base:x}")
         with mm.lock():
             _protect_page(mm.tree, base, prot)
@@ -101,7 +102,7 @@ def _mapped_bases_in_range(mm, start, end) -> list[int]:
     return sorted(
         base
         for base, mapped in mm.frames.items()
-        if base < end and base + mapped.frame.nbytes > start
+        if base < end and base + mapped.nbytes > start
     )
 
 
@@ -202,7 +203,7 @@ def state(kernel, process) -> dict:
     machine = kernel.machine
     return {
         "vmas": list(mm.vmas),
-        "frames": [(va, m.frame.pfn, m.frame.node, m.huge) for va, m in mm.frames.items()],
+        "frames": [(va, m.pfn, m.node, m.order == HUGE_ORDER) for va, m in mm.frames.items()],
         "swapped": dict(mm.swapped),
         "swap_device": copy.deepcopy(kernel.swap.device),
         "tables": [
@@ -276,7 +277,7 @@ def test_cases_exercise_what_they_claim():
     for thp in (False, True):
         kernel, process = build("native", thp)
         mm = process.mm
-        huge = [va for va, mapped in mm.frames.items() if mapped.huge]
+        huge = [va for va, mapped in mm.frames.items() if mapped.order == HUGE_ORDER]
         assert huge == ([ARENA + W * PAGE_SIZE, ARENA + 3 * W * PAGE_SIZE] if thp else [])
         assert len(mm.swapped) == 3
         root = mm.tree.root

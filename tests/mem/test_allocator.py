@@ -1,8 +1,9 @@
-"""NodeAllocator: strict allocation, recycling, contiguity."""
+"""NodeAllocator: strict allocation, recycling, contiguity, bulk takes."""
 
 import pytest
 
 from repro.errors import OutOfMemoryError
+from repro.inject.plan import SITE_ALLOCATOR_OOM, FaultPlan, FaultRule
 from repro.mem.allocator import NodeAllocator
 from repro.units import PAGES_PER_HUGE_PAGE
 
@@ -118,3 +119,59 @@ class TestBreakHugeBlock:
             a.alloc_huge()
         # ...but nearly all memory is still there for order-0.
         assert a.free_frames == 3 * (PAGES_PER_HUGE_PAGE - 1)
+
+
+class TestBulkTake:
+    def test_sources_in_alloc_frame_order(self):
+        """The last free range, then a split free huge block, then the
+        bump pointer: the PFNs single allocations return, in order."""
+        sides = []
+        for _ in range(2):
+            a = make(frames=PAGES_PER_HUGE_PAGE * 3)
+            head = a.alloc_huge()
+            small = [a.alloc_frame() for _ in range(4)]
+            a.free_huge(head)
+            a.free_frame(small[1])
+            a.free_frame(small[2])
+            sides.append(a)
+        bulk, single = sides
+        count = 2 + PAGES_PER_HUGE_PAGE + 3
+        pfns = bulk.alloc_frames(count)
+        assert pfns == [single.alloc_frame() for _ in range(count)]
+        assert pfns[:2] == [513, 514]
+        assert pfns[2 : 2 + PAGES_PER_HUGE_PAGE] == list(range(PAGES_PER_HUGE_PAGE))
+        assert pfns[-3:] == [516, 517, 518]
+        assert bulk.used_frames == single.used_frames == 2 + count
+        assert bulk.alloc_frame() == single.alloc_frame() == 519
+
+    def test_short_take_on_exhaustion(self):
+        a = make(frames=8)
+        a.alloc_frame()
+        assert a.alloc_frames(10) == list(range(1, 8))
+        assert a.free_frames == 0
+        assert a.alloc_frames(3) == []
+
+    def test_stops_at_the_first_refused_frame(self):
+        plan = FaultPlan(rules=[FaultRule(site=SITE_ALLOCATOR_OOM, on_calls={4, 6})])
+        a = make(frames=16)
+        a.fault_plan = plan
+        assert a.alloc_frames(10) == [0, 1, 2]
+        assert plan.rules[0].calls == 4  # the refused frame's call included
+        assert a.alloc_frames(10) == [3]
+        assert a.alloc_frames(2) == [4, 5]
+        assert plan.rules[0].calls == 8
+        assert len(plan.log) == 2
+
+    def test_plan_consulted_up_to_the_frame_that_finds_the_node_empty(self):
+        plan = FaultPlan(rules=[FaultRule(site=SITE_ALLOCATOR_OOM, on_calls={99})])
+        a = make(frames=4)
+        a.fault_plan = plan
+        assert a.alloc_frames(10) == [0, 1, 2, 3]
+        assert plan.rules[0].calls == 5  # four frames, then the empty node
+
+    def test_zero_count_consults_nothing(self):
+        plan = FaultPlan(rules=[FaultRule(site=SITE_ALLOCATOR_OOM, on_calls={1})])
+        a = make(frames=4)
+        a.fault_plan = plan
+        assert a.alloc_frames(0) == []
+        assert plan.rules[0].calls == 0

@@ -69,19 +69,19 @@ class TestFullProcessMigration:
     def test_threads_data_and_tables_all_move(self, kernel2, proc):
         migrate_process_with_pagetables(kernel2, proc, target_socket=1)
         assert proc.home_socket == 1
-        assert all(m.frame.node == 1 for m in proc.mm.frames.values())
+        assert all(m.node == 1 for m in proc.mm.frames.values())
         assert all(p.node == 1 for p in proc.mm.tree.iter_tables())
 
     def test_data_can_stay(self, kernel2, proc):
         migrate_process_with_pagetables(kernel2, proc, target_socket=1, migrate_data=False)
         assert proc.home_socket == 1
-        assert all(m.frame.node == 0 for m in proc.mm.frames.values())
+        assert all(m.node == 0 for m in proc.mm.frames.values())
         assert all(p.node == 1 for p in proc.mm.tree.iter_tables())
 
     def test_post_migration_faults_allocate_locally(self, kernel2, proc):
         migrate_process_with_pagetables(kernel2, proc, target_socket=1)
         va = kernel2.sys_mmap(proc, 4 * PAGE_SIZE).value
         kernel2.fault_handler.handle(proc, va, socket=1)
-        assert proc.mm.frames[va].frame.node == 1
+        assert proc.mm.frames[va].node == 1
         # New page-table pages land locally too (first-touch after collapse).
         assert all(p.node == 1 for p in proc.mm.tree.iter_tables())

@@ -2,13 +2,18 @@
 
 import pytest
 
-from repro.kernel.policy import FixedNodePolicy
+from repro.errors import TopologyError
+from repro.kernel.kernel import Kernel
+from repro.kernel.policy import FixedNodePolicy, InterleavePolicy
 from repro.kernel.pvops import NativePagingOps
+from repro.kernel.sysctl import MitosisMode, Sysctl
+from repro.machine.topology import Machine
 from repro.mem.pagecache import PageTablePageCache
-from repro.paging.dump import dump_tree
+from repro.paging.dump import LevelSocketCell, PageTableDump, dump_tree
+from repro.paging.levels import LEAF_LEVEL
 from repro.paging.pagetable import PageTableTree
-from repro.paging.pte import PTE_USER, PTE_WRITABLE
-from repro.units import PAGE_SIZE
+from repro.paging.pte import PTE_USER, PTE_WRITABLE, pte_huge, pte_pfn, pte_present
+from repro.units import MIB, PAGE_SIZE
 
 FLAGS = PTE_WRITABLE | PTE_USER
 
@@ -68,3 +73,94 @@ class TestDump:
         dump = dump_tree(tree, physmem2, n_sockets=2)
         assert dump.cell(4, 0).pages == 1
         assert dump.remote_leaf_fraction(0) == 0.0
+
+
+def oracle_dump_tree(tree, physmem, n_sockets, socket=None) -> PageTableDump:
+    """The per-entry loop ``dump_tree`` replaced: three helper calls per
+    entry and one ``node_of_pfn`` bisect per leaf."""
+    if socket is None:
+        root = tree.root
+    else:
+        root = tree.registry[tree.ops.root_pfn_for_socket(tree, socket)]
+    cells = {}
+
+    def cell_for(level, node):
+        if level not in cells:
+            cells[level] = [
+                LevelSocketCell(
+                    level=level,
+                    socket=s,
+                    pointers_to=[0] * n_sockets,
+                    leaf_pointers_to=[0] * n_sockets,
+                )
+                for s in range(n_sockets)
+            ]
+        return cells[level][node]
+
+    queue = [root]
+    while queue:
+        page = queue.pop(0)
+        cell = cell_for(page.level, page.node)
+        cell.pages += 1
+        for entry in page.entries:
+            if not pte_present(entry):
+                continue
+            target_pfn = pte_pfn(entry)
+            if page.level == LEAF_LEVEL or pte_huge(entry):
+                target_node = physmem.node_of_pfn(target_pfn)
+                cell.leaf_pointers_to[target_node] += 1
+            else:
+                child = tree.registry[target_pfn]
+                target_node = child.node
+                queue.append(child)
+            cell.pointers_to[target_node] += 1
+    return PageTableDump(n_sockets=n_sockets, root_pfn=root.pfn, cells=cells)
+
+
+def populated(thp=False, interleave=False, replicate=False):
+    """A 4-socket process whose 12 MiB arena each socket first-touches a
+    quarter of (page-tables placed the same way)."""
+    machine = Machine.homogeneous(4, cores_per_socket=1, memory_per_socket=32 * MIB)
+    kernel = Kernel(machine, sysctl=Sysctl(thp_enabled=thp, mitosis_mode=MitosisMode.PER_PROCESS))
+    policy = (lambda: InterleavePolicy(machine.node_ids())) if interleave else (lambda: None)
+    process = kernel.create_process("p", socket=1, pt_policy=policy(), data_policy=policy())
+    size = 12 * MIB
+    va = kernel.sys_mmap(process, size).value
+    quarter = size // 4
+    for socket in range(4):
+        start = va + socket * quarter
+        kernel.fault_handler.populate(process, start, start + quarter, socket, allow_huge=thp)
+    if replicate:
+        kernel.mitosis.replicate_on_all_sockets(process)
+    return kernel, process
+
+
+class TestDumpMatchesPerEntryLoop:
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"thp": True}, {"interleave": True}, {"replicate": True}, {"thp": True, "replicate": True}],
+        ids=["native", "thp", "interleave", "replicated", "replicated-thp"],
+    )
+    def test_every_copy(self, config):
+        kernel, process = populated(**config)
+        tree = process.mm.tree
+        for socket in (None, 0, 1, 2, 3):
+            got = dump_tree(tree, kernel.physmem, 4, socket=socket)
+            expected = oracle_dump_tree(tree, kernel.physmem, 4, socket=socket)
+            assert got == expected
+            for cells in got.cells.values():
+                for cell in cells:
+                    counts = [cell.pages, *cell.pointers_to, *cell.leaf_pointers_to]
+                    assert all(type(count) is int for count in counts)
+        assert sum(got.leaf_pointer_distribution()) == len(process.mm.frames)
+
+    def test_leaf_outside_memory_raises_the_same_error(self, tree, physmem2):
+        tree.map_page(0x0000, physmem2.alloc_frame(0).pfn, FLAGS)
+        end = 2 * physmem2.machine.sockets[0].memory_bytes // PAGE_SIZE
+        tree.map_page(0x1000, end + 7, FLAGS)
+        tree.map_page(0x2000, end + 9, FLAGS)
+        with pytest.raises(TopologyError) as expected:
+            oracle_dump_tree(tree, physmem2, 2)
+        with pytest.raises(TopologyError) as got:
+            dump_tree(tree, physmem2, 2)
+        assert str(got.value) == str(expected.value) == f"pfn {end + 7} outside physical memory"

@@ -24,6 +24,7 @@ from repro.cache.llc import SocketLlc
 from repro.kernel.kernel import Kernel
 from repro.kernel.sysctl import Sysctl
 from repro.machine.topology import Machine
+from repro.mem.allocator import HUGE_ORDER
 from repro.paging.walker import HardwareWalker
 from repro.sim.bench import _build_gups, metrics_equal
 from repro.sim import engine as engine_module
@@ -274,7 +275,7 @@ def _walk_path_state(ex, llc) -> dict:
             ex.data_cycles, ex.walk_cycles, ex.walks, ex.walk_refs,
             ex.walk_llc_hits, ex.faults, ex.fault_cycles,
         ),
-        "frames": [(va, m.frame.pfn, m.huge) for va, m in ex.process.mm.frames.items()],
+        "frames": [(va, m.pfn, m.order == HUGE_ORDER) for va, m in ex.process.mm.frames.items()],
         "tables": [(pfn, list(registry[pfn].entries)) for pfn in sorted(registry)],
     }
 

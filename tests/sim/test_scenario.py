@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mem.allocator import HUGE_ORDER
 from repro.paging.dump import dump_tree
 from repro.sim import scenario as scenario_module
 from repro.sim.engine import EngineConfig
@@ -35,17 +36,17 @@ class TestMigrationSetups:
     def test_lp_ld_places_everything_locally(self):
         setup = setup_migration("gups", "LP-LD", **FAST)
         assert setup.observed_remote_leaf()[0] == 0.0
-        assert all(m.frame.node == 0 for m in setup.process.mm.frames.values())
+        assert all(m.node == 0 for m in setup.process.mm.frames.values())
 
     def test_rp_ld_places_only_pt_remotely(self):
         setup = setup_migration("gups", "RP-LD", **FAST)
         assert setup.observed_remote_leaf()[0] == 1.0
-        assert all(m.frame.node == 0 for m in setup.process.mm.frames.values())
+        assert all(m.node == 0 for m in setup.process.mm.frames.values())
 
     def test_lp_rd_places_only_data_remotely(self):
         setup = setup_migration("gups", "LP-RD", **FAST)
         assert setup.observed_remote_leaf()[0] == 0.0
-        assert all(m.frame.node == 1 for m in setup.process.mm.frames.values())
+        assert all(m.node == 1 for m in setup.process.mm.frames.values())
 
     def test_interference_flags_hog_the_right_nodes(self):
         setup = setup_migration("gups", "RPI-LD", **FAST)
@@ -62,12 +63,12 @@ class TestMigrationSetups:
 
     def test_thp_setup_maps_huge(self):
         setup = setup_migration("gups", "LP-LD", thp=True, **FAST)
-        assert any(m.huge for m in setup.process.mm.frames.values())
+        assert any(m.order == HUGE_ORDER for m in setup.process.mm.frames.values())
         assert setup.config == "TLP-LD"
 
     def test_fragmentation_forces_4k_fallback(self):
         setup = setup_migration("gups", "LP-LD", thp=True, fragmentation=1.0, **FAST)
-        assert not any(m.huge for m in setup.process.mm.frames.values())
+        assert not any(m.order == HUGE_ORDER for m in setup.process.mm.frames.values())
         assert setup.kernel.thp.stats.failure_rate > 0.9
 
 

@@ -57,8 +57,8 @@ from repro.units import MIB
 from repro.workloads.registry import WORKLOADS, create
 
 
-def _footprint_mib(text: str) -> int:
-    """``--footprint-mib``: a whole number of MiB, at least 1."""
+def _at_least_one(text: str) -> int:
+    """``--footprint-mib`` and ``--accesses``: a whole number, at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -75,8 +75,8 @@ def _add_numactl_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--membind", "-m", type=int, default=None, help="force data to a node")
     parser.add_argument("--pt-node", type=int, default=None, help="force page-tables to a node")
     parser.add_argument("--sockets", type=int, default=4, help="machine size")
-    parser.add_argument("--footprint-mib", type=_footprint_mib, default=64)
-    parser.add_argument("--accesses", type=int, default=20_000)
+    parser.add_argument("--footprint-mib", type=_at_least_one, default=64)
+    parser.add_argument("--accesses", type=_at_least_one, default=20_000)
     parser.add_argument("--thp", action="store_true", help="enable transparent huge pages")
     parser.add_argument(
         "--perf", action="store_true", help="print perf-stat style counters (§3.2)"
@@ -90,13 +90,13 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mitosis", action="store_true", help="migration: add the +M repair")
     parser.add_argument("--thp", action="store_true")
     parser.add_argument("--fragmentation", type=float, default=0.0)
-    parser.add_argument("--footprint-mib", type=_footprint_mib, default=64)
-    parser.add_argument("--accesses", type=int, default=20_000)
+    parser.add_argument("--footprint-mib", type=_at_least_one, default=64)
+    parser.add_argument("--accesses", type=_at_least_one, default=20_000)
 
 
 def _add_dump_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("workload", choices=sorted(WORKLOADS))
-    parser.add_argument("--footprint-mib", type=_footprint_mib, default=64)
+    parser.add_argument("--footprint-mib", type=_at_least_one, default=64)
 
 
 def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
@@ -157,8 +157,8 @@ def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mitosis", action="store_true", help="sweep (migration): add the +M repair"
     )
-    parser.add_argument("--footprint-mib", type=_footprint_mib, default=64)
-    parser.add_argument("--accesses", type=int, default=20_000)
+    parser.add_argument("--footprint-mib", type=_at_least_one, default=64)
+    parser.add_argument("--accesses", type=_at_least_one, default=20_000)
     parser.add_argument(
         "--cache-dir", default=".fleet-cache",
         help="crash-safe result cache / resume checkpoint (default: .fleet-cache)",

@@ -27,7 +27,7 @@ from repro.mem.physmem import PhysicalMemory
 from repro.paging.levels import LEAF_LEVEL, level_index
 from repro.paging.pagetable import PageTablePage
 from repro.paging.pte import PTE_WRITABLE, pte_writable
-from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE
+from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE, PTES_PER_TABLE
 
 
 @dataclass
@@ -176,7 +176,11 @@ class PageFaultHandler:
         The window is taken one maximal run at a time: a run of mapped
         pages is one write-permission check over its table slice, a
         swapped page is one swap-in, and a run of fresh pages is one
-        :meth:`_fault_run`."""
+        :meth:`_fault_run`. A run's end is found page by page unless the
+        leaf table's present-entry count decides it: a full table means
+        every page is mapped, and an empty one with no swapped page in
+        the process means every page is fresh (a mapped page is exactly
+        a present leaf entry)."""
         mm = process.mm
         frames = mm.frames
         window = pos & ~(HUGE_PAGE_SIZE - 1)
@@ -196,12 +200,14 @@ class PageFaultHandler:
             while pos < limit:
                 end = pos + PAGE_SIZE
                 if pos in frames:
-                    while end < limit and end in frames:
-                        end += PAGE_SIZE
                     if table is None:
                         location = mm.tree.leaf_location(pos)
                         assert location is not None
                         table = location.page
+                    if table.valid_count == PTES_PER_TABLE:
+                        end = limit
+                    while end < limit and end in frames:
+                        end += PAGE_SIZE
                     _check_writable(table, pos, end)
                 elif pos in swapped:
                     self.handle(process, pos, socket, is_write=True)  # swap-in
@@ -221,6 +227,8 @@ class PageFaultHandler:
                                 return pos + HUGE_PAGE_SIZE
                         run.append(self.physmem.alloc_frame_fallback(node))
                         table = self._leaf_table_for(mm, pos, socket, run[0])
+                    if table.valid_count == 0 and not swapped:
+                        end = limit
                     while end < limit and end not in frames and end not in swapped:
                         end += PAGE_SIZE
                     self._fault_run(mm, vma, table, pos, end, policy, socket, run)

@@ -30,7 +30,7 @@ schema ``/2`` each scenario also carries ``batch_latency``: wall-clock
 p50/p99 over fixed-size *access batches* (epoch slices) per engine, the
 service-shaped view — a tail batch is a stalled request. Percentile runs
 are separate from the throughput runs: epoch slicing changes the vector
-tier's chunk economics, so timing epochs inside the throughput runs
+tier's window economics, so timing epochs inside the throughput runs
 would perturb the very number the trajectory tracks.
 
 This module is the one deliberate exception to the DET001 wall-clock
@@ -194,7 +194,7 @@ def _measure_batches(
     Builds a fresh scenario, splits the run into ``_LATENCY_BATCHES``
     epoch slices and timestamps every slice boundary through the epoch
     callback. Kept separate from the throughput runs: epoch slicing
-    resets the vector tier's chunk state per slice, which would perturb
+    resets the vector tier's window state per slice, which would perturb
     the accesses/second numbers the report's trajectory tracks.
     """
     setup, config = scenario.build(accesses)

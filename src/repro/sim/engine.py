@@ -56,27 +56,35 @@ from repro.tlb.mmu_cache import MmuCacheConfig, MmuCaches
 from repro.tlb.tlb import TlbConfig, TlbHierarchy
 from repro.trace.session import current_session
 from repro.units import HUGE_PAGE_SHIFT, KIB, PAGE_SHIFT
+from repro.workloads.base import bernoulli
 
 #: Engine names accepted by ``EngineConfig.engine`` / ``REPRO_ENGINE``.
 ENGINES: tuple[str, ...] = ("scalar", "vector")
 
-#: Accesses covered by one batch mask (one slot gather per page size with
-#: an L1-resident entry).
-#: Chunks start small and double up to the cap: a mask built over a cold
-#: TLB is all-escapes, so short early chunks let the mask catch up with
-#: warmup fills quickly, while steady state pays one mask per 2048. Until
-#: a thread first batches, a slice's first ``_CHUNK_MIN`` accesses run
-#: unmasked and decide whether it batches at all (see
+#: Accesses covered by one batch window's mask (one slot gather per page
+#: size with an L1-resident entry), between ``_CHUNK_MIN`` and
+#: ``_CHUNK_MAX``. A window that ends with its snapshot's token still
+#: current doubles the next one: a mask built over a cold TLB is
+#: all-escapes, so short early windows let the mask catch up with warmup
+#: fills quickly, while a steady all-hit stretch pays one mask per
+#: ``_CHUNK_MAX`` accesses. A window whose token went stale (cut short, or
+#: ended after an eviction or invalidation) makes the next one restart at
+#: ``_CHUNK_MIN``, so a churning TLB wastes little of a discarded mask.
+#: Until a thread first batches, a slice's first ``_CHUNK_MIN`` accesses
+#: run unmasked and decide whether it batches at all (see
 #: ``Simulator._run_thread_vector``).
 _CHUNK_MIN = 256
-_CHUNK = 2048
+_CHUNK_MAX = 16_384
 #: Below this run length the per-run numpy overhead exceeds scalar cost.
 _MIN_RUN = 32
 #: Deterministic bail-out: after this many accesses of a slice, if fewer
 #: than 1/4 were batchable the rest of the slice runs on the escape
-#: interpreter without further mask-building (must span at least two
-#: chunks so the post-warmup mask gets a chance).
-_ADAPT_PROBE = 2 * _CHUNK
+#: interpreter without further mask-building (the verdict span and the
+#: first windows cover 3,840 accesses, so the post-warmup mask gets a
+#: chance).
+_ADAPT_PROBE = 4096
+#: Accesses per block of ``_replay_range``'s backward scan.
+_REPLAY_BLOCK = 2048
 #: After a snapshot rebuild, stale-token transitions keep escaping for
 #: this many accesses instead of rebuilding again: near TLB capacity
 #: every walk evicts (bumping the token), and a rebuild per eviction
@@ -156,11 +164,11 @@ def _replay_range(snapshot: "_Snapshot", vas: np.ndarray, lo: int, hi: int) -> N
     between, each set's final LRU order only depends on each page's
     *last* access, so promoting the touched pages in ascending
     last-access order leaves every set exactly where one ``touch`` per
-    access would. The range is scanned backwards one ``_CHUNK`` block at
-    a time: ``np.maximum.at`` (an unbuffered scatter, so every repeated
-    slot applies) folds each block's positions into one last-access
-    position per slot, and the scan stops once every resident page has
-    one, since earlier accesses cannot change the order. A hit's slot
+    access would. The range is scanned backwards one ``_REPLAY_BLOCK``
+    block at a time: ``np.maximum.at`` (an unbuffered scatter, so every
+    repeated slot applies) folds each block's positions into one
+    last-access position per slot, and the scan stops once every resident
+    page has one, since earlier accesses cannot change the order. A hit's slot
     names the structure it hit, so 4 KiB hits never move the 2 MiB
     structure. The python loop runs once per touched page, at most the
     L1 capacity, however long the range.
@@ -168,7 +176,7 @@ def _replay_range(snapshot: "_Snapshot", vas: np.ndarray, lo: int, hi: int) -> N
     last = np.full(snapshot.size, -1, dtype=np.int64)
     end = hi
     while end > lo:
-        start = max(lo, end - _CHUNK)
+        start = max(lo, end - _REPLAY_BLOCK)
         np.maximum.at(last, snapshot.slots(vas[start:end]), np.arange(start, end))
         end = start
         if last.min() >= 0:
@@ -197,7 +205,8 @@ class _ResidencyLut:
     ascending; ``nodes_sorted`` holds their home nodes), or -1 when it is
     not resident. :class:`_Snapshot` numbers both page sizes' slots as
     one space, prices each slot from its node, and gathers the slots of
-    each chunk (the batch mask is ``slots >= 0``) and of each replay.
+    each batch window (the batch mask is ``slots >= 0``) and of each
+    replay.
 
     Resident vpns cluster inside the workload's contiguous mapping, so a
     dense ``[vpn - base]``-indexed slot table beats a binary search by a
@@ -223,7 +232,7 @@ class _ResidencyLut:
             self.table[vpns - self.base] = np.arange(vpns.size)
 
     def slots(self, vpns: np.ndarray) -> np.ndarray:
-        """Slot per vpn of a chunk, -1 where not resident."""
+        """Slot per vpn of a window, -1 where not resident."""
         table = self.table
         if table is None:
             resident = self.vpns_sorted
@@ -548,14 +557,15 @@ class Simulator:
         session = current_session()
         # Streams stay numpy end-to-end; the scalar tier converts its span
         # to python lists at the edge (list iteration is faster there).
+        # ``offsets`` hands over a fresh array, so the base is added in
+        # place: no second stream-sized array.
+        n = config.accesses_per_thread
         streams = []
         for t, socket in enumerate(thread_sockets):
             kernel.scheduler.context_switch(process, socket)
-            offsets = workload.offsets(t, n_threads, config.accesses_per_thread)
-            writes = workload.writes(t, config.accesses_per_thread)
-            vas = np.asarray(offsets, dtype=np.int64) + va_base
-            del offsets  # a stream-sized array the run no longer needs
-            streams.append((vas, np.asarray(writes)))
+            vas = np.asarray(workload.offsets(t, n_threads, n), dtype=np.int64)
+            vas += va_base
+            streams.append((vas, np.asarray(workload.writes(t, n))))
             metrics.threads.append(ThreadMetrics(thread=t, socket=socket))
             if session is not None:
                 session.name_track(1 + t, f"thread-{t} (socket {socket})")
@@ -563,26 +573,21 @@ class Simulator:
         hit_rate = workload.profile.data_llc_hit_rate
         pressure = workload.profile.pt_llc_pressure
         rng = np.random.default_rng(config.seed)
-        rolls = [
-            rng.random(config.accesses_per_thread) < hit_rate
-            for _ in range(n_threads)
-        ]
+        rolls = [bernoulli(rng, n, hit_rate) for _ in range(n_threads)]
         # The pollution rolls are drawn after every hit roll and nothing
         # draws after them, so skipping the draw shifts no other roll. At
         # pressure <= 0 no roll can fire (random() < 0 is never true), so
         # the skipped draw's result is exactly all False.
         pollution = [
-            rng.random(config.accesses_per_thread) < pressure
-            if pressure > 0
-            else np.zeros(config.accesses_per_thread, dtype=bool)
+            bernoulli(rng, n, pressure) if pressure > 0 else np.zeros(n, dtype=bool)
             for _ in range(n_threads)
         ]
 
         run_thread = self._run_thread if self.engine == "scalar" else self._run_thread_vector
-        per_epoch = config.accesses_per_thread // epochs
+        per_epoch = n // epochs
         for epoch in range(epochs):
             lo = epoch * per_epoch
-            hi = config.accesses_per_thread if epoch == epochs - 1 else lo + per_epoch
+            hi = n if epoch == epochs - 1 else lo + per_epoch
             if session is not None:
                 session.instant("epoch", category="engine", epoch=epoch)
             for t, socket in enumerate(thread_sockets):
@@ -696,9 +701,12 @@ class Simulator:
         last-access LRU promotions, ``_chain_sum`` cost folding)
         reproduces the scalar tier's state transitions exactly.
 
-        Each chunk makes one :meth:`_Snapshot.slots` gather over its own
-        slice of ``vas``, of the page sizes that have an L1-resident entry
-        only; the mask is ``slots >= 0``. A run's costs are one gather of
+        Each batch window makes one :meth:`_Snapshot.slots` gather over
+        its own slice of ``vas``, of the page sizes that have an
+        L1-resident entry only; the mask is ``slots >= 0``. A window whose
+        snapshot's token is still current when it ends doubles the next
+        one, up to ``_CHUNK_MAX``; after a window whose token went stale
+        the next one restarts at ``_CHUNK_MIN``. A run's costs are one gather of
         the snapshot's per-slot costs into a ``[carry, costs...]`` buffer,
         LLC hits overwrite theirs in place, and one ``_chain_sum`` folds
         the buffer. The LRU promotions are deferred: the batched runs
@@ -727,7 +735,7 @@ class Simulator:
         first ``_CHUNK_MIN`` accesses run as one escape span, and if fewer
         than a quarter of them hit the L1 TLB (the span's bail-out delta),
         the slice is walk-bound and the rest runs as one more escape span,
-        with no snapshot, mask or chunk lists.
+        with no snapshot, mask or window lists.
         """
         ex = _ThreadExecution(self, process, walker, context, llcs, socket, mlp, out)
         n = int(vas.size)
@@ -766,10 +774,10 @@ class Simulator:
         slots: np.ndarray | None = None
         ok: np.ndarray | None = None
         # One run's ``[carry, costs...]`` fold buffer; runs never cross a
-        # chunk, so none is longer than ``_CHUNK``.
-        chain = np.empty(_CHUNK + 1, dtype=np.float64)
-        # Chunk-local python lists for escape spans, built lazily on the
-        # first escape within a chunk (all-hit steady-state chunks never
+        # window, so none is longer than ``_CHUNK_MAX``.
+        chain = np.empty(_CHUNK_MAX + 1, dtype=np.float64)
+        # Window-local python lists for escape spans, built lazily on the
+        # first escape within a window (all-hit steady-state windows never
         # pay the conversion).
         chunk_lists: tuple[list, list, list, list] | None = None
         chunk_lo = 0
@@ -782,7 +790,7 @@ class Simulator:
         if out.accesses == out.escape_l1_miss + out.escape_bailout:
             # The verdict, taken until the thread first batches: after
             # that its TLB is warm and a verdict span would only run hits
-            # escape-side. The span stands in for the first chunk. Every
+            # escape-side. The span stands in for the first window. Every
             # L1 hit it handles is a bail-out, so the bail-out count is
             # its hit count.
             i = min(_CHUNK_MIN, n)
@@ -815,14 +823,19 @@ class Simulator:
                 # rest to the escape interpreter in one span.
                 if i >= _ADAPT_PROBE and fast * 4 < i:
                     break
-                if snap is None or tlb.fastpath_token() != snap.token or ex.walks != snap_walks:
+                stale = snap is not None and tlb.fastpath_token() != snap.token
+                if stale:
+                    # The last window's snapshot went stale: the TLB is
+                    # churning, so the next mask starts small again.
+                    chunk_size = _CHUNK_MIN
+                if snap is None or stale or ex.walks != snap_walks:
                     replay()
                     snap = _Snapshot(tlb, ex.frames_per_node, data_cost_arr)
                     snap_walks = ex.walks
                     cooldown = i + _REBUILD_COOLDOWN
                 chunk_lo = i
                 chunk_hi = min(i + chunk_size, n)
-                chunk_size = min(chunk_size * 2, _CHUNK)
+                chunk_size = min(chunk_size * 2, _CHUNK_MAX)
                 slots = snap.slots(vas[chunk_lo:chunk_hi])
                 ok = slots >= 0
                 chunk_lists = None

@@ -159,7 +159,7 @@ class EscapeRunner:
     Owns the walk scratch arrays (reused across every walk of the slice)
     and the :class:`WalkTraceBuffer` when a session is live. The engine
     hands it *runs* of accesses — everything the hit-batching mask could
-    not cover — as chunk-local python lists.
+    not cover — as window-local python lists.
     """
 
     __slots__ = ("ex", "tracebuf", "out_levels", "out_pfns", "out_nodes", "out_lines")
@@ -187,7 +187,7 @@ class EscapeRunner:
         hi: int,
         abs_base: int,
     ) -> None:
-        """Interpret accesses ``[lo, hi)`` of the given chunk-local lists.
+        """Interpret accesses ``[lo, hi)`` of the given window-local lists.
 
         ``abs_base`` is the slice-absolute index of the lists' element 0,
         so AutoNUMA's 1-in-N sampling positions stay aligned with the

@@ -30,6 +30,30 @@ import numpy as np
 
 from repro.units import MIB, PAGE_SIZE
 
+#: Doubles drawn per block by :func:`bernoulli` (a reused 512 KiB buffer).
+BERNOULLI_BLOCK = 1 << 16
+
+
+def bernoulli(rng: np.random.Generator, count: int, p: float) -> np.ndarray:
+    """``rng.random(count) < p``, without its ``count``-sized float64
+    temporary.
+
+    The doubles are drawn ``BERNOULLI_BLOCK`` at a time into one reused
+    buffer (``Generator.random(out=)``) and compared straight into the
+    mask (``np.less(out=)``). The generator yields the same doubles
+    whether they are drawn in one call or in blocks, so the mask and the
+    generator's state after it are exactly the one-call form's: the draw
+    is made whatever ``p`` is.
+    """
+    mask = np.empty(count, dtype=bool)
+    block = np.empty(min(count, BERNOULLI_BLOCK), dtype=np.float64)
+    for lo in range(0, count, BERNOULLI_BLOCK):
+        hi = min(lo + BERNOULLI_BLOCK, count)
+        draws = block[:hi - lo]
+        rng.random(out=draws)
+        np.less(draws, p, out=mask[lo:hi])
+    return mask
+
 
 @dataclass(frozen=True)
 class WorkloadProfile:
@@ -102,7 +126,11 @@ class Workload(abc.ABC):
         """``count`` byte offsets into the footprint for one thread.
 
         Offsets are page-granular positions the engine turns into virtual
-        addresses by adding the mapping base.
+        addresses by adding the mapping base. Every call returns a fresh,
+        writeable array that the caller owns: the engine adds the base in
+        place rather than making a second stream-sized array, so the
+        result must share no memory with the workload or with another
+        call's result.
         """
 
     def writes(self, thread: int, count: int) -> np.ndarray:
@@ -112,7 +140,7 @@ class Workload(abc.ABC):
         if self.profile.write_fraction >= 1.0:
             return np.ones(count, dtype=bool)
         rng = np.random.default_rng((self.seed, 0xBEEF, thread))
-        return rng.random(count) < self.profile.write_fraction
+        return bernoulli(rng, count, self.profile.write_fraction)
 
     def init_partition(self, thread: int, n_threads: int) -> tuple[int, int]:
         """Byte range ``[start, end)`` of the footprint thread ``thread``
@@ -125,7 +153,9 @@ class Workload(abc.ABC):
         return lo * PAGE_SIZE, hi * PAGE_SIZE
 
     def _uniform_pages(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.integers(0, self.n_pages, size=count, dtype=np.int64) * PAGE_SIZE
+        pages = rng.integers(0, self.n_pages, size=count, dtype=np.int64)
+        pages *= PAGE_SIZE
+        return pages
 
     def _zipf_pages(self, rng: np.random.Generator, count: int, s: float) -> np.ndarray:
         """Zipf-skewed page offsets (key-value stores: hot keys exist, but

@@ -1,13 +1,13 @@
 """Property-based tests: the vector tier's batched LRU replay.
 
 The batched hit runs since the last escape leave the L1 TLB through
-``_replay_range``, which scans their range backwards one ``_CHUNK`` block
-at a time, stops once every resident page has a last-access position,
-and promotes each touched page once, in last-access order. These
-properties pin it to the reference it stands in for (one ``Tlb.touch``
-per access, in order, on the structure the access hit) on random
-geometries, mixed 4 KiB/2 MiB resident sets and ranges longer than a
-chunk; pin where the scan stops; and pin ``_ResidencyLut.slots`` and
+``_replay_range``, which scans their range backwards one
+``_REPLAY_BLOCK`` block at a time, stops once every resident page has a
+last-access position, and promotes each touched page once, in
+last-access order. These properties pin it to the reference it stands
+in for (one ``Tlb.touch`` per access, in order, on the structure the
+access hit) on random geometries, mixed 4 KiB/2 MiB resident sets and
+ranges longer than a block; pin where the scan stops; and pin ``_ResidencyLut.slots`` and
 ``_Snapshot.slots`` to a dict over both LUT representations: a dense
 table and, for resident sets wider than ``_LUT_SPAN_MAX``, binary
 search.
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.paging.pagetable import Translation
-from repro.sim.engine import _CHUNK, _LUT_SPAN_MAX, _ResidencyLut, _Snapshot, _replay_range
+from repro.sim.engine import _LUT_SPAN_MAX, _REPLAY_BLOCK, _ResidencyLut, _Snapshot, _replay_range
 from repro.tlb.tlb import Tlb, TlbConfig, TlbHierarchy
 from repro.units import HUGE_PAGE_SHIFT, PAGE_SHIFT
 
@@ -132,7 +132,7 @@ def test_replay_matches_one_touch_per_access(filled, data):
     if not resident_vas:
         return
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    length = data.draw(st.integers(0, 4)) * _CHUNK + data.draw(st.integers(1, 300))
+    length = data.draw(st.integers(0, 4)) * _REPLAY_BLOCK + data.draw(st.integers(1, 300))
     # A resident page the range never touches forces the full backward
     # scan; otherwise one page is touched once, ``back`` blocks before
     # the range's last one, and the scan stops in that page's block.
@@ -143,7 +143,8 @@ def test_replay_matches_one_touch_per_access(filled, data):
     rare = pool.pop(data.draw(st.integers(0, len(pool) - 1))) if len(pool) > 1 else None
     run = rng.choice(np.asarray(pool, dtype=np.int64), size=length)
     if rare is not None:
-        back = data.draw(st.integers(0, 3)) * _CHUNK + data.draw(st.integers(0, _CHUNK - 1))
+        back = data.draw(st.integers(0, 3)) * _REPLAY_BLOCK
+        back += data.draw(st.integers(0, _REPLAY_BLOCK - 1))
         run[max(0, length - 1 - back)] = rare
     # The range sits between accesses it must not read: non-resident
     # pages, whose slot is -1.
@@ -170,8 +171,8 @@ def test_replay_matches_one_touch_per_access(filled, data):
         assert snapshot.scanned == length
     else:
         oldest = min(int(positions[-1]) for positions in lasts)
-        blocks = -(-(length - oldest) // _CHUNK)
-        assert snapshot.scanned == min(length, blocks * _CHUNK)
+        blocks = -(-(length - oldest) // _REPLAY_BLOCK)
+        assert snapshot.scanned == min(length, blocks * _REPLAY_BLOCK)
     if untouched:
         assert snapshot.scanned == length
 

@@ -1,13 +1,16 @@
 """Simulator engine: cost attribution, cache interplay and the rolls
 each tier receives."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.kernel.policy import FixedNodePolicy
+from repro.sim.bench import _build_gups
 from repro.sim.engine import EngineConfig, Simulator
+from repro.sim.scenario import setup_migration
 from repro.units import KIB, MIB
 from repro.workloads.registry import create
 
@@ -144,6 +147,37 @@ class TestRolls:
             assert np.array_equal(got_hits, hits[thread])
             assert np.array_equal(got_pollution, pollution[thread])
             assert got_pollution.any() == (pressure > 0)
+
+
+class TestStreamMemory:
+    """``Simulator.run`` builds its streams without stream-sized
+    temporaries: the workload's offsets are rebased in place and the
+    rolls are drawn in fixed-size blocks. A one-thread GUPS run under
+    THP (nearly every access batched) keeps 11 bytes per access: the
+    int64 addresses and three boolean masks (stores, hit rolls,
+    pollution rolls). Any one extra 8-byte-per-access temporary (a
+    rebased copy of the offsets, an unscaled page draw, the float64 rolls
+    of one ``rng.random(n) < p``) takes the traced peak to 16 to 18
+    bytes per access."""
+
+    ACCESSES = 1_000_000
+
+    @staticmethod
+    def traced_peak(accesses: int) -> int:
+        setup = setup_migration("gups", "LP-LD", thp=True, footprint=64 * MIB, seed=3)
+        config = EngineConfig(accesses_per_thread=accesses, tlb=_build_gups(1)[1].tlb, seed=3)
+        simulator = Simulator(setup.kernel, config)
+        sockets = [t.socket for t in setup.process.threads]
+        tracemalloc.start()
+        try:
+            simulator.run(setup.process, setup.workload, sockets, setup.va_base)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_traced_bytes_per_access(self):
+        self.traced_peak(1000)  # imports and caches a first run makes
+        assert self.traced_peak(self.ACCESSES) < 14 * self.ACCESSES
 
 
 class TestMultiThread:

@@ -28,7 +28,14 @@ from repro.mem.allocator import HUGE_ORDER
 from repro.paging.walker import HardwareWalker
 from repro.sim.bench import _build_gups, metrics_equal
 from repro.sim import engine as engine_module
-from repro.sim.engine import _CHUNK, EngineConfig, Simulator, _ResidencyLut, _ThreadExecution
+from repro.sim.engine import (
+    _CHUNK_MAX,
+    _CHUNK_MIN,
+    EngineConfig,
+    Simulator,
+    _ResidencyLut,
+    _ThreadExecution,
+)
 from repro.sim.escape import EscapeRunner, WalkTraceBuffer
 from repro.sim.metrics import RunMetrics, ThreadMetrics
 from repro.tlb.mmu_cache import MmuCacheConfig, MmuCaches
@@ -387,7 +394,8 @@ class _FixedStream(Workload):
         self._offsets = np.asarray(offsets, dtype=np.int64)
 
     def offsets(self, thread: int, n_threads: int, count: int) -> np.ndarray:
-        return self._offsets[:count]
+        # A fresh array, as the contract asks: the engine rebases it in place.
+        return self._offsets[:count].copy()
 
 
 def _phased_stream(seed, huge_base, small_base, phases=12, per_phase=2500):
@@ -531,7 +539,7 @@ class TestDeferredReplay:
         set_pages = [va for va in hot if (va >> PAGE_SHIFT) % self.N_SETS == self.TARGET_SET]
         first_new = self.HOT_PAGES + (self.TARGET_SET - (base >> PAGE_SHIFT)) % self.N_SETS
         new_page = base + first_new * PAGE_SIZE
-        first = hot + [rng.choice(hot) for _ in range(3 * _CHUNK + 300)] + set_pages[::-1]
+        first = hot + [rng.choice(hot) for _ in range(3 * _CHUNK_MAX + 300)] + set_pages[::-1]
         others = [va for va in hot if va not in set_pages] + [new_page]
         second = [new_page] + [rng.choice(others) for _ in range(len(first) - 1)]
         return first + second, set_pages, new_page
@@ -585,7 +593,7 @@ class TestDeferredReplay:
         # access was replayed once, and no escaped one.
         assert replays and len(replays) < len(runs)
         assert sum(hi - lo for lo, hi, _ in replays) == sum(runs)
-        assert max(hi - lo for lo, hi, _ in replays) > 2 * _CHUNK
+        assert max(hi - lo for lo, hi, _ in replays) > 2 * _CHUNK_MAX
         if autonuma:
             assert kernel.autonuma.stats.balance_passes == 1
             assert metrics["vector"].overhead_cycles > 0
@@ -601,3 +609,72 @@ class TestDeferredReplay:
         miss = len(vas) // 2
         ends = {(hi, size == miss) for _, hi, size in replays}
         assert (miss, cell == "slice-ends-in-batched-range") in ends
+
+
+class TestWindows:
+    """Batch windows double while their snapshot's token holds, up to
+    ``_CHUNK_MAX``, and the window after one whose token went stale
+    restarts at ``_CHUNK_MIN``. A long hot phase over three ways of every
+    L1 4 KiB set grows the windows to the cap; a burst over two new pages
+    per set evicts mid-window, so the next hit the cut window's mask
+    promised finds the token stale and cuts it short; a second hot phase
+    churns, settles and grows the windows back to the cap. Both tiers
+    must leave the same metrics and hardware state."""
+
+    #: Three of the default L1 4 KiB TLB's four ways in each of 16 sets.
+    HOT_PAGES = 48
+    BURST_PAGES = 32
+
+    def _stream(self, base, seed):
+        rng = random.Random(seed)
+        hot = [base + p * PAGE_SIZE for p in range(self.HOT_PAGES)]
+        burst = [base + (self.HOT_PAGES + p) * PAGE_SIZE for p in range(self.BURST_PAGES)]
+
+        def phase():
+            return [rng.choice(hot) + rng.randrange(PAGE_SIZE) for _ in range(3 * _CHUNK_MAX)]
+
+        return hot + phase() + burst + phase()
+
+    def test_windows_reach_the_cap_and_restart_after_a_stale_cut(self, monkeypatch):
+        windows, replaying = [], []
+        slots, replay_range = engine_module._Snapshot.slots, engine_module._replay_range
+
+        def slots_spy(snapshot, vas):
+            if not replaying:
+                windows.append(vas.size)
+            return slots(snapshot, vas)
+
+        def replay_spy(*args):
+            replaying.append(True)
+            try:
+                return replay_range(*args)
+            finally:
+                replaying.pop()
+
+        monkeypatch.setattr(engine_module._Snapshot, "slots", slots_spy)
+        monkeypatch.setattr(engine_module, "_replay_range", replay_spy)
+        state, metrics = {}, {}
+        for engine in ("scalar", "vector"):
+            windows.clear()
+            kernel = Kernel(Machine.homogeneous(2, cores_per_socket=1, memory_per_socket=64 * MIB))
+            process = kernel.create_process("windows", socket=0)
+            base = kernel.sys_mmap(
+                process, (self.HOT_PAGES + self.BURST_PAGES) * PAGE_SIZE, populate=True,
+                use_huge=False,
+            ).value
+            vas = self._stream(base, seed=3)
+            metrics[engine] = _run_stream(kernel, process, vas, engine)
+            state[engine] = _hardware_state(kernel)
+        assert metrics_equal(metrics["scalar"], metrics["vector"])
+        assert state["vector"] == state["scalar"]
+        assert _batched_share(metrics["vector"]) > 0.9
+        # The windows grew to the cap, restarted at the minimum after the
+        # burst and grew back to the cap.
+        assert max(windows) == _CHUNK_MAX
+        cap = windows.index(_CHUNK_MAX)
+        restart = windows.index(_CHUNK_MIN, cap)
+        assert _CHUNK_MAX in windows[restart:]
+        # A window was cut short: the next one gathered part of its range
+        # again, so the gathers cover more than the slice past the
+        # verdict span.
+        assert sum(windows) > len(vas) - _CHUNK_MIN

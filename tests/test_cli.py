@@ -112,6 +112,26 @@ def test_footprint_below_one_mib_is_usage_error(capsys, tmp_path, argv, value):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["numactl", "gups", "--footprint-mib", "8"],
+        ["scenario", "migration", "gups", "LP-LD", "--footprint-mib", "8"],
+        ["fleet", "sweep", "--footprint-mib", "8"],
+    ],
+    ids=["numactl", "scenario", "fleet"],
+)
+def test_accesses_below_one_is_usage_error(capsys, tmp_path, argv, value):
+    cache = tmp_path / "cache"
+    extra = ["--cache-dir", str(cache)] if argv[0] == "fleet" else []
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--accesses", value, *extra])
+    assert exc.value.code == 2
+    assert "argument --accesses: must be at least 1" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 class TestAnalysisCommands:
     def test_dump(self, capsys):
         code, out, _ = run(capsys, "dump", "memcached", "--footprint-mib", "16")

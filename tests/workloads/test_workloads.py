@@ -60,6 +60,18 @@ class TestStreams:
         b = create(name, footprint=8 * MIB, seed=7).offsets(0, 2, 500)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_offsets_are_fresh_arrays_the_caller_owns(self, name):
+        """The engine adds the mapping base to ``offsets`` in place, so
+        every call must hand over its own writeable array."""
+        workload = create(name, footprint=8 * MIB, seed=7)
+        first = workload.offsets(0, 2, 500)
+        second = workload.offsets(0, 2, 500)
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
+        first += 1 << 40
+        assert np.array_equal(workload.offsets(0, 2, 500), second)
+
     def test_different_threads_differ(self):
         workload = create("gups", footprint=8 * MIB)
         a = workload.offsets(0, 2, 500)

@@ -39,6 +39,7 @@ import sys
 
 from repro.analysis.overhead import render_table4
 from repro.analysis.ptdump import fig3_snapshot
+from repro.errors import ReplicationError
 from repro.kernel.kernel import Kernel
 from repro.kernel.policy import FixedNodePolicy
 from repro.kernel.sysctl import MitosisMode, Sysctl
@@ -65,6 +66,14 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> float:
+    """``--fragmentation``: a share of the free 2 MiB blocks, in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _add_numactl_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument(
@@ -74,7 +83,7 @@ def _add_numactl_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cpunodebind", "-N", type=int, default=0, help="run on this socket")
     parser.add_argument("--membind", "-m", type=int, default=None, help="force data to a node")
     parser.add_argument("--pt-node", type=int, default=None, help="force page-tables to a node")
-    parser.add_argument("--sockets", type=int, default=4, help="machine size")
+    parser.add_argument("--sockets", type=_at_least_one, default=4, help="machine size")
     parser.add_argument("--footprint-mib", type=_at_least_one, default=64)
     parser.add_argument("--accesses", type=_at_least_one, default=20_000)
     parser.add_argument("--thp", action="store_true", help="enable transparent huge pages")
@@ -89,7 +98,10 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("config", help="e.g. RPI-LD (migration) or F+M (multisocket)")
     parser.add_argument("--mitosis", action="store_true", help="migration: add the +M repair")
     parser.add_argument("--thp", action="store_true")
-    parser.add_argument("--fragmentation", type=float, default=0.0)
+    parser.add_argument(
+        "--fragmentation", type=_fraction, default=0.0,
+        help="migration: share of free 2 MiB blocks broken before the run, in [0, 1]",
+    )
     parser.add_argument("--footprint-mib", type=_at_least_one, default=64)
     parser.add_argument("--accesses", type=_at_least_one, default=20_000)
 
@@ -357,10 +369,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numactl_mask(args: argparse.Namespace) -> frozenset[int] | None:
+    """Check ``numactl``'s node flags against ``--sockets`` and parse
+    ``--pgtablerepl`` (``None`` when not given). Raises ``ValueError``
+    naming the first flag that is malformed or names no socket."""
+    sockets = args.sockets
+    for flag, node in (
+        ("--cpunodebind", args.cpunodebind),
+        ("--membind", args.membind),
+        ("--pt-node", args.pt_node),
+    ):
+        if node is not None and not 0 <= node < sockets:
+            raise ValueError(f"{flag} {node}: no such node on a {sockets}-socket machine")
+    if args.pgtablerepl is None:
+        return None
+    try:
+        mask = parse_socket_list(args.pgtablerepl)
+    except ReplicationError as exc:
+        raise ValueError(f"--pgtablerepl {args.pgtablerepl!r}: {exc}") from None
+    outside = sorted(s for s in mask if not 0 <= s < sockets)
+    if outside:
+        raise ValueError(
+            f"--pgtablerepl {args.pgtablerepl!r}: no socket {outside[0]} "
+            f"on a {sockets}-socket machine"
+        )
+    return mask
+
+
 def _cmd_numactl(args: argparse.Namespace) -> int:
     """``repro numactl``: the Listing 2 UX — run one workload on a chosen
     socket with optional data/page-table pinning and a ``--pgtablerepl``
-    replication mask, then print the headline metrics."""
+    replication mask, then print the headline metrics. A flag naming a
+    socket the machine lacks exits 2 before anything runs."""
+    try:
+        mask = _numactl_mask(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     machine = Machine.homogeneous(
         args.sockets, cores_per_socket=2,
         memory_per_socket=(args.footprint_mib + 192) * MIB,
@@ -375,8 +420,7 @@ def _cmd_numactl(args: argparse.Namespace) -> int:
     )
     workload = create(args.workload, footprint=args.footprint_mib * MIB)
     va = kernel.sys_mmap(process, workload.footprint, populate=True).value
-    if args.pgtablerepl is not None:
-        mask = parse_socket_list(args.pgtablerepl)
+    if mask is not None:
         kernel.mitosis.set_replication_mask(process, mask or None)
     metrics = Simulator(kernel, EngineConfig(accesses_per_thread=args.accesses)).run(
         process, workload, [args.cpunodebind], va

@@ -129,74 +129,74 @@ class HardwareWalker:
             page = self.tree.registry[pte_pfn(entry)]
             level -= 1
 
-    def walk_into(
-        self,
-        va: int,
-        socket: int,
-        is_write: bool,
-        out_levels: list[int],
-        out_pfns: list[int],
-        out_nodes: list[int],
-        out_lines: list[int],
-        start: tuple[PageTablePage, int] | None = None,
-    ) -> tuple[int, Translation | None]:
-        """Allocation-free twin of :meth:`walk` for the batch engine.
 
-        Writes each level's (level, table pfn, node, cache-line address)
-        into the caller-owned output lists at indices ``0..n-1`` and
-        returns ``(n, translation)`` with ``translation is None`` meaning
-        a page fault at ``va``. The lists must be at least
-        ``geometry.root_level`` long; entries beyond ``n`` are stale.
+#: ``walk_into``'s constants, resolved once at import rather than per walk.
+_LINE_MASK = ~(CACHE_LINE_SIZE - 1)
+_LEAF_AD_WRITE = PTE_ACCESSED | PTE_DIRTY
+_new_translation = tuple.__new__
 
-        Semantics are identical to ``walk(set_ad_bits=True)`` — same tree
-        traversal, same hardware A/D stores — minus the per-level
-        :class:`LevelAccess` and :class:`WalkResult` allocations, which
-        dominate the scalar walker's cost on walk-heavy streams
-        (docs/performance.md). It makes no call per level: the PTE bits
-        are locals, the PFN and flags are masked out inline, and the
-        :class:`Translation` is built by ``tuple.__new__``, skipping the
-        namedtuple's Python-level ``__new__`` (the result is still a
-        ``Translation``). ``tests/paging`` pins the twin against the
-        reference walk.
-        """
-        tree = self.tree
-        registry = tree.registry
-        if start is not None:
-            page, level = start
-        else:
-            page = registry[tree.ops.root_pfn_for_socket(tree, socket)]
-            level = tree.geometry.root_level
-        present = PTE_PRESENT
-        huge = PTE_HUGE
-        accessed = PTE_ACCESSED
-        leaf_ad = (PTE_ACCESSED | PTE_DIRTY) if is_write else PTE_ACCESSED
-        pfn_mask = _PFN_MASK
-        flags_mask = FLAGS_MASK
-        line_mask = ~(CACHE_LINE_SIZE - 1)
-        new_translation = tuple.__new__
-        n = 0
-        while True:
-            index = (va >> (12 + 9 * (level - 1))) & 511
-            frame = page.frame
-            pfn = frame.pfn
-            out_levels[n] = level
-            out_pfns[n] = pfn
-            out_nodes[n] = frame.node
-            out_lines[n] = (pfn << 12) + (index * 8 & line_mask)
-            n += 1
-            entry = page.entries[index]
-            if not entry & present:
-                return n, None
-            is_leaf = level == LEAF_LEVEL or (level == HUGE_LEAF_LEVEL and entry & huge)
-            new_entry = entry | (leaf_ad if is_leaf else accessed)
-            if new_entry != entry:
-                # lint: allow[PVOPS001] -- hardware A/D store: the MMU writes the walked replica directly, outside PV-Ops (§5.4)
-                page.entries[index] = new_entry
-                entry = new_entry
-            if is_leaf:
-                leaf_pfn = (entry & pfn_mask) >> 12
-                if level == HUGE_LEAF_LEVEL:
-                    leaf_pfn += (va >> 12) & 511
-                return n, new_translation(Translation, (leaf_pfn, entry & flags_mask, level))
-            page = registry[(entry & pfn_mask) >> 12]
-            level -= 1
+
+def walk_into(
+    registry: dict[int, PageTablePage],
+    page: PageTablePage,
+    level: int,
+    va: int,
+    is_write: bool,
+    out_levels: list[int],
+    out_pfns: list[int],
+    out_nodes: list[int],
+    out_lines: list[int],
+) -> tuple[int, Translation | None]:
+    """Allocation-free twin of :meth:`HardwareWalker.walk` for the batch
+    engine, walking ``va`` down from the level-``level`` table ``page``.
+
+    The caller resolves the start: a paging-structure-cache hit's
+    ``(page, level)``, or the CR3 root,
+    ``registry[tree.ops.root_pfn_for_socket(tree, socket)]`` at
+    ``tree.geometry.root_level``. ``registry`` is the tree's pfn -> table
+    map, which resolves each lower level.
+
+    Writes each level's (level, table pfn, node, cache-line address)
+    into the caller-owned output lists at indices ``0..n-1`` and returns
+    ``(n, translation)`` with ``translation is None`` meaning a page
+    fault at ``va``. The lists must be at least ``level`` long; entries
+    beyond ``n`` are stale.
+
+    Semantics are identical to ``walk(set_ad_bits=True)`` from the same
+    start — same tree traversal, same hardware A/D stores — minus the
+    per-level :class:`LevelAccess` and :class:`WalkResult` allocations,
+    which dominate the scalar walker's cost on walk-heavy streams
+    (docs/performance.md). It makes no call per level: the PTE bits are
+    module constants, the PFN and flags are masked out inline, and the
+    :class:`Translation` is built by ``tuple.__new__``, skipping the
+    namedtuple's Python-level ``__new__`` (the result is still a
+    ``Translation``). ``tests/paging`` pins the twin against the
+    reference walk.
+    """
+    leaf_ad = _LEAF_AD_WRITE if is_write else PTE_ACCESSED
+    n = 0
+    while True:
+        index = (va >> (12 + 9 * (level - 1))) & 511
+        frame = page.frame
+        pfn = frame.pfn
+        out_levels[n] = level
+        out_pfns[n] = pfn
+        out_nodes[n] = frame.node
+        out_lines[n] = (pfn << 12) + (index * 8 & _LINE_MASK)
+        n += 1
+        entry = page.entries[index]
+        if not entry & PTE_PRESENT:
+            return n, None
+        is_leaf = level == LEAF_LEVEL or (level == HUGE_LEAF_LEVEL and entry & PTE_HUGE)
+        new_entry = entry | (leaf_ad if is_leaf else PTE_ACCESSED)
+        if new_entry != entry:
+            # lint: allow[PVOPS001] -- hardware A/D store: the MMU writes the walked replica directly, outside PV-Ops (§5.4)
+            page.entries[index] = new_entry
+            entry = new_entry
+        if is_leaf:
+            leaf_pfn = (entry & _PFN_MASK) >> 12
+            if level == HUGE_LEAF_LEVEL:
+                leaf_pfn += (va >> 12) & 511
+            return n, _new_translation(Translation, (leaf_pfn, entry & FLAGS_MASK, level))
+        page = registry[(entry & _PFN_MASK) >> 12]
+        level -= 1

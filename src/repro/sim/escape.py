@@ -21,12 +21,12 @@ classes:
 
 * :meth:`EscapeRunner.run` interprets a *run* of escape-side accesses
   with semantics identical to ``_ThreadExecution.run_span`` (same
-  counter increments, same IEEE-754 accumulation order, same LRU
+  counter totals, same IEEE-754 accumulation order, same LRU
   transitions), but with every step of the miss path inlined — the TLB
-  and paging-structure-cache probes, the LLC probes and the fills — and
-  the walker entered through the allocation-free
-  :meth:`HardwareWalker.walk_into` batch entry point, the one call a
-  walk makes;
+  and paging-structure-cache probes, the LLC probes and the fills — its
+  counters kept in locals for the span, and the walker entered through
+  the allocation-free :func:`repro.paging.walker.walk_into`, the one
+  call a walk makes;
 * faults *partition* a span instead of ending batching: the span flushes
   deferred trace state, services the fault through the unchanged kernel
   path, and resumes batched on the next access;
@@ -46,6 +46,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.paging.levels import HUGE_LEAF_LEVEL
+from repro.paging.walker import walk_into
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import _ThreadExecution
@@ -196,11 +197,13 @@ class EscapeRunner:
         Semantics are access-for-access identical to
         ``_ThreadExecution.run_span`` over the same elements, and a walk
         costs one pass through this loop plus one call into
-        :meth:`HardwareWalker.walk_into`. Every other step of the miss
-        path is inlined, with the same probe order, counter, LRU and
-        eviction transitions as the method it stands for:
+        :func:`repro.paging.walker.walk_into`, from the start the loop
+        resolved (the PSC hit, or the CR3 root). Every other step of the
+        miss path is inlined, with the same probe order, LRU and eviction
+        transitions as the method it stands for:
 
-        * the TLB hierarchy probe (:meth:`TlbHierarchy.lookup`);
+        * the TLB hierarchy probe (:meth:`TlbHierarchy.lookup`), one
+          ``dict.get`` on a structure's residency map per probe;
         * the paging-structure-cache probe (:meth:`MmuCaches.lookup`);
         * one LLC probe per fetched level (:meth:`SocketLlc.access`);
         * the PSC fill of every walked level above 1
@@ -208,45 +211,50 @@ class EscapeRunner:
           entry the probe promoted already (the scalar tier skips it too);
         * the TLB fills: one L1 fill for L2 hits and walks
           (``TlbHierarchy._fill_l1``), then the L2 fill of a walk
-          (:meth:`TlbHierarchy.insert`), chosen by page size.
+          (:meth:`TlbHierarchy.insert`), chosen by page size. A 4 KiB
+          fill reuses the set list its probe found, and no fill checks
+          for its key: the probe just missed it, and nothing between a
+          probe and its fill inserts a translation (the fault path only
+          flushes and invalidates, in place).
 
         ``tests/sim/test_escape.py`` pins every copy to its method.
         Faults take the unchanged kernel path (after a trace flush —
         fault sites emit instants inline) and re-walk from CR3 without a
         PSC probe, and every accumulator folds in the same order.
 
-        While neither 2 MiB TLB structure holds an entry their probes
-        cannot hit, so the loop skips them and counts their misses in
-        locals. Only a walk to a huge leaf can fill them during a span
-        (an L2 2 MiB hit needs an entry; flushes only remove entries), so
-        that walk adds the pending misses and ends the skip.
+        The span's counters (TLB, PSC and LLC stats, hierarchy totals)
+        are locals, added to their stat blocks once, in ``finally``, so
+        that an exception from the fault path leaves them where the
+        reference loop does. ``hits_at_level`` is counted per walk. Two
+        probes are skipped where they can only miss: while neither 2 MiB
+        TLB structure holds an entry (only a walk to a huge leaf can fill
+        one during a span: an L2 2 MiB hit needs an entry, and flushes
+        only remove entries), and a level-1 PSC that is empty at span
+        start (a span fills no level-1 entry).
         """
         ex = self.ex
         tracebuf = self.tracebuf
         tlb = ex.tlb
-        # Inlined TLB hierarchy: structures, set lists and stat blocks.
-        l1_4k = tlb.l1_4k
-        l1_2m = tlb.l1_2m
-        l2_4k = tlb.l2_4k
-        l2_2m = tlb.l2_2m
-        sets1_4, n1_4, ways1_4, st1_4 = l1_4k._sets, l1_4k.n_sets, l1_4k.ways, l1_4k.stats
-        sets1_2, n1_2, ways1_2, st1_2 = l1_2m._sets, l1_2m.n_sets, l1_2m.ways, l1_2m.stats
-        sets2_4, n2_4, ways2_4, st2_4 = l2_4k._sets, l2_4k.n_sets, l2_4k.ways, l2_4k.stats
-        sets2_2, n2_2, ways2_2, st2_2 = l2_2m._sets, l2_2m.n_sets, l2_2m.ways, l2_2m.stats
-        totals = tlb.totals
-        totals_l1 = totals.l1
-        totals_l2 = totals.l2
+        # Inlined TLB hierarchy: residency maps, set lists and ways.
+        l1_4k, l1_2m, l2_4k, l2_2m = tlb.l1_4k, tlb.l1_2m, tlb.l2_4k, tlb.l2_2m
+        map1_4, sets1_4, n1_4, ways1_4 = l1_4k._map, l1_4k._sets, l1_4k.n_sets, l1_4k.ways
+        map1_2, sets1_2, n1_2, ways1_2 = l1_2m._map, l1_2m._sets, l1_2m.n_sets, l1_2m.ways
+        map2_4, sets2_4, n2_4, ways2_4 = l2_4k._map, l2_4k._sets, l2_4k.n_sets, l2_4k.ways
+        map2_2, sets2_2, n2_2, ways2_2 = l2_2m._map, l2_2m._sets, l2_2m.n_sets, l2_2m.ways
         # Inlined paging-structure caches and the socket's LLC.
         mmu = ex.mmu
-        psc_probe = mmu._probe
+        # A span fills no level-1 entry, so an empty level-1 PSC stays unprobed.
+        psc_probe = [
+            (level, cache, shift) for level, cache, shift in mmu._probe if level > 1 or cache
+        ]
         psc_fill = mmu._fill
-        psc_stats = mmu.stats
-        psc_hits = psc_stats.hits_at_level
+        psc_hits = mmu.stats.hits_at_level
         llc_lines = ex.llc._lines
         llc_capacity = ex.llc.capacity_lines
-        llc_stats = ex.llc.stats
-        walk_into = ex.walker.walk_into
-        registry = ex.registry
+        # The walk's start: a PSC hit, or this socket's CR3 root.
+        tree = ex.walker.tree
+        registry = tree.registry
+        root_level = tree.geometry.root_level
         handle_fault = ex.fault_handler.handle
         process = ex.process
         socket = ex.socket
@@ -276,82 +284,75 @@ class EscapeRunner:
         walk_llc_hits = ex.walk_llc_hits
         faults = ex.faults
         fault_cycles = ex.fault_cycles
-        # Every L1 hit handled here is a bail-out: the batching mask ceded
-        # it for economic reasons (short run / cooldown / bail-out), never
-        # for correctness. Folded once, as the span's L1-hit delta.
-        l1_hits_start = totals_l1.hits
-        # The 2 MiB structures' skipped probes and the misses they owe.
-        skip_2m = not (l1_2m.occupancy() or l2_2m.occupancy())
-        pending_l1_2m = pending_l2_2m = 0
+        # The span's counters: hits and misses per TLB structure (the
+        # 2 MiB misses follow, see ``finally``), evictions, and the PSC's
+        # and LLC's.
+        hits1_4 = misses1_4 = hits1_2 = hits2_4 = misses2_4 = hits2_2 = 0
+        evicted1_4 = evicted1_2 = evicted2_4 = evicted2_2 = 0
+        psc_evictions = llc_hits = llc_misses = 0
+        # Whether the 2 MiB probes are skipped (both structures empty).
+        skip_2m = not (map1_2 or map2_2)
 
         try:
             for i in range(lo, hi):
                 va = vas[i]
                 # -- L1 probe (split 4 KiB / 2 MiB), inlined Tlb.lookup --------
                 vpn = va >> 12
-                entry_set = sets1_4[vpn % n1_4]
-                translation = entry_set.get(vpn)
+                set1_4 = sets1_4[vpn % n1_4]
+                translation = map1_4.get(vpn)
                 if translation is not None:
-                    entry_set.move_to_end(vpn)
-                    st1_4.hits += 1
+                    set1_4.remove(vpn)
+                    set1_4.append(vpn)
+                    hits1_4 += 1
                 else:
-                    st1_4.misses += 1
-                    if skip_2m:
-                        pending_l1_2m += 1
-                    else:
+                    misses1_4 += 1
+                    if not skip_2m:
                         hvpn = va >> 21
-                        entry_set = sets1_2[hvpn % n1_2]
-                        translation = entry_set.get(hvpn)
+                        translation = map1_2.get(hvpn)
                         if translation is not None:
-                            entry_set.move_to_end(hvpn)
-                            st1_2.hits += 1
-                        else:
-                            st1_2.misses += 1
-                if translation is not None:
-                    totals_l1.hits += 1
-                else:
-                    totals_l1.misses += 1
+                            entry_set = sets1_2[hvpn % n1_2]
+                            entry_set.remove(hvpn)
+                            entry_set.append(hvpn)
+                            hits1_2 += 1
+                if translation is None:
                     # -- L2 probe -----------------------------------------------
-                    entry_set = sets2_4[vpn % n2_4]
-                    translation = entry_set.get(vpn)
+                    set2_4 = sets2_4[vpn % n2_4]
+                    translation = map2_4.get(vpn)
                     if translation is not None:
-                        entry_set.move_to_end(vpn)
-                        st2_4.hits += 1
+                        set2_4.remove(vpn)
+                        set2_4.append(vpn)
+                        hits2_4 += 1
                     else:
-                        st2_4.misses += 1
-                        if skip_2m:
-                            pending_l2_2m += 1
-                        else:
-                            hvpn = va >> 21
-                            entry_set = sets2_2[hvpn % n2_2]
-                            translation = entry_set.get(hvpn)
+                        misses2_4 += 1
+                        if not skip_2m:
+                            translation = map2_2.get(hvpn)
                             if translation is not None:
-                                entry_set.move_to_end(hvpn)
-                                st2_2.hits += 1
-                            else:
-                                st2_2.misses += 1
-                    if translation is not None:
-                        totals_l2.hits += 1
-                    else:
-                        totals_l2.misses += 1
-                        totals.walks += 1
+                                entry_set = sets2_2[hvpn % n2_2]
+                                entry_set.remove(hvpn)
+                                entry_set.append(hvpn)
+                                hits2_2 += 1
+                    if translation is None:
                         walks += 1
                         # -- PSC probe, inlined MmuCaches.lookup ----------------
-                        psc_stats.lookups += 1
-                        start = None
                         for level, cache, shift in psc_probe:
                             tag = va >> shift
                             page = cache.get(tag)
                             if page is not None:
                                 cache.move_to_end(tag)
                                 psc_hits[level] = psc_hits.get(level, 0) + 1
-                                start = (page, level)
+                                # PSC fills skip a hit's start level (the
+                                # walk's first): the probe promoted it.
+                                fill_below = level
                                 break
+                        else:
+                            page = registry[tree.ops.root_pfn_for_socket(tree, socket)]
+                            level = root_level
+                            fill_below = root_level + 1
                         # -- the walk: the one call below this loop -------------
                         is_write = writes[i]
                         n_levels, translation = walk_into(
-                            va, socket, is_write,
-                            out_levels, out_pfns, out_nodes, out_lines, start,
+                            registry, page, level, va, is_write,
+                            out_levels, out_pfns, out_nodes, out_lines,
                         )
                         faulted = translation is None
                         if faulted:
@@ -367,27 +368,25 @@ class EscapeRunner:
                             faults += 1
                             fault_cycles += fr.work.cycles() + fr.io_cycles
                             n_levels, translation = walk_into(
-                                va, socket, is_write,
+                                registry, registry[tree.ops.root_pfn_for_socket(tree, socket)],
+                                root_level, va, is_write,
                                 out_levels, out_pfns, out_nodes, out_lines,
                             )
                             assert translation is not None
+                            fill_below = root_level + 1
                         last = n_levels - 1
-                        # PSC fills skip a hit's start level (the walk's
-                        # first): the probe promoted its entry already.
-                        top = out_levels[0]
-                        fill_below = top if start is not None and not faulted else top + 1
                         walk_start = walk_cycles
                         for j in range(n_levels):
                             # -- LLC probe, inlined SocketLlc.access ------------
                             line = out_lines[j]
                             if line in llc_lines:
                                 llc_lines.move_to_end(line)
-                                llc_stats.hits += 1
+                                llc_hits += 1
                                 # A polluted leaf line: data traffic evicted
                                 # it since the last walk that used it.
                                 hit = j != last or not pollution_rolls[i]
                             else:
-                                llc_stats.misses += 1
+                                llc_misses += 1
                                 if len(llc_lines) >= llc_capacity:
                                     llc_lines.popitem(last=False)
                                 llc_lines[line] = None
@@ -415,44 +414,42 @@ class EscapeRunner:
                                         cache.move_to_end(tag)
                                     elif len(cache) >= capacity:
                                         cache.popitem(last=False)
-                                        psc_stats.evictions += 1
+                                        psc_evictions += 1
                                     cache[tag] = page
                         if tracebuf is not None:
                             tracebuf.walk(va, faulted, walk_cycles - walk_start, n_levels)
                         walk_refs += n_levels
                         # -- L2 fill, inlined Tlb.insert --------------------------
                         if translation.level == HUGE_LEAF_LEVEL:
-                            if skip_2m:
-                                # The span's first 2 MiB fill: the skipped
-                                # probes' misses land before it.
-                                st1_2.misses += pending_l1_2m
-                                st2_2.misses += pending_l2_2m
-                                pending_l1_2m = pending_l2_2m = 0
-                                skip_2m = False
-                            key = va >> 21
-                            entry_set, ways, stats = sets2_2[key % n2_2], ways2_2, st2_2
+                            skip_2m = False
+                            hvpn = va >> 21
+                            entry_set = sets2_2[hvpn % n2_2]
+                            if len(entry_set) >= ways2_2:
+                                del map2_2[entry_set.pop(0)]
+                                evicted2_2 += 1
+                            entry_set.append(hvpn)
+                            map2_2[hvpn] = translation
                         else:
-                            key = vpn
-                            entry_set, ways, stats = sets2_4[key % n2_4], ways2_4, st2_4
-                        if key in entry_set:
-                            entry_set.move_to_end(key)
-                        elif len(entry_set) >= ways:
-                            entry_set.popitem(last=False)
-                            stats.evictions += 1
-                        entry_set[key] = translation
+                            if len(set2_4) >= ways2_4:
+                                del map2_4[set2_4.pop(0)]
+                                evicted2_4 += 1
+                            set2_4.append(vpn)
+                            map2_4[vpn] = translation
                     # -- L1 fill (L2 hit or walk), inlined Tlb.insert ---------
                     if translation.level == HUGE_LEAF_LEVEL:
-                        key = va >> 21
-                        entry_set, ways, stats = sets1_2[key % n1_2], ways1_2, st1_2
+                        hvpn = va >> 21
+                        entry_set = sets1_2[hvpn % n1_2]
+                        if len(entry_set) >= ways1_2:
+                            del map1_2[entry_set.pop(0)]
+                            evicted1_2 += 1
+                        entry_set.append(hvpn)
+                        map1_2[hvpn] = translation
                     else:
-                        key = vpn
-                        entry_set, ways, stats = sets1_4[key % n1_4], ways1_4, st1_4
-                    if key in entry_set:
-                        entry_set.move_to_end(key)
-                    elif len(entry_set) >= ways:
-                        entry_set.popitem(last=False)
-                        stats.evictions += 1
-                    entry_set[key] = translation
+                        if len(set1_4) >= ways1_4:
+                            del map1_4[set1_4.pop(0)]
+                            evicted1_4 += 1
+                        set1_4.append(vpn)
+                        map1_4[vpn] = translation
                 # -- the data access itself ------------------------------------
                 if hit_rolls[i]:
                     data_cycles += llc_hit_cost
@@ -461,10 +458,30 @@ class EscapeRunner:
                 if autonuma is not None and ((abs_base + i) & sample_mask) == 0:
                     autonuma.record_access(process, va, socket)
         finally:
-            # Also on an exception from the fault path, so the 2 MiB
-            # counters stay where the reference loop leaves them.
-            st1_2.misses += pending_l1_2m
-            st2_2.misses += pending_l2_2m
+            # Also on an exception from the fault path, so every counter
+            # stays where the reference loop leaves it. Each L1 4 KiB miss
+            # probes the L1 2 MiB structure (or skips a probe that can only
+            # miss), so the 2 MiB misses, which are the L1 misses, are the
+            # 4 KiB misses the 2 MiB structure did not hit; likewise at L2,
+            # where each miss is a walk and each walk probes the PSC once.
+            l1_misses = misses1_4 - hits1_2
+            l2_misses = misses2_4 - hits2_2
+            for stats, hits, misses, evictions in (
+                (l1_4k.stats, hits1_4, misses1_4, evicted1_4),
+                (l1_2m.stats, hits1_2, l1_misses, evicted1_2),
+                (l2_4k.stats, hits2_4, misses2_4, evicted2_4),
+                (l2_2m.stats, hits2_2, l2_misses, evicted2_2),
+                (tlb.totals.l1, hits1_4 + hits1_2, l1_misses, 0),
+                (tlb.totals.l2, hits2_4 + hits2_2, l2_misses, 0),
+            ):
+                stats.hits += hits
+                stats.misses += misses
+                stats.evictions += evictions
+            tlb.totals.walks += l2_misses
+            mmu.stats.lookups += l2_misses
+            mmu.stats.evictions += psc_evictions
+            ex.llc.stats.hits += llc_hits
+            ex.llc.stats.misses += llc_misses
 
         ex.data_cycles = data_cycles
         ex.walk_cycles = walk_cycles
@@ -473,7 +490,10 @@ class EscapeRunner:
         ex.walk_llc_hits = walk_llc_hits
         ex.faults = faults
         ex.fault_cycles = fault_cycles
-        ex.escape_bailout += totals_l1.hits - l1_hits_start
+        # Every L1 hit handled here is a bail-out: the batching mask ceded
+        # it for economic reasons (short run / cooldown / bail-out), never
+        # for correctness.
+        ex.escape_bailout += hits1_4 + hits1_2
 
     def close(self) -> None:
         """End-of-slice flush: no walk span may outlive its slice (the

@@ -10,7 +10,6 @@ LRU per set.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.paging.levels import HUGE_LEAF_LEVEL
@@ -37,7 +36,14 @@ class TlbStats:
 
 
 class Tlb:
-    """One set-associative translation buffer for a single page size."""
+    """One set-associative translation buffer for a single page size.
+
+    Residency lives in one dict, ``_map`` (vpn -> translation), so a probe
+    is one ``dict.get``; each set is a list of its vpns, least recently
+    used first, so a hit moves its vpn to the end and an eviction pops
+    the front. Both are mutated in place, never rebound: the escape tier
+    binds them once per span (``repro.sim.escape``).
+    """
 
     def __init__(self, entries: int, ways: int, page_shift: int, name: str = "tlb"):
         if entries <= 0 or ways <= 0 or entries % ways:
@@ -47,18 +53,18 @@ class Tlb:
         self.ways = ways
         self.page_shift = page_shift
         self.n_sets = entries // ways
-        self._sets: list[OrderedDict[int, Translation]] = [
-            OrderedDict() for _ in range(self.n_sets)
-        ]
+        self._map: dict[int, Translation] = {}
+        self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
         self.stats = TlbStats()
 
     def lookup(self, va: int) -> Translation | None:
         """Probe for ``va``; LRU-promotes and counts on hit."""
         vpn = va >> self.page_shift
-        entry_set = self._sets[vpn % self.n_sets]
-        hit = entry_set.get(vpn)
+        hit = self._map.get(vpn)
         if hit is not None:
-            entry_set.move_to_end(vpn)
+            entry_set = self._sets[vpn % self.n_sets]
+            entry_set.remove(vpn)
+            entry_set.append(vpn)
             self.stats.hits += 1
             return hit
         self.stats.misses += 1
@@ -68,22 +74,23 @@ class Tlb:
         """Fill ``va``'s entry, evicting the set's LRU victim if full."""
         vpn = va >> self.page_shift
         entry_set = self._sets[vpn % self.n_sets]
-        if vpn in entry_set:
-            entry_set.move_to_end(vpn)
-            entry_set[vpn] = translation
-            return
-        if len(entry_set) >= self.ways:
-            entry_set.popitem(last=False)
+        if vpn in self._map:
+            entry_set.remove(vpn)
+        elif len(entry_set) >= self.ways:
+            del self._map[entry_set.pop(0)]
             self.stats.evictions += 1
-        entry_set[vpn] = translation
+        entry_set.append(vpn)
+        self._map[vpn] = translation
 
     # protocol: defers[tlb-generation] -- single-level evict; the hierarchy owns the bump
     def invalidate(self, va: int) -> None:
         vpn = va >> self.page_shift
-        self._sets[vpn % self.n_sets].pop(vpn, None)
+        if self._map.pop(vpn, None) is not None:
+            self._sets[vpn % self.n_sets].remove(vpn)
 
     # protocol: defers[tlb-generation] -- single-level flush; the hierarchy owns the bump
     def flush(self) -> None:
+        self._map.clear()
         for entry_set in self._sets:
             entry_set.clear()
 
@@ -92,19 +99,23 @@ class Tlb:
 
         The vector engine replays the promotions of a batched run of hits
         in last-access order; the hit counters for the whole run are added
-        in bulk. Raises ``KeyError`` if the entry is not resident — the
+        in bulk. Raises ``ValueError`` if the entry is not resident — the
         batch was validated against stale state, which must never happen.
         """
-        self._sets[vpn % self.n_sets].move_to_end(vpn)
+        entry_set = self._sets[vpn % self.n_sets]
+        entry_set.remove(vpn)
+        entry_set.append(vpn)
 
     def resident_items(self):
         """Iterate ``(vpn, translation)`` over every resident entry (set
         order, LRU order within a set — deterministic)."""
+        resident = self._map
         for entry_set in self._sets:
-            yield from entry_set.items()
+            for vpn in entry_set:
+                yield vpn, resident[vpn]
 
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return len(self._map)
 
     @property
     def reach_bytes(self) -> int:

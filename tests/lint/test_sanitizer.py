@@ -145,7 +145,7 @@ class TestVerdicts:
 class TestEndToEnd:
     def test_vector_engine_run_is_clean_under_sanitizer(self):
         """The batched tier's walks store A/D bits through
-        ``HardwareWalker.walk_into``, a hardware writer like ``walk``."""
+        ``repro.paging.walker.walk_into``, a hardware writer like ``walk``."""
         from repro.sim.engine import EngineConfig, Simulator
         from repro.sim.scenario import setup_multisocket
 

@@ -8,7 +8,7 @@ from repro.mem.pagecache import PageTablePageCache
 from repro.paging.levels import GEOMETRY_5LEVEL
 from repro.paging.pagetable import PageTableTree, Translation
 from repro.paging.pte import PTE_USER, PTE_WRITABLE, pte_accessed, pte_dirty
-from repro.paging.walker import HardwareWalker
+from repro.paging.walker import HardwareWalker, walk_into
 from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE
 
 FLAGS = PTE_WRITABLE | PTE_USER
@@ -82,11 +82,17 @@ class TestWalk:
 class TestWalkInto:
     """walk_into is the batch engine's allocation-free twin of walk():
     same traversal, same per-level report, same A/D stores — just written
-    into caller-owned arrays instead of LevelAccess/WalkResult objects."""
+    into caller-owned arrays instead of LevelAccess/WalkResult objects.
+    The caller resolves the start: a PSC hit's (page, level), or the
+    socket's CR3 root at the tree's root level."""
 
     def _into(self, walker, va, socket, is_write=False, start=None):
+        tree = walker.tree
+        if start is None:
+            root = tree.registry[tree.ops.root_pfn_for_socket(tree, socket)]
+            start = (root, tree.geometry.root_level)
         out = ([0] * 6, [0] * 6, [0] * 6, [0] * 6)
-        n, translation = walker.walk_into(va, socket, is_write, *out, start=start)
+        n, translation = walk_into(tree.registry, *start, va, is_write, *out)
         rows = [(out[0][j], out[1][j], out[2][j], out[3][j]) for j in range(n)]
         return rows, translation
 

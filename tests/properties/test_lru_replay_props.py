@@ -101,7 +101,7 @@ def lut_of(tlb: Tlb) -> _ResidencyLut:
 
 
 def set_orders(tlb: Tlb) -> list[list[int]]:
-    return [list(entry_set.keys()) for entry_set in tlb._sets]
+    return [list(entry_set) for entry_set in tlb._sets]
 
 
 def touch_like_lookup(tlb: TlbHierarchy, va: int) -> None:

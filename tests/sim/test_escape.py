@@ -6,8 +6,9 @@ streams) live in test_engine_equivalence.py; these tests pin the
 behaviour, reset semantics — and the inlined TLB probe of
 :meth:`EscapeRunner.run` against :meth:`TlbHierarchy.lookup`.
 :class:`TestFinalHardwareState` extends the probe's check to whole runs:
-the TLB state both tiers leave behind once batched hit runs are mixed in.
-:class:`TestDeferredReplay` pins where the vector tier replays a batched
+the TLB state both tiers leave behind once batched hit runs are mixed in,
+and :class:`TestFaultPathException` the state both leave when the fault
+path raises mid-span. :class:`TestDeferredReplay` pins where the vector tier replays a batched
 range's LRU promotions: before the escape that follows it, and at slice
 end.
 """
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cache.llc import SocketLlc
+from repro.errors import SegmentationFault
 from repro.kernel.kernel import Kernel
 from repro.kernel.sysctl import Sysctl
 from repro.machine.topology import Machine
@@ -304,8 +306,8 @@ class TestInlinedWalkPath:
     leave every structure in the same state: entries, LRU order, stats,
     accumulators and page tables. The first span starts with both 2 MiB
     TLB structures empty and maps a THP page through a fault mid-span,
-    so the skipped 2 MiB probes and their pending misses are pinned
-    too."""
+    so the skipped 2 MiB probes and the misses counted for them are
+    pinned too."""
 
     def _contexts(self, kernel, process):
         sim = Simulator(kernel, EngineConfig(tlb=TINY_TLB, mmu=SMALL_MMU, pt_llc_bytes=SMALL_LLC))
@@ -375,6 +377,29 @@ class TestInlinedWalkPath:
             start, size = regions[name]
             assert {h for va, _pfn, h in frames if start <= va < start + size} == {huge}
         assert ex.faults > 2
+
+    def test_level_1_psc_entry_is_probed(self):
+        """A span fills no level-1 PSC entry, so the runner leaves an
+        empty level-1 PSC out of its probe order. One that holds an entry
+        when the span starts (here inserted by hand, for the 4 KiB
+        region's leaf table) must stay in it: walks of that region start
+        at level 1 in both tiers."""
+        states = {}
+        for tier in ("reference", "runner"):
+            kernel, process, regions = _walk_process()
+            stream = _walk_stream(4, regions)
+            ex, llc = self._contexts(kernel, process)
+            small = regions["small"][0]
+            ex.mmu.insert(small, process.mm.tree.leaf_location(small).page)
+            if tier == "reference":
+                ex.run_span(*stream)
+            else:
+                runner = EscapeRunner(ex)
+                runner.run(*stream, 0, len(stream[0]), 0)
+                runner.close()
+            states[tier] = _walk_path_state(ex, llc)
+        assert states["runner"] == states["reference"]
+        assert states["reference"]["psc_stats"].hits_at_level.get(1)
 
 
 class _FixedStream(Workload):
@@ -513,6 +538,29 @@ class TestFinalHardwareState:
         assert sparse_probes
         assert _batched_share(metrics["vector"]) > 0.9
         assert metrics_equal(metrics["scalar"], metrics["vector"])
+        assert state["vector"] == state["scalar"]
+
+
+class TestFaultPathException:
+    """An access outside every VMA raises ``SegmentationFault`` from the
+    fault path in the middle of an escape span. The span adds its
+    counters to the stat blocks in ``finally``, so both tiers leave the
+    same hardware state behind the exception: in the verdict span
+    (access 100) and past it (300, 2000)."""
+
+    @pytest.mark.parametrize("bad", [100, 300, 2000])
+    def test_segfault_leaves_hardware_state_like_scalar(self, bad):
+        state = {}
+        for engine in ("scalar", "vector"):
+            kernel, process, huge_base, small_base = _mixed_process()
+            vas = _stream(5, huge_base, small_base)
+            hole = small_base + SMALL_PAGES * PAGE_SIZE
+            assert process.mm.vmas.find(hole) is None
+            vas[bad] = hole
+            with pytest.raises(SegmentationFault) as exc:
+                _run_stream(kernel, process, vas, engine)
+            assert exc.value.vaddr == hole
+            state[engine] = _hardware_state(kernel)
         assert state["vector"] == state["scalar"]
 
 

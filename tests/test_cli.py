@@ -132,6 +132,56 @@ def test_accesses_below_one_is_usage_error(capsys, tmp_path, argv, value):
     assert not cache.exists()
 
 
+def exit_and_errors(capsys, *argv):
+    """``main``'s exit code, returned or raised by argparse as
+    ``SystemExit``, and the ``error:`` lines it printed."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    return code, [line for line in err.splitlines() if "error:" in line]
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["numactl", "trace"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--sockets", "0"],
+        ["--sockets", "2", "--cpunodebind", "5"],
+        ["--sockets", "2", "--membind", "7"],
+        ["--sockets", "2", "--pt-node", "3"],
+        ["--sockets", "2", "--pt-node", "-1"],
+        ["--sockets", "2", "--pgtablerepl", "0-5"],
+        ["--sockets", "2", "--pgtablerepl", "x"],
+    ],
+    ids=[
+        "sockets-0", "cpunodebind-5", "membind-7", "pt-node-3", "pt-node-negative",
+        "pgtablerepl-0-5", "pgtablerepl-x",
+    ],
+)
+def test_out_of_range_topology_flag_is_usage_error(capsys, tmp_path, traced, flags):
+    trace = ["trace", "--out", str(tmp_path / "t.json"), "--no-summary"] if traced else []
+    code, errors = exit_and_errors(
+        capsys, *trace, "numactl", "gups", "--footprint-mib", "4", "--accesses", "500", *flags
+    )
+    assert code == 2
+    assert len(errors) == 1
+    assert flags[-2] in errors[0]
+
+
+@pytest.mark.parametrize("value", ["1.5", "-0.5"])
+def test_fragmentation_outside_unit_interval_is_usage_error(capsys, value):
+    code, errors = exit_and_errors(
+        capsys, "scenario", "migration", "gups", "RPI-LD", "--footprint-mib", "4",
+        "--accesses", "500", f"--fragmentation={value}",
+    )
+    assert code == 2
+    assert errors == [
+        f"repro scenario: error: argument --fragmentation: must be in [0, 1], got {value}"
+    ]
+
+
 class TestAnalysisCommands:
     def test_dump(self, capsys):
         code, out, _ = run(capsys, "dump", "memcached", "--footprint-mib", "16")

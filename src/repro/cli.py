@@ -66,8 +66,17 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _non_negative(text: str) -> int:
+    """``--inject-hang``: a whole number, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _fraction(text: str) -> float:
-    """``--fragmentation``: a share of the free 2 MiB blocks, in [0, 1]."""
+    """``--fragmentation`` and ``--inject-crash``: a share or a
+    probability, in [0, 1]."""
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
@@ -202,12 +211,12 @@ def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
         help="print the report as repro-fleet-report/1 JSON instead of text",
     )
     parser.add_argument(
-        "--inject-crash", type=float, default=0.0, metavar="P",
+        "--inject-crash", type=_fraction, default=0.0, metavar="P",
         help="self-hosting chaos: crash each worker launch with this "
         "probability (site fleet.worker.crash)",
     )
     parser.add_argument(
-        "--inject-hang", type=int, default=0, metavar="N",
+        "--inject-hang", type=_non_negative, default=0, metavar="N",
         help="self-hosting chaos: hang every Nth worker launch (killed at "
         "the timeout; 0 = never)",
     )

@@ -13,8 +13,9 @@ survive crashing, hanging and flaky cells:
   that doubles as the resume checkpoint;
 * :mod:`repro.fleet.pool` — the persistent warm-worker pool
   (:class:`WorkerPool`): long-lived processes that import once and loop
-  pulling jobs over a duplex pipe, with wall-clock timeouts,
-  SIGTERM→SIGKILL escalation, and recycling on timeout or crash;
+  pulling jobs over a duplex pipe, each holding its running job and the
+  next one, with wall-clock timeouts, SIGTERM→SIGKILL escalation, and
+  recycling on timeout or crash;
 * :mod:`repro.fleet.dispatcher` — :class:`Fleet`: sharding, bounded
   retries with backoff + jitter, poisoned-job quarantine, graceful
   SIGINT shutdown, event-driven wakeup, self-hosted chaos at

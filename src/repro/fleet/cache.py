@@ -71,6 +71,8 @@ class ResultCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
+        #: Shard directories this instance has created (or found).
+        self._shards: set[str] = set()
 
     def path_for(self, key: str) -> Path:
         """Where ``key``'s entry lives (whether or not it exists)."""
@@ -128,19 +130,26 @@ class ResultCache:
 
         Write-to-temp + fsync + ``os.replace`` means a concurrent reader
         sees either the previous entry or the complete new one — never a
-        torn write — and a crash mid-put leaves the old state intact.
+        torn write — and a crash mid-put leaves the old state intact. The
+        entry is encoded in one ``json.dumps`` call (the C encoder; the
+        same bytes as ``json.dump``) and written in one write, and each
+        shard directory is created once per instance.
         """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        shard = key[:2]
+        if shard not in self._shards:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._shards.add(shard)
         entry = {
             "schema": ENTRY_SCHEMA,
             "key": key,
             "checksum": payload_checksum(payload),
             "payload": payload,
         }
+        data = json.dumps(entry, sort_keys=True)
         tmp = path.parent / f"{key}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -14,10 +14,13 @@ terminal state:
    attempt has a wall-clock timeout with SIGTERM→SIGKILL escalation, and
    a timed-out or crashed worker is killed and *recycled* (a fresh
    process takes over the slot). ``workers=0`` runs inline instead
-   (tests, tiny sweeps). The dispatcher sleeps **event-driven** —
-   :func:`multiprocessing.connection.wait` over every running worker's
-   pipe/sentinel with the earliest deadline as the timeout — never on a
-   fixed poll interval.
+   (tests, tiny sweeps). Each slot holds up to two leases, the running
+   attempt and the next one, and each pass of the loop collects decided
+   attempts, refills the freed slots, and only then settles them, so
+   the workers never wait on a cache write. The dispatcher sleeps
+   **event-driven** — :func:`multiprocessing.connection.wait` over every
+   busy worker's pipe/sentinel with the earliest deadline as the
+   timeout — never on a fixed poll interval.
 3. **Bounded retries** — a failed attempt (error, crash, timeout)
    requeues with exponential backoff plus deterministic jitter (the
    backoff shape of :class:`~repro.mitosis.daemon.MitosisDaemon`, in
@@ -45,6 +48,7 @@ from __future__ import annotations
 import random
 import time
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from pathlib import Path
@@ -153,7 +157,9 @@ class _JobState:
     failures: list[str] = field(default_factory=list)
     not_before: float = 0.0
     rng: random.Random = field(default_factory=lambda: random.Random(0))
-    first_started: float = 0.0
+    #: Handed back unstarted by a recycled slot: the fault plan already
+    #: let this attempt through, so its relaunch does not consult it again.
+    handed_back: bool = False
 
 
 class Fleet:
@@ -238,28 +244,40 @@ class Fleet:
             pool = WorkerPool(
                 size=min(config.workers, len(pending)), grace=config.grace
             )
-        running: list[tuple[_JobState, PoolWorker]] = []
+        # Each slot's leased job states, running one first.
+        leased: dict[PoolWorker, deque[_JobState]] = (
+            {worker: deque() for worker in pool.workers} if pool is not None else {}
+        )
+        # Attempts decided this pass, in the order collected. States and
+        # outcomes stay in separate lists: an outcome's wall-clock
+        # seconds never flow into a job state.
+        decided: list[_JobState] = []
+        outcomes: list[AttemptOutcome] = []
         try:
-            while pending or running:
+            while pending or any(leased.values()):
+                self._collect(leased, pending, decided, outcomes)
                 launched = self._launch_eligible(
-                    pending, running, pool, report, progress
+                    pending, leased, pool, report, progress
                 )
-                settled = self._poll_running(running, pending, report, progress)
+                settled = bool(decided)
+                self._settle_decided(decided, outcomes, pending, report, progress)
                 if not launched and not settled:
-                    self._wait_for_event(pending, running)
+                    self._wait_for_event(pending, leased)
         except KeyboardInterrupt:
             # Graceful shutdown: drain anything already finished (their
             # results are checkpointed in the cache), kill the rest.
-            self._poll_running(running, pending, report, progress=None)
-            for _, worker in running:
-                worker.abort()
+            self._collect(leased, pending, decided, outcomes)
+            self._settle_decided(decided, outcomes, pending, report, progress=None)
+            for worker in leased:
+                if worker.busy:
+                    worker.abort()
             report.interrupted = True
         finally:
             if pool is not None:
                 pool.close()
                 report.worker_recycles = pool.recycles
 
-    def _wait_for_event(self, pending, running) -> None:
+    def _wait_for_event(self, pending, leased) -> None:
         """Sleep until something can change: a worker pipe/sentinel fires,
         the earliest attempt deadline passes, or the earliest backoff
         window opens. Event-driven in every mode — settlement latency is
@@ -274,64 +292,81 @@ class Fleet:
             if state.not_before > now:
                 remaining = state.not_before - now
                 timeout = remaining if timeout is None else min(timeout, remaining)
-        for _, worker in running:
+        busy = [worker for worker, states in leased.items() if states]
+        for worker in busy:
             remaining = worker.deadline - now
             timeout = remaining if timeout is None else min(timeout, remaining)
-        if running:
-            objects = [obj for _, worker in running for obj in worker.wait_objects]
+        if busy:
+            objects = [obj for worker in busy for obj in worker.wait_objects]
             mp_connection.wait(objects, max(timeout, 0.0))
         elif timeout is not None:
             time.sleep(timeout)  # lint: allow[DET001] -- backoff windows are real time
 
-    def _launch_eligible(self, pending, running, pool, report, progress) -> bool:
-        """Start (or inline-run) every eligible pending job; True if any."""
+    def _launch_eligible(self, pending, leased, pool, report, progress) -> bool:
+        """Start (or inline-run) every eligible pending job while a slot
+        has room; True if any."""
         config = self.config
         launched = False
         now = _now()
-        capacity = pool.size - len(running) if pool is not None else 0
         index = 0
-        while index < len(pending) and (pool is None or capacity > 0):
+        while index < len(pending):
             state = pending[index]
             if state.not_before > now:
                 index += 1
                 continue
+            worker = pool.idle_worker() if pool is not None else None
+            if pool is not None and worker is None:
+                break  # every slot holds its full set of leases
             pending.pop(index)
             launched = True
             state.attempts += 1
-            injected = self._injected_outcome(state)
+            injected = None if state.handed_back else self._injected_outcome(state)
+            state.handed_back = False
             if injected is not None:
                 self._settle_attempt(state, injected, pending, report, progress)
                 continue
-            if pool is None:
+            if worker is None:
                 outcome = run_attempt_inline(state.spec, state.attempts)
                 self._settle_attempt(state, outcome, pending, report, progress)
                 continue
-            worker = pool.idle_worker()
             worker.submit(
                 state.spec,
                 state.attempts,
                 timeout=config.timeout,
                 trace_path=self._trace_path(state),
             )
-            running.append((state, worker))
-            capacity -= 1
+            leased[worker].append(state)
         return launched
 
-    def _poll_running(self, running, pending, report, progress) -> bool:
-        """Collect every decided attempt; True if any settled."""
-        settled = False
-        index = 0
-        while index < len(running):
-            state, worker = running[index]
-            outcome = worker.poll()
-            if outcome is None:
-                index += 1
-                continue
-            running.pop(index)
-            settled = True
-            # Requeue-or-terminal goes through the same path as inline.
+    def _collect(self, leased, pending, decided, outcomes) -> None:
+        """Take every decided attempt off the slots, into ``decided`` and
+        ``outcomes``. A slot can decide several leases in one pass. When a
+        slot recycles, the states of its queued leases go back to the
+        front of ``pending`` unstarted: their attempt count is restored
+        and no failure is counted."""
+        handed_back: list[_JobState] = []
+        for worker, states in leased.items():
+            while states:
+                outcome = worker.poll()
+                if outcome is None:
+                    break
+                decided.append(states.popleft())
+                outcomes.append(outcome)
+                if states and not worker.busy:
+                    for state in states:
+                        state.attempts -= 1
+                        state.handed_back = True
+                    handed_back.extend(states)
+                    states.clear()
+        pending[:0] = handed_back
+
+    def _settle_decided(self, decided, outcomes, pending, report, progress) -> None:
+        """Settle the collected attempts in order (cache write, report,
+        ``progress``), taking each off the lists before it settles."""
+        while decided:
+            state = decided.pop(0)
+            outcome = outcomes.pop(0)
             self._settle_attempt(state, outcome, pending, report, progress)
-        return settled
 
     # -- attempt settlement ----------------------------------------------------
 

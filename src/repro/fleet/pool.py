@@ -9,14 +9,23 @@ messages off a duplex pipe, executes them via :func:`execute_job` (fresh
 per-job :class:`~repro.trace.session.TraceSession`, so every job gets its
 own trace bundle), and streams results back.
 
+Each slot holds up to :data:`LEASES_PER_WORKER` jobs: the one it runs and
+the next one, already sent down its pipe, so a worker goes from one cell
+to the next without waiting for the dispatcher to persist the last
+result. Workers also lower their own priority, so the dispatcher's
+refills and persists do not queue behind running cells.
+
 The parent never trusts the child:
 
-* **timeout** — the per-job wall-clock deadline is enforced by the
-  dispatcher's poll; a stuck worker is killed with SIGTERM → SIGKILL
-  escalation and the slot is **recycled** (a fresh process replaces it
-  before the next job);
+* **timeout** — the running job's wall-clock deadline, counted from when
+  it became the running job, is enforced by the dispatcher's poll; a
+  stuck worker is killed with SIGTERM → SIGKILL escalation and the slot
+  is **recycled** (a fresh process replaces it before the next job);
 * **crash** — a worker that dies mid-job is detected by its dead pipe /
   process sentinel, reported as a ``crash`` outcome, and recycled;
+* **hand-back** — a recycle drops the slot's queued jobs unstarted (the
+  dead process never read them), so the dispatcher relaunches them
+  without charging an attempt;
 * **idle death** — a worker that dies between jobs is replaced on the
   next submit, invisibly to the job.
 
@@ -41,8 +50,10 @@ here feeds back into simulated state.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 import time
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 
@@ -53,6 +64,10 @@ OUTCOME_OK = "ok"
 OUTCOME_ERROR = "error"
 OUTCOME_CRASH = "crash"
 OUTCOME_TIMEOUT = "timeout"
+
+#: Jobs one slot holds at once: the one it runs and the next one, already
+#: in its pipe, which the worker starts as soon as it sends a result.
+LEASES_PER_WORKER = 2
 
 
 @dataclass
@@ -113,6 +128,7 @@ def _pool_worker_main(conn: Connection) -> None:
     the loop continues — only process death ends a warm worker's life.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.nice(5)  # the dispatcher's refills and persists go before running cells
     while True:
         try:
             message = conn.recv()
@@ -137,15 +153,36 @@ def _pool_worker_main(conn: Connection) -> None:
         pass
 
 
-class PoolWorker:
-    """One warm slot: a long-lived process + duplex pipe + lease state.
+@dataclass
+class Lease:
+    """One attempt sent down a slot's pipe.
 
-    The worker is either *idle* (warm, waiting for a job) or *busy*
-    (leased to one attempt, with a wall-clock deadline). In ``poll`` a
-    reported result wins over an exit code, and a result arriving in the
-    same tick as the deadline still counts; a timeout or crash
-    **recycles** the slot: the process is killed (SIGTERM → SIGKILL) and
-    a fresh one spawned, so the next job on this slot starts clean.
+    ``started`` is when the lease became the slot's running one, by the
+    parent's clock: the attempt's deadline counts from there, so a queued
+    lease spends none of its budget waiting behind the one ahead of it.
+    """
+
+    timeout: float
+    started: float = 0.0
+
+    def elapsed(self) -> float:
+        return _now() - self.started
+
+
+class PoolWorker:
+    """One warm slot: a long-lived process + duplex pipe + its leases.
+
+    ``leases`` holds up to :data:`LEASES_PER_WORKER` attempts in the order
+    they were sent: the first is *running* (its deadline counts from when
+    it became first), the rest are *queued* in the pipe. The slot is idle
+    with no lease. ``poll`` decides the running lease; a reported result
+    wins over an exit code, and a result arriving in the same tick as the
+    deadline still counts. A timeout or a death without a result
+    **recycles** the slot: the process is killed (SIGTERM → SIGKILL), a
+    fresh one spawned, and every queued lease is **handed back** — dropped
+    from ``leases`` unstarted, for the caller to relaunch. A queued lease
+    becomes the running one when the result ahead of it arrives, so if the
+    process then dies, that lease is the one charged with the crash.
     """
 
     def __init__(
@@ -157,15 +194,10 @@ class PoolWorker:
         self.id = worker_id
         self.grace = grace
         self._ctx = context or multiprocessing.get_context()
-        self.busy = False
+        self.leases: deque[Lease] = deque()
         self.jobs_done = 0
         #: Times this slot's process was killed and replaced.
         self.recycles = 0
-        # Lease state (valid while busy).
-        self.spec: JobSpecLike | None = None
-        self.attempt = 0
-        self.timeout = 0.0
-        self.started = 0.0
         self._spawn()
 
     def _spawn(self) -> None:
@@ -180,6 +212,16 @@ class PoolWorker:
             # The parent keeps only its own end, even when the fork fails.
             child.close()
 
+    @property
+    def busy(self) -> bool:
+        """True while the slot holds any lease."""
+        return bool(self.leases)
+
+    @property
+    def has_room(self) -> bool:
+        """True while the slot can take another lease."""
+        return len(self.leases) < LEASES_PER_WORKER
+
     # -- lease ----------------------------------------------------------------
 
     # protocol: sends[job] -- leases the slot: one job message down the pipe
@@ -190,36 +232,39 @@ class PoolWorker:
         timeout: float,
         trace_path: str | None = None,
     ) -> None:
-        """Lease this (idle) slot to one attempt and send the job (the
-        frozen spec itself: the pipe pickles it)."""
+        """Lease this slot to one attempt and send the job (the frozen
+        spec itself: the pipe pickles it). On an idle slot the attempt
+        runs at once; on a busy one it queues behind the running lease.
+
+        A send that fails on a busy slot means its process died holding
+        the running lease: the new lease stays queued, and ``poll``
+        decides both."""
         message = {
             "op": "job",
             "spec": spec,
             "attempt": attempt,
             "trace_path": trace_path,
         }
-        if not self.process.is_alive():
+        if not self.leases and not self.process.is_alive():
             self._recycle()  # died idle (OOM kill, etc.): replace silently
         try:
             self.conn.send(message)
         except (BrokenPipeError, OSError):
-            self._recycle()
-            self.conn.send(message)
-        self.busy = True
-        self.spec = spec
-        self.attempt = attempt
-        self.timeout = timeout
-        self.started = _now()
+            if not self.leases:
+                self._recycle()
+                self.conn.send(message)
+        lease = Lease(timeout=timeout)
+        if not self.leases:
+            lease.started = _now()
+        self.leases.append(lease)
 
     # -- observation ----------------------------------------------------------
 
-    def elapsed(self) -> float:
-        return _now() - self.started
-
     @property
     def deadline(self) -> float:
-        """Absolute monotonic time at which the current job times out."""
-        return self.started + self.timeout
+        """Absolute monotonic time at which the running lease times out."""
+        running = self.leases[0]
+        return running.started + running.timeout
 
     @property
     def wait_objects(self) -> tuple:
@@ -229,40 +274,42 @@ class PoolWorker:
         return (self.conn, self.process.sentinel)
 
     def poll(self) -> AttemptOutcome | None:
-        """Non-blocking check of the current lease; an outcome once the
-        attempt is decided. Timeout and crash recycle the slot."""
-        if not self.busy:
+        """Non-blocking check of the running lease; an outcome once that
+        attempt is decided. Timeout and crash recycle the slot and hand
+        back the queued leases. Call again after an outcome: the next
+        lease's result may already be in the pipe."""
+        if not self.leases:
             return None
         message = self._try_recv()
         if message is not None:
             return self._finish(message)
-        if self.elapsed() > self.timeout:
-            seconds = self.elapsed()
+        running = self.leases[0]
+        if running.elapsed() > running.timeout:
+            seconds = running.elapsed()
             self._stop_process()
             # One last look: the child may have reported right before dying.
+            # Its process is gone, so a lease queued behind that result
+            # is charged with the crash on the next poll.
             message = self._try_recv()
-            self._recycle()
             if message is not None:
                 return self._finish(message)
-            self.busy = False
+            self._recycle()
             return AttemptOutcome(
                 status=OUTCOME_TIMEOUT,
-                detail=f"killed after {self.timeout:g}s wall-clock; "
+                detail=f"killed after {running.timeout:g}s wall-clock; "
                 "worker recycled",
                 seconds=seconds,
             )
         if not self.process.is_alive():
             message = self._try_recv()
             if message is not None:
-                # Sent then died: the result wins, but the slot still
-                # needs a fresh process for its next job.
-                self._recycle()
+                # Sent then died: the result wins; the dead process is
+                # replaced when the next lease is decided or submitted.
                 return self._finish(message)
             self.process.join()
             exitcode = self.process.exitcode
-            seconds = self.elapsed()
+            seconds = running.elapsed()
             self._recycle()
-            self.busy = False
             return AttemptOutcome(
                 status=OUTCOME_CRASH,
                 detail=f"worker died without a result (exit code {exitcode}); "
@@ -281,14 +328,19 @@ class PoolWorker:
         return None
 
     def _finish(self, message: dict) -> AttemptOutcome:
-        self.busy = False
+        """Decide the running lease from its result; the next lease, if
+        any, becomes the running one now."""
+        running = self.leases.popleft()
         self.jobs_done += 1
-        return AttemptOutcome(
+        outcome = AttemptOutcome(
             status=message.get("status", OUTCOME_ERROR),
             payload=message.get("payload"),
             detail=message.get("detail", ""),
-            seconds=self.elapsed(),
+            seconds=running.elapsed(),
         )
+        if self.leases:
+            self.leases[0].started = _now()
+        return outcome
 
     # -- control --------------------------------------------------------------
 
@@ -304,17 +356,38 @@ class PoolWorker:
             self.process.join()
 
     def _recycle(self) -> None:
-        """Replace the (dead or killed) process with a fresh one."""
+        """Replace the (dead or killed) process with a fresh one; the
+        queued leases died unread with the old pipe."""
         try:
             self.conn.close()
         except OSError:  # pragma: no cover
             pass
+        self.leases.clear()
         self.recycles += 1
         self._spawn()
 
     def abort(self) -> None:
         """Dispatcher hook on interrupt: kill the process, no respawn."""
-        self.busy = False
+        self.leases.clear()
+        self._stop_process()
+        try:
+            self.conn.close()
+        except OSError:  # pragma: no cover
+            pass
+
+    def say_goodbye(self) -> None:
+        """Ask an idle, live worker to exit (the first half of ``shutdown``)."""
+        if self.process.is_alive() and not self.leases:
+            try:
+                self.conn.send({"op": "shutdown"})
+            except (BrokenPipeError, OSError):  # pragma: no cover
+                pass
+
+    def reap(self) -> None:
+        """Wait ``grace`` for a clean exit, escalate otherwise, and close
+        the pipe (the second half of ``shutdown``)."""
+        if self.process.is_alive() and not self.leases:
+            self.process.join(timeout=self.grace)
         self._stop_process()
         try:
             self.conn.close()
@@ -323,17 +396,8 @@ class PoolWorker:
 
     def shutdown(self) -> None:
         """End this slot's life: ask nicely if idle, escalate otherwise."""
-        if self.process.is_alive() and not self.busy:
-            try:
-                self.conn.send({"op": "shutdown"})
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-            self.process.join(timeout=self.grace)
-        self._stop_process()
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        self.say_goodbye()
+        self.reap()
 
 
 class WorkerPool:
@@ -360,13 +424,21 @@ class WorkerPool:
         return sum(worker.recycles for worker in self.workers)
 
     def idle_worker(self) -> PoolWorker | None:
-        """An idle slot, or ``None`` when every worker is leased."""
+        """The slot with room for another lease and the fewest leases
+        (the lowest id among equals), or ``None`` when every slot is full.
+
+        Fewest first spreads the first launches across the pool: every
+        worker gets a running job before any gets a queued one."""
+        best = None
         for worker in self.workers:
-            if not worker.busy:
-                return worker
-        return None
+            if worker.has_room and (best is None or len(worker.leases) < len(best.leases)):
+                best = worker
+        return best
 
     def close(self) -> None:
-        """Shut every slot down (idle ones get a clean goodbye first)."""
+        """Shut every slot down. Every idle worker gets its goodbye before
+        any is joined, so they exit in parallel."""
         for worker in self.workers:
-            worker.shutdown()
+            worker.say_goodbye()
+        for worker in self.workers:
+            worker.reap()

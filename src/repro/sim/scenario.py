@@ -32,7 +32,7 @@ from repro.sim.engine import EngineConfig, Simulator
 from repro.sim.metrics import RunMetrics
 from repro.units import MIB
 from repro.workloads.base import Workload
-from repro.workloads.registry import create
+from repro.workloads.registry import WORKLOADS, create
 
 #: Order of Fig. 9's boxes.
 MULTISOCKET_CONFIGS: tuple[str, ...] = ("F", "F+M", "F-A", "F-A+M", "I", "I+M")
@@ -134,7 +134,8 @@ class ScenarioResult:
     #: Fraction of leaf PTEs remote as observed by a walker on each socket
     #: (Fig. 1 top / Fig. 4).
     remote_leaf_fraction: dict[int, float] = field(default_factory=dict)
-    #: Primary-copy page-table dump (Fig. 3).
+    #: Primary-copy page-table dump (Fig. 3). ``measure`` leaves it
+    #: ``None``: a caller that wants the dump takes ``setup.dump()``.
     dump: PageTableDump | None = None
     #: THP allocation failure rate during population (Fig. 11 driver).
     thp_failure_rate: float = 0.0
@@ -282,7 +283,6 @@ def measure(setup: ScenarioSetup, engine: EngineConfig | None = None) -> Scenari
         mitosis=setup.mitosis,
         metrics=metrics,
         remote_leaf_fraction=setup.observed_remote_leaf(),
-        dump=setup.dump(),
         thp_failure_rate=kernel.thp.stats.failure_rate,
         pt_bytes_per_node={
             n: kernel.physmem.page_table_bytes(n) for n in kernel.machine.node_ids()
@@ -317,6 +317,11 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.harness not in ("multisocket", "migration"):
             raise ValueError(f"unknown harness {self.harness!r}")
+        if self.workload.lower() not in WORKLOADS:
+            raise ValueError(
+                f"unknown workload {self.workload!r}; "
+                f"choose from {', '.join(sorted(WORKLOADS))}"
+            )
         known = MULTISOCKET_CONFIGS if self.harness == "multisocket" else MIGRATION_CONFIGS
         if self.config not in known:
             raise ValueError(

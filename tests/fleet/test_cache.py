@@ -1,5 +1,6 @@
 """The crash-safe result cache: atomicity, checksums, corruption handling."""
 
+import io
 import json
 
 from repro.fleet.cache import ENTRY_SCHEMA, ResultCache, payload_checksum
@@ -146,3 +147,21 @@ class TestChecksum:
         assert entry["schema"] == ENTRY_SCHEMA
         assert entry["key"] == KEY
         assert entry["checksum"] == payload_checksum(payload)
+
+    def test_entry_bytes_are_one_sorted_json_document(self, tmp_path):
+        """``put`` writes ``json.dumps(entry, sort_keys=True)``: the same
+        bytes a streamed ``json.dump`` of the entry produces."""
+        cache = make_cache(tmp_path)
+        payload = {"ok": True, "value": 7, "cycles": 1.5e9, "rows": [3, None, "x"]}
+        cache.put(KEY, payload)
+        entry = {
+            "schema": ENTRY_SCHEMA,
+            "key": KEY,
+            "checksum": payload_checksum(payload),
+            "payload": payload,
+        }
+        streamed = io.StringIO()
+        json.dump(entry, streamed, sort_keys=True)
+        on_disk = cache.path_for(KEY).read_bytes()
+        assert on_disk == json.dumps(entry, sort_keys=True).encode("utf-8")
+        assert on_disk == streamed.getvalue().encode("utf-8")

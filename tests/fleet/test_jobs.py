@@ -66,6 +66,19 @@ class TestSpecRoundTrips:
         with pytest.raises(ValueError):
             ProbeSpec(behavior="explode")
 
+    def test_unknown_workload_rejected(self):
+        with pytest.raises(ValueError, match="unknown workload 'nosuch'"):
+            ScenarioSpec(harness="migration", workload="nosuch", config="LP-LD")
+        with pytest.raises(ValueError, match="unknown workload"):
+            scenario_grid("multisocket", ["gups", "nosuch"], ["F"])
+
+    def test_workload_names_match_case_insensitively(self):
+        """As ``create`` does; the spec keeps the name as given, so the
+        key does not change."""
+        upper = ScenarioSpec(harness="migration", workload="GUPS", config="LP-LD")
+        assert upper.workload == "GUPS"
+        assert job_key(upper) != job_key(dataclasses.replace(upper, workload="gups"))
+
 
 class TestJobKey:
     def test_key_is_stable_across_instances(self):

@@ -15,6 +15,7 @@ from repro.fleet import (
     OUTCOME_ERROR,
     OUTCOME_OK,
     OUTCOME_TIMEOUT,
+    STATUS_COMPUTED,
     STATUS_QUARANTINED,
     Fleet,
     FleetConfig,
@@ -25,6 +26,7 @@ from repro.fleet import (
     WorkerPool,
     canonical_json,
 )
+from repro.fleet.pool import LEASES_PER_WORKER
 from repro.inject import FaultPlan
 
 
@@ -224,6 +226,25 @@ class TestShutdown:
         assert all(not p.is_alive() for p in processes)
         assert all(p.exitcode is not None for p in processes)
 
+    def test_close_says_goodbye_to_every_worker_before_joining(self, monkeypatch):
+        calls = []
+        say_goodbye, reap = PoolWorker.say_goodbye, PoolWorker.reap
+
+        def spy_goodbye(worker):
+            calls.append(("goodbye", worker.id))
+            say_goodbye(worker)
+
+        def spy_reap(worker):
+            calls.append(("reap", worker.id))
+            reap(worker)
+
+        monkeypatch.setattr(PoolWorker, "say_goodbye", spy_goodbye)
+        monkeypatch.setattr(PoolWorker, "reap", spy_reap)
+        pool = WorkerPool(size=2, grace=2.0)
+        pool.close()
+        assert calls == [("goodbye", 0), ("goodbye", 1), ("reap", 0), ("reap", 1)]
+        assert [w.process.exitcode for w in pool.workers] == [0, 0]
+
     def test_idle_workers_exit_cleanly_on_shutdown(self):
         """An idle worker gets the goodbye message and exits 0 — no
         signal needed."""
@@ -233,6 +254,110 @@ class TestShutdown:
         wait_for_outcome(worker)
         pool.close()
         assert worker.process.exitcode == 0
+
+
+class TestLeases:
+    """A slot holds the job it runs and the next one, already in its pipe."""
+
+    def test_first_launches_spread_across_the_pool(self):
+        pool = WorkerPool(size=2, grace=0.3)
+        try:
+            chosen = []
+            while (worker := pool.idle_worker()) is not None:
+                worker.submit(ProbeSpec(value=len(chosen)), attempt=1, timeout=20.0)
+                chosen.append(worker.id)
+            # Every worker gets a running job before any gets a queued one.
+            assert chosen == [0, 1, 0, 1]
+            assert [len(w.leases) for w in pool.workers] == [LEASES_PER_WORKER] * 2
+        finally:
+            pool.close()
+
+    def test_queued_lease_runs_on_the_same_warm_process(self, pool):
+        worker = pool.workers[0]
+        pid = worker.process.pid
+        worker.submit(ProbeSpec(value=1), attempt=1, timeout=20.0)
+        worker.submit(ProbeSpec(value=2), attempt=3, timeout=20.0)
+        assert not worker.has_room
+        first, second = wait_for_outcome(worker), wait_for_outcome(worker)
+        assert first.payload == {"ok": True, "value": 1, "attempt": 1}
+        assert second.payload == {"ok": True, "value": 2, "attempt": 3}
+        assert not worker.busy
+        assert worker.process.pid == pid and worker.recycles == 0
+
+    @pytest.mark.parametrize(
+        "behavior, status", [("crash", OUTCOME_CRASH), ("hang", OUTCOME_TIMEOUT)]
+    )
+    def test_recycle_hands_back_the_queued_lease(self, pool, behavior, status):
+        worker = pool.workers[0]
+        worker.submit(
+            ProbeSpec(behavior=behavior, hang_seconds=60.0), attempt=1, timeout=0.4
+        )
+        worker.submit(ProbeSpec(value=5), attempt=1, timeout=20.0)
+        assert wait_for_outcome(worker).status == status
+        # The dead process never read the queued job: the slot dropped it.
+        assert not worker.busy
+        assert worker.recycles == 1
+        worker.submit(ProbeSpec(value=5), attempt=1, timeout=20.0)
+        assert wait_for_outcome(worker).payload["value"] == 5
+
+    def test_result_then_death_charges_the_queued_lease(self, pool):
+        """The running job reported, so the queued one may have started
+        before the process died: it is the one charged with the crash."""
+        worker = pool.workers[0]
+        worker.submit(ProbeSpec(value=1), attempt=1, timeout=20.0)
+        worker.submit(ProbeSpec(behavior="crash"), attempt=1, timeout=20.0)
+        assert wait_for_outcome(worker).ok
+        outcome = wait_for_outcome(worker)
+        assert outcome.status == OUTCOME_CRASH
+        assert "exit code 23" in outcome.detail
+        assert worker.recycles == 1 and not worker.busy
+
+    @pytest.mark.parametrize(
+        "behavior, counter", [("crash", "crashes"), ("hang", "timeouts")]
+    )
+    def test_handed_back_job_keeps_its_attempts(self, tmp_path, behavior, counter):
+        """One slot: the ok job queues behind a crash or hang probe, is
+        handed back when the slot recycles, and completes on the fresh
+        process as its first attempt, adding to no counter."""
+        config = FleetConfig(workers=1, timeout=0.4, grace=0.3, max_attempts=1)
+        fleet = Fleet(config, ResultCache(tmp_path / "cache"))
+        report = fleet.run([
+            ProbeSpec(behavior=behavior, hang_seconds=60.0, value=1),
+            ProbeSpec(value=2),
+        ])
+        by_label = {o.label: o for o in report.outcomes}
+        assert by_label[f"probe:{behavior}/1"].status == STATUS_QUARANTINED
+        queued = by_label["probe:ok/2"]
+        assert queued.status == STATUS_COMPUTED
+        assert queued.attempts == 1 and queued.failures == []
+        assert queued.payload == {"ok": True, "value": 2, "attempt": 1}
+        assert getattr(report, counter) == 1  # the probe's own failure
+        assert report.timeouts + report.crashes + report.errors == 1
+        assert report.retries == 0
+        assert report.worker_recycles == 1
+
+    def test_deadline_counts_from_when_the_lease_starts(self, tmp_path):
+        """Two 0.4 s jobs on one slot with a 0.6 s timeout: the second
+        finishes 0.8 s after it was sent, within 0.6 s of its start."""
+        config = FleetConfig(workers=1, timeout=0.6, grace=0.3, max_attempts=1)
+        fleet = Fleet(config, ResultCache(tmp_path / "cache"))
+        report = fleet.run(
+            [ProbeSpec(behavior="hang", hang_seconds=0.4, value=n) for n in (1, 2)]
+        )
+        assert report.computed == 2 and report.ok
+        assert report.timeouts == 0 and report.worker_recycles == 0
+
+    def test_hand_back_consults_no_fault_rule(self, tmp_path):
+        """A handed-back job relaunches without a second look at
+        ``fleet.worker.crash``: the rule sees one call per attempt."""
+        plan = FaultPlan(seed=0)
+        watch = plan.worker_crash(on_calls={1000})  # matches every launch, never fires
+        config = FleetConfig(workers=1, timeout=20.0, max_attempts=2, fault_plan=plan)
+        fleet = Fleet(config, ResultCache(tmp_path / "cache"))
+        report = fleet.run([ProbeSpec(behavior="crash", value=1), ProbeSpec(value=2)])
+        launched = sum(o.attempts for o in report.outcomes)
+        assert launched == 3  # the crash probe twice, the handed-back job once
+        assert watch.calls == launched
 
 
 class TestDispatcherIntegration:

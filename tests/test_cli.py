@@ -348,6 +348,34 @@ class TestFleet:
         assert code == 0
         assert "2 job(s)" in out and "2 computed" in out
 
+    def test_unknown_workload_rejected_before_any_cell(self, capsys, tmp_path):
+        code, errors = exit_and_errors(
+            capsys, "fleet", "sweep", "--workloads", "gups,nosuch", "--configs", "F",
+            "--workers", "0", "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert code == 2
+        assert len(errors) == 1 and "unknown workload 'nosuch'" in errors[0]
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--inject-crash", "1.5", "must be in [0, 1], got 1.5"),
+            ("--inject-crash", "-0.5", "must be in [0, 1], got -0.5"),
+            ("--inject-hang", "-2", "must be at least 0, got -2"),
+        ],
+    )
+    def test_fault_injection_flag_out_of_range_is_usage_error(
+        self, capsys, tmp_path, flag, value, message
+    ):
+        code, errors = exit_and_errors(
+            capsys, "fleet", "campaign", "--seeds", "0", "--workers", "0",
+            "--cache-dir", str(tmp_path / "cache"), f"{flag}={value}",
+        )
+        assert code == 2
+        assert errors == [f"repro fleet: error: argument {flag}: {message}"]
+        assert not (tmp_path / "cache").exists()
+
     def test_bad_seed_list_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "fleet", "campaign", "--seeds", "banana",

@@ -55,18 +55,12 @@ class PlacementTimeline:
 
     def snapshot(self, epoch: int) -> TimelinePoint:
         """Record one snapshot (the 30-second kernel-module tick)."""
-        from repro.paging.dump import dump_tree
+        from repro.paging.dump import remote_leaf_fractions
 
         mm = self.process.mm
-        n = self.kernel.machine.n_sockets
         data_nodes = {va: frame.node for va, frame in mm.frames.items()}
         pt_nodes = {pfn: page.node for pfn, page in mm.tree.registry.items()}
-        remote = {
-            socket: dump_tree(mm.tree, self.kernel.physmem, n, socket=socket).remote_leaf_fraction(
-                socket
-            )
-            for socket in self.kernel.machine.node_ids()
-        }
+        remote = remote_leaf_fractions(mm.tree, self.kernel.machine.n_sockets)
         point = TimelinePoint(
             epoch=epoch, data_nodes=data_nodes, pt_nodes=pt_nodes, remote_leaf=remote
         )

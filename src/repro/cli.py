@@ -59,7 +59,8 @@ from repro.workloads.registry import WORKLOADS, create
 
 
 def _at_least_one(text: str) -> int:
-    """``--footprint-mib`` and ``--accesses``: a whole number, at least 1."""
+    """``--footprint-mib``, ``--accesses`` and ``trace --capacity``: a
+    whole number, at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         "jsonl: one event per line",
     )
     trace.add_argument(
-        "--capacity", type=int, default=65536,
+        "--capacity", type=_at_least_one, default=65536,
         help="in-memory event ring size (sinks see every event regardless)",
     )
     trace.add_argument(
@@ -828,8 +829,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     code is preserved; a summary of event volume and counters is printed
     unless ``--no-summary``.
     """
+    from pathlib import Path
+
     from repro.trace import ChromeTraceSink, JsonlSink, TraceSession, start_tracing, stop_tracing
 
+    # Checked before the traced command runs: the Chrome sink writes only
+    # when the session closes, after the whole run.
+    out = Path(args.out)
+    problem = None
+    if out.is_dir():
+        problem = "is a directory"
+    elif not out.parent.is_dir():
+        problem = f"no such directory: {out.parent}"
+    if problem:
+        print(f"error: --out {args.out}: {problem}", file=sys.stderr)
+        return 2
     if args.export == "chrome":
         sink: ChromeTraceSink | JsonlSink = ChromeTraceSink(args.out)
     else:

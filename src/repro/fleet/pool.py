@@ -119,14 +119,22 @@ def execute_job(spec: JobSpecLike, attempt: int, trace_path: str | None) -> dict
 
 # protocol: receives[job] -- pulls job messages off the duplex pipe
 # protocol: sends[result] -- streams one result message back per job
-def _pool_worker_main(conn: Connection) -> None:
+def _pool_worker_main(conn: Connection, parent_end: Connection) -> None:
     """Child-process body: loop pulling job messages, streaming results.
+
+    ``parent_end`` is the dispatcher's end of this slot's pipe, which a
+    forked child inherits; it is closed first, so that the dispatcher's
+    death leaves no copy of it open and ``conn`` sees EOF. (A worker also
+    holds copies of the parent ends of slots spawned before it; its exit
+    releases them, so the workers of a dead dispatcher exit from the
+    last-spawned back.)
 
     The loop exits on a ``shutdown`` message, on pipe EOF (the parent
     died or recycled this slot), or when a result can no longer be
     delivered. Job-level exceptions are reported as ``error`` results and
     the loop continues — only process death ends a warm worker's life.
     """
+    parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     os.nice(5)  # the dispatcher's refills and persists go before running cells
     while True:
@@ -205,7 +213,7 @@ class PoolWorker:
         try:
             self.conn = parent
             self.process = self._ctx.Process(
-                target=_pool_worker_main, args=(child,), daemon=True
+                target=_pool_worker_main, args=(child, parent), daemon=True
             )
             self.process.start()
         finally:

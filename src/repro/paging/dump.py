@@ -180,3 +180,48 @@ def dump_tree(
                     cell.leaf_pointers_to[target_node] += count
                     cell.pointers_to[target_node] += count
     return PageTableDump(n_sockets=n_sockets, root_pfn=root.pfn, cells=cells)
+
+
+def remote_leaf_fractions(tree: PageTableTree, n_sockets: int) -> dict[int, float]:
+    """The remote-leaf-PTE fraction a walker on each socket sees from its
+    own CR3 (Fig. 1 top, Fig. 4), without building a Fig. 3 dump.
+
+    Equal, socket by socket, to ``dump_tree(tree, physmem, n_sockets,
+    socket=s).remote_leaf_fraction(s)``: the same leaf counts per node of
+    the table page holding them, and the same ``(total - local) /
+    total``. Sockets that load the same CR3 walk the same tree, so each
+    distinct root is walked once (one root for every socket without
+    replication).
+    """
+    per_root: dict[int, list[int]] = {}
+    fractions = {}
+    for socket in range(n_sockets):
+        root = tree.ops.root_pfn_for_socket(tree, socket)
+        counts = per_root.get(root)
+        if counts is None:
+            counts = per_root[root] = _leaf_entries_per_node(tree.registry, root, n_sockets)
+        total = sum(counts)
+        fractions[socket] = (total - counts[socket]) / total if total else 0.0
+    return fractions
+
+
+def _leaf_entries_per_node(
+    registry: dict[int, PageTablePage], root_pfn: int, n_sockets: int
+) -> list[int]:
+    """Leaf entries reachable from ``root_pfn``, counted per node of the
+    table page that holds them: every present level-1 entry (the table's
+    ``valid_count``) and every present huge entry above level 1."""
+    counts = [0] * n_sockets
+    stack = [registry[root_pfn]]
+    while stack:
+        page = stack.pop()
+        if page.level == LEAF_LEVEL:
+            counts[page.node] += page.valid_count
+            continue
+        for entry in filter(None, page.entries):
+            if entry & PTE_PRESENT:
+                if entry & PTE_HUGE:
+                    counts[page.node] += 1
+                else:
+                    stack.append(registry[(entry & _PFN_MASK) >> 12])
+    return counts

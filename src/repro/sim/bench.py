@@ -13,8 +13,9 @@ docs/performance.md) on three representative scenarios:
   escape interpreter (:mod:`repro.sim.escape`), whose fault-partitioned
   spans keep FaultPlans from forcing whole-run scalar execution.
 * ``memcached-traced`` — both engines measured with a live
-  :class:`TraceSession`, the observability worst case; the vector tier's
-  deferred structure-of-arrays trace flush is what's on trial.
+  :class:`TraceSession`, the observability worst case; the escape tier's
+  walk-span emission (:func:`repro.sim.escape.emit_walk_span`) is what's
+  on trial.
 
 Every measurement builds a *fresh* scenario (runs mutate TLBs, page
 tables and swap state) and times only :meth:`Simulator.run` — workload

@@ -29,9 +29,10 @@ contract of docs/performance.md, enforced by
   cover — the walk/fault/trace *escape classes* of docs/performance.md —
   runs on the batched escape interpreter (:mod:`repro.sim.escape`):
   inlined TLB, paging-structure-cache and LLC steps, the allocation-free
-  walker batch entry point, fault-partitioned spans, and a deferred
-  structure-of-arrays trace flush that reproduces the scalar tier's
-  record stream exactly.
+  walker batch entry point and fault-partitioned spans. Both tiers
+  record a traced walk's span where the walk ends, through one function
+  (:func:`repro.sim.escape.emit_walk_span`), so their record streams
+  match exactly.
 
 Select with ``EngineConfig(engine=...)`` or ``REPRO_ENGINE=scalar|vector``.
 """
@@ -50,7 +51,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.machine.latency import cost_table
 from repro.paging.walker import HardwareWalker
-from repro.sim.escape import EscapeRunner
+from repro.sim.escape import EscapeRunner, emit_walk_span
 from repro.sim.metrics import RunMetrics, ThreadMetrics
 from repro.tlb.mmu_cache import MmuCacheConfig, MmuCaches
 from repro.tlb.tlb import TlbConfig, TlbHierarchy
@@ -455,26 +456,9 @@ class _ThreadExecution:
             self.walk_llc_hits = walk_llc_hits
             translation = result.translation
             self.tlb.insert(va, translation)
-            dur = walk_cycles - walk_start
-            session.observe("walker.walk_cycles", dur)
-            session.complete(
-                "walk",
-                category="walker",
-                dur=dur,
-                track=self.track,
-                va=va,
-                socket=socket,
-                faulted=faulted,
-                levels=[
-                    {
-                        "level": level,
-                        "node": node,
-                        "remote": node != socket,
-                        "llc_hit": hit,
-                        "cycles": round(cost, 1),
-                    }
-                    for level, node, hit, cost in level_records
-                ],
+            emit_walk_span(
+                session, self.track, va, socket, faulted,
+                walk_cycles - walk_start, level_records,
             )
         self.walk_refs += len(accesses)
         return translation
@@ -723,8 +707,7 @@ class Simulator:
         at a time: the mask is fixed while a span runs (escapes never
         un-stale a token or flip mask bits from miss to hit), so span
         boundaries land exactly where the per-access loop's would. Faults
-        partition a span inside the runner; trace records buffer and
-        flush post-span with identical timestamps. Masks are revalidated
+        partition a span inside the runner. Masks are revalidated
         against ``fastpath_token()`` before every batched run, so a
         shootdown / replication change / migration (which bump the TLB
         generation) forces a re-resolve and a stale batched translation
@@ -898,5 +881,4 @@ class Simulator:
             # Walk-bound verdict or adaptive bail-out: escape interpreter
             # for the whole tail.
             escape.run(*as_lists(i, n), 0, n - i, i)
-        escape.close()
         ex.finish(out, n)

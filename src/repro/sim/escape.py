@@ -15,9 +15,8 @@ On service-shaped workloads (redis with a partly-swapped working set,
 memcached whose footprint dwarfs TLB reach) those escapes dominate the
 stream, and the reference loop's cost — a :class:`LevelAccess` +
 :class:`WalkResult` allocation per walk, four method-call TLB probes per
-access, a per-walk list-of-dicts for the trace span — capped the vector
-tier at ~1x. This module is the batched counterpart for all three
-classes:
+access — capped the vector tier at ~1x. This module is the batched
+counterpart for all three classes:
 
 * :meth:`EscapeRunner.run` interprets a *run* of escape-side accesses
   with semantics identical to ``_ThreadExecution.run_span`` (same
@@ -27,14 +26,15 @@ classes:
   counters kept in locals for the span, and the walker entered through
   the allocation-free :func:`repro.paging.walker.walk_into`, the one
   call a walk makes;
-* faults *partition* a span instead of ending batching: the span flushes
-  deferred trace state, services the fault through the unchanged kernel
-  path, and resumes batched on the next access;
-* :class:`WalkTraceBuffer` buffers walk spans as structure-of-arrays
-  while a span runs and flushes them into the session's ring afterwards,
-  reproducing the scalar tier's record stream — names, payloads and
-  virtual-clock timestamps — bit-for-bit (pinned by the trace-ordering
-  differential in ``tests/sim/test_engine_equivalence.py``).
+* faults *partition* a span instead of ending batching: the span
+  services the fault through the unchanged kernel path and resumes
+  batched on the next access;
+* with a live session, each walk's span is recorded where the walk
+  ends, through :func:`emit_walk_span`, the function the scalar tier's
+  ``walk_one`` calls too. Both tiers make the same session calls in the
+  same order, so their record streams — names, payloads and
+  virtual-clock timestamps — match bit-for-bit (pinned by the
+  trace-ordering differential in ``tests/sim/test_engine_equivalence.py``).
 
 The bit-identical-metrics contract is unchanged: both tiers must agree
 on every counter and cycle sum. Anything here that drifted from the
@@ -53,125 +53,58 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.trace.session import TraceSession
 
 
-class WalkTraceBuffer:
-    """Structure-of-arrays buffer of walk spans, flushed post-span.
+def emit_walk_span(
+    session: "TraceSession",
+    track: int,
+    va: int,
+    socket: int,
+    faulted: bool,
+    dur: float,
+    levels: list[tuple[int, int, bool, float]],
+) -> None:
+    """Record one finished walk: a ``walker.walk_cycles`` observation,
+    then the ``walk`` span, with one ``{level, node, remote, llc_hit,
+    cycles}`` record per fetched level.
 
-    While an escape span runs, each walk appends its per-level records
-    into four flat arrays and one row into the per-walk arrays — no
-    dicts, no event objects, no clock activity. :meth:`flush` replays the
-    buffered walks into the session in order, issuing exactly the
-    ``observe`` + ``complete`` calls the scalar tier's ``walk_one`` makes
-    inline. Because nothing else ticks the session clock between a
-    buffered walk and its flush (fault instants force a flush *first*,
-    and batched hit runs emit nothing), the flushed events carry the same
-    virtual-clock timestamps inline emission would have produced.
+    ``levels`` holds one ``(level, node, llc_hit, cycles)`` tuple per
+    fetched level, in fetch order. Both tiers call this where the walk
+    ends (``_ThreadExecution.walk_one`` and :meth:`EscapeRunner.run`), so
+    their record streams match call for call.
     """
-
-    __slots__ = (
-        "session", "track", "socket",
-        "w_vas", "w_faulted", "w_durs", "w_counts",
-        "l_levels", "l_nodes", "l_hits", "l_costs",
+    session.observe("walker.walk_cycles", dur)
+    session.complete(
+        "walk",
+        category="walker",
+        dur=dur,
+        track=track,
+        va=va,
+        socket=socket,
+        faulted=faulted,
+        levels=[
+            {
+                "level": level,
+                "node": node,
+                "remote": node != socket,
+                "llc_hit": hit,
+                "cycles": round(cost, 1),
+            }
+            for level, node, hit, cost in levels
+        ],
     )
-
-    def __init__(self, session: "TraceSession", track: int, socket: int):
-        self.session = session
-        self.track = track
-        self.socket = socket
-        # Per-walk rows.
-        self.w_vas: list[int] = []
-        self.w_faulted: list[bool] = []
-        self.w_durs: list[float] = []
-        self.w_counts: list[int] = []
-        # Flat per-level columns (w_counts partitions them into walks).
-        self.l_levels: list[int] = []
-        self.l_nodes: list[int] = []
-        self.l_hits: list[bool] = []
-        self.l_costs: list[float] = []
-
-    def walk(self, va: int, faulted: bool, dur: float, n_levels: int) -> None:
-        """Record one finished walk whose ``n_levels`` level rows were
-        just appended to the flat columns."""
-        self.w_vas.append(va)
-        self.w_faulted.append(faulted)
-        self.w_durs.append(dur)
-        self.w_counts.append(n_levels)
-
-    def __len__(self) -> int:
-        return len(self.w_vas)
-
-    def flush(self) -> None:
-        """Emit every buffered walk span, oldest first, then reset.
-
-        The produced events are indistinguishable from the scalar tier's
-        inline emission: one ``walker.walk_cycles`` histogram observation
-        plus one ``walk`` complete-span per walk, identical payloads,
-        identical tick/advance sequence on the virtual clock.
-        """
-        if not self.w_vas:
-            return
-        session = self.session
-        observe = session.observe
-        complete = session.complete
-        track = self.track
-        socket = self.socket
-        levels = self.l_levels
-        nodes = self.l_nodes
-        hits = self.l_hits
-        costs = self.l_costs
-        pos = 0
-        for va, faulted, dur, count in zip(
-            self.w_vas, self.w_faulted, self.w_durs, self.w_counts
-        ):
-            end = pos + count
-            observe("walker.walk_cycles", dur)
-            complete(
-                "walk",
-                category="walker",
-                dur=dur,
-                track=track,
-                va=va,
-                socket=socket,
-                faulted=faulted,
-                levels=[
-                    {
-                        "level": levels[j],
-                        "node": nodes[j],
-                        "remote": nodes[j] != socket,
-                        "llc_hit": hits[j],
-                        "cycles": round(costs[j], 1),
-                    }
-                    for j in range(pos, end)
-                ],
-            )
-            pos = end
-        self.w_vas.clear()
-        self.w_faulted.clear()
-        self.w_durs.clear()
-        self.w_counts.clear()
-        levels.clear()
-        nodes.clear()
-        hits.clear()
-        costs.clear()
 
 
 class EscapeRunner:
     """Per-slice driver of the batched escape tier.
 
-    Owns the walk scratch arrays (reused across every walk of the slice)
-    and the :class:`WalkTraceBuffer` when a session is live. The engine
-    hands it *runs* of accesses — everything the hit-batching mask could
-    not cover — as window-local python lists.
+    Owns the walk scratch arrays (reused across every walk of the slice).
+    The engine hands it *runs* of accesses — everything the hit-batching
+    mask could not cover — as window-local python lists.
     """
 
-    __slots__ = ("ex", "tracebuf", "out_levels", "out_pfns", "out_nodes", "out_lines")
+    __slots__ = ("ex", "out_levels", "out_pfns", "out_nodes", "out_lines")
 
     def __init__(self, ex: "_ThreadExecution"):
         self.ex = ex
-        self.tracebuf = (
-            WalkTraceBuffer(ex.session, ex.track, ex.socket)
-            if ex.session is not None
-            else None
-        )
         # Deepest possible walk: the 5-level root. Reused, never resized.
         self.out_levels = [0] * 6
         self.out_pfns = [0] * 6
@@ -218,9 +151,11 @@ class EscapeRunner:
           flushes and invalidates, in place).
 
         ``tests/sim/test_escape.py`` pins every copy to its method.
-        Faults take the unchanged kernel path (after a trace flush —
-        fault sites emit instants inline) and re-walk from CR3 without a
-        PSC probe, and every accumulator folds in the same order.
+        Faults take the unchanged kernel path and re-walk from CR3
+        without a PSC probe, and every accumulator folds in the same
+        order. With a live session, each walk's ``(level, node, llc_hit,
+        cycles)`` tuples go to a per-walk list that :func:`emit_walk_span`
+        records where the walk ends, as ``walk_one`` does.
 
         The span's counters (TLB, PSC and LLC stats, hierarchy totals)
         are locals, added to their stat blocks once, in ``finally``, so
@@ -233,7 +168,7 @@ class EscapeRunner:
         start (a span fills no level-1 entry).
         """
         ex = self.ex
-        tracebuf = self.tracebuf
+        session = ex.session
         tlb = ex.tlb
         # Inlined TLB hierarchy: residency maps, set lists and ways.
         l1_4k, l1_2m, l2_4k, l2_2m = tlb.l1_4k, tlb.l1_2m, tlb.l2_4k, tlb.l2_2m
@@ -270,12 +205,11 @@ class EscapeRunner:
         out_pfns = self.out_pfns
         out_nodes = self.out_nodes
         out_lines = self.out_lines
-        if tracebuf is not None:
-            # Bound once per span: flush() clears these lists in place.
-            tb_level = tracebuf.l_levels.append
-            tb_node = tracebuf.l_nodes.append
-            tb_hit = tracebuf.l_hits.append
-            tb_cost = tracebuf.l_costs.append
+        if session is not None:
+            track = ex.track
+            # One walk's level records, cleared once the walk is emitted.
+            records: list[tuple[int, int, bool, float]] = []
+            record = records.append
         # Accumulators mirror the reference loop's locals.
         data_cycles = ex.data_cycles
         walk_cycles = ex.walk_cycles
@@ -356,11 +290,6 @@ class EscapeRunner:
                         )
                         faulted = translation is None
                         if faulted:
-                            if tracebuf is not None:
-                                # Fault sites emit instants inline; flush the
-                                # deferred walk spans first so the record
-                                # stream keeps the scalar tier's order.
-                                tracebuf.flush()
                             fr = handle_fault(
                                 process, va, socket,
                                 is_write=is_write, allow_huge=allow_huge,
@@ -398,11 +327,8 @@ class EscapeRunner:
                                 cost = walk_cost[out_nodes[j]]
                             walk_cycles += cost
                             level = out_levels[j]
-                            if tracebuf is not None:
-                                tb_level(level)
-                                tb_node(out_nodes[j])
-                                tb_hit(hit)
-                                tb_cost(cost)
+                            if session is not None:
+                                record((level, out_nodes[j], hit, cost))
                             if 1 < level < fill_below:
                                 # -- PSC fill, inlined MmuCaches.insert ---------
                                 fill = psc_fill.get(level)
@@ -416,8 +342,12 @@ class EscapeRunner:
                                         cache.popitem(last=False)
                                         psc_evictions += 1
                                     cache[tag] = page
-                        if tracebuf is not None:
-                            tracebuf.walk(va, faulted, walk_cycles - walk_start, n_levels)
+                        if session is not None:
+                            emit_walk_span(
+                                session, track, va, socket, faulted,
+                                walk_cycles - walk_start, records,
+                            )
+                            records.clear()
                         walk_refs += n_levels
                         # -- L2 fill, inlined Tlb.insert --------------------------
                         if translation.level == HUGE_LEAF_LEVEL:
@@ -494,9 +424,3 @@ class EscapeRunner:
         # it for economic reasons (short run / cooldown / bail-out), never
         # for correctness.
         ex.escape_bailout += hits1_4 + hits1_2
-
-    def close(self) -> None:
-        """End-of-slice flush: no walk span may outlive its slice (the
-        next epoch's ``epoch`` instant would otherwise overtake it)."""
-        if self.tracebuf is not None:
-            self.tracebuf.flush()

@@ -26,7 +26,7 @@ from repro.kernel.sysctl import MitosisMode, Sysctl
 from repro.machine.topology import Machine
 from repro.mem.fragmentation import FragmentationInjector
 from repro.mitosis.migration import migrate_page_tables
-from repro.paging.dump import PageTableDump, dump_tree
+from repro.paging.dump import PageTableDump, dump_tree, remote_leaf_fractions
 from repro.paging.levels import PagingGeometry
 from repro.sim.engine import EngineConfig, Simulator
 from repro.sim.metrics import RunMetrics
@@ -98,22 +98,8 @@ class ScenarioSetup:
     mitosis: bool
 
     def observed_remote_leaf(self) -> dict[int, float]:
-        """Remote-leaf-PTE fraction seen from each socket's CR3 (Fig. 4).
-
-        Sockets that load the same CR3 walk the same tree, so each
-        distinct root is dumped once (one root for every socket without
-        replication).
-        """
-        tree = self.process.mm.tree
-        n = self.kernel.machine.n_sockets
-        dumps: dict[int, PageTableDump] = {}
-        fractions = {}
-        for socket in self.kernel.machine.node_ids():
-            root = tree.ops.root_pfn_for_socket(tree, socket)
-            if root not in dumps:
-                dumps[root] = dump_tree(tree, self.kernel.physmem, n, socket=socket)
-            fractions[socket] = dumps[root].remote_leaf_fraction(socket)
-        return fractions
+        """Remote-leaf-PTE fraction seen from each socket's CR3 (Fig. 4)."""
+        return remote_leaf_fractions(self.process.mm.tree, self.kernel.machine.n_sockets)
 
     def dump(self, socket: int | None = None) -> PageTableDump:
         """Fig. 3 style page-table snapshot."""

@@ -163,7 +163,7 @@ class TestPerformancePage:
             "escape class",
             "repro.sim.escape",
             "walk_into",
-            "WalkTraceBuffer",
+            "emit_walk_span",
             "p50",
             "p99",
             "batch_latency",

@@ -6,7 +6,13 @@ aggressive timeouts keep these fast.
 """
 
 import errno
+import os
+import select
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +260,74 @@ class TestShutdown:
         wait_for_outcome(worker)
         pool.close()
         assert worker.process.exitcode == 0
+
+
+#: Builds a 2-slot pool (recycling slot 0 first when asked), prints the
+#: workers' pids and waits to be killed.
+_DISPATCHER = """
+import sys, time
+from repro.fleet import ProbeSpec, WorkerPool
+
+pool = WorkerPool(size=2, grace=0.3)
+if sys.argv[1] == "recycled":
+    worker = pool.workers[0]
+    worker.process.kill()
+    worker.process.join()
+    worker.submit(ProbeSpec(value=1), attempt=1, timeout=20.0)
+    while worker.poll() is None:
+        time.sleep(0.01)
+    assert worker.recycles == 1
+print(*(w.process.pid for w in pool.workers), flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestOrphanedWorkers:
+    """Workers exit once their dispatcher dies without closing the pool:
+    SIGKILLed, it sends no goodbye, so each worker must see EOF on its
+    pipe, which needs every copy of the pipe's parent end closed."""
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    @pytest.mark.parametrize("mode", ["plain", "recycled"])
+    def test_workers_exit_when_the_dispatcher_is_killed(self, mode):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        dispatcher = subprocess.Popen(
+            [sys.executable, "-c", _DISPATCHER, mode],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        pids: list[int] = []
+        try:
+            ready, _, _ = select.select([dispatcher.stdout], [], [], 30.0)
+            assert ready, "the dispatcher never reported its workers"
+            pids = [int(pid) for pid in dispatcher.stdout.readline().split()]
+            assert len(pids) == 2
+            dispatcher.kill()
+            dispatcher.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            if dispatcher.poll() is None:
+                dispatcher.kill()
+                dispatcher.wait(timeout=10)
+            dispatcher.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
 
 
 class TestLeases:

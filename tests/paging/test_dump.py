@@ -9,7 +9,9 @@ from repro.kernel.pvops import NativePagingOps
 from repro.kernel.sysctl import MitosisMode, Sysctl
 from repro.machine.topology import Machine
 from repro.mem.pagecache import PageTablePageCache
-from repro.paging.dump import LevelSocketCell, PageTableDump, dump_tree
+from repro.mitosis.migration import migrate_page_tables
+from repro.paging import dump as dump_module
+from repro.paging.dump import LevelSocketCell, PageTableDump, dump_tree, remote_leaf_fractions
 from repro.paging.levels import LEAF_LEVEL
 from repro.paging.pagetable import PageTableTree
 from repro.paging.pte import PTE_USER, PTE_WRITABLE, pte_huge, pte_pfn, pte_present
@@ -164,3 +166,62 @@ class TestDumpMatchesPerEntryLoop:
         with pytest.raises(TopologyError) as got:
             dump_tree(tree, physmem2, 2)
         assert str(got.value) == str(expected.value) == f"pfn {end + 7} outside physical memory"
+
+
+class TestRemoteLeafFractions:
+    """``remote_leaf_fractions`` reads what a Fig. 3 dump of each socket's
+    CR3 reads: the same leaf counts per node of the table page holding
+    them, and the same fractions, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {}, {"thp": True}, {"interleave": True}, {"replicate": True},
+            {"thp": True, "replicate": True}, {"migrate": True}, {"swap": True},
+            {"not-present": True},
+        ],
+        ids=[
+            "native", "thp", "interleave", "replicated", "replicated-thp", "migrated",
+            "swapped", "not-present",
+        ],
+    )
+    def test_matches_dump_tree(self, config, monkeypatch):
+        migrate = config.pop("migrate", False)
+        swap = config.pop("swap", False)
+        not_present = config.pop("not-present", False)
+        kernel, process = populated(**config)
+        tree = process.mm.tree
+        if migrate:
+            migrate_page_tables(kernel, process, target_socket=2, free_origin=True)
+        if swap:
+            # Swapped-out pages leave holes in their leaf tables.
+            assert kernel.swap.reclaim(process, target_pages=300) > 0
+        if not_present:
+            # A non-zero entry without the present bit, in the root and in
+            # a leaf table, is no leaf and no link: neither count reads it.
+            leaf = next(
+                p for p in tree.registry.values() if p.level == LEAF_LEVEL and 0 in p.entries
+            )
+            for page in (tree.root, leaf):
+                index = page.entries.index(0)
+                tree.ops.apply_entry_write(page, index, (leaf.pfn << 12) | PTE_WRITABLE)
+        counted = {}
+        census = dump_module._leaf_entries_per_node
+
+        def spy(registry, root_pfn, n_sockets):
+            counted[root_pfn] = census(registry, root_pfn, n_sockets)
+            return counted[root_pfn]
+
+        monkeypatch.setattr(dump_module, "_leaf_entries_per_node", spy)
+        fractions = remote_leaf_fractions(tree, 4)
+        dumps = {s: dump_tree(tree, kernel.physmem, 4, socket=s) for s in range(4)}
+        assert fractions == {s: dump.remote_leaf_fraction(s) for s, dump in dumps.items()}
+        assert counted == {
+            dump.root_pfn: dump.leaf_pte_location_distribution() for dump in dumps.values()
+        }
+        assert len(counted) == (4 if "replicate" in config else 1)
+        if not_present:
+            assert leaf.valid_count < sum(map(bool, leaf.entries))
+        if migrate:
+            assert {page.node for page in tree.registry.values()} == {2}
+            assert fractions == {0: 1.0, 1: 1.0, 2: 0.0, 3: 1.0}

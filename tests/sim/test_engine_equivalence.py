@@ -246,12 +246,14 @@ class TestCombinedEscapeMatrix:
 
 
 class TestTraceStreamIdentity:
-    """The deferred flush must be invisible: the vector tier's buffered
-    walk spans have to land in the ring as the *same record sequence* —
-    names, categories, payloads, virtual-clock timestamps and durations —
-    the scalar tier emits inline (docs/observability.md)."""
+    """Both tiers record each walk's span where the walk ends, through
+    one function, so the vector tier's record stream must be the scalar
+    tier's: names, categories, payloads, virtual-clock timestamps and
+    durations (docs/observability.md). So must the session's metric
+    registry: every counter but the bail-out count, and every histogram's
+    bucket counts, total, minimum and maximum."""
 
-    def _events(self, engine, build):
+    def _trace(self, engine, build):
         setup = build()
         session = start_tracing(TraceSession(sinks=(), capacity=1 << 20))
         try:
@@ -259,20 +261,35 @@ class TestTraceStreamIdentity:
         finally:
             stop_tracing()
         assert session.dropped == 0
-        return [event.to_dict() for event in session.events]
+        registry = session.metrics
+        assert registry.histograms["walker.walk_cycles"].count > 0
+        counters = dict(registry.counters)
+        # The vector tier's scheduling diagnostic, 0 on the scalar tier by
+        # construction (TestEscapeCounters); every other counter is a
+        # machine fact.
+        del counters["perf.engine.escape_bailout"]
+        metrics = (
+            counters,
+            {
+                name: (h.counts, h.total, h.min, h.max)
+                for name, h in registry.histograms.items()
+            },
+        )
+        return [event.to_dict() for event in session.events], metrics
 
     def test_traced_walk_stream_identical(self):
         build = lambda: setup_multisocket(
             "memcached", "F", footprint=FOOTPRINT, n_sockets=2
         )
-        scalar_events = self._events("scalar", build)
-        vector_events = self._events("vector", build)
+        scalar_events, scalar_metrics = self._trace("scalar", build)
+        vector_events, vector_metrics = self._trace("vector", build)
         assert any(e["name"] == "walk" for e in scalar_events)
         assert scalar_events == vector_events
+        assert scalar_metrics == vector_metrics
 
     def test_stream_identical_with_faults_interleaved(self):
-        """Fault instants fire mid-slice between walk spans; the flush-
-        before-fault policy must reproduce the scalar interleaving."""
+        """Fault instants fire mid-slice between walk spans; inline
+        emission must reproduce the scalar interleaving."""
 
         def build():
             setup = setup_migration("redis", "LP-RD", footprint=FOOTPRINT)
@@ -282,13 +299,14 @@ class TestTraceStreamIdentity:
             setup.kernel.swap.reclaim(setup.process, target_pages=256)
             return setup
 
-        scalar_events = self._events("scalar", build)
-        vector_events = self._events("vector", build)
+        scalar_events, scalar_metrics = self._trace("scalar", build)
+        vector_events, vector_metrics = self._trace("vector", build)
         assert any(e["name"] == "walk" for e in scalar_events)
         assert any(
             e["name"] == "fault" and e["cat"] == "inject" for e in scalar_events
         )
         assert scalar_events == vector_events
+        assert scalar_metrics == vector_metrics
 
     def test_stream_identical_with_replication_epochs(self):
         def build():
@@ -296,9 +314,10 @@ class TestTraceStreamIdentity:
                 "gups", "F+M", thp=True, footprint=FOOTPRINT, n_sockets=2
             )
 
-        scalar_events = self._events("scalar", build)
-        vector_events = self._events("vector", build)
+        scalar_events, scalar_metrics = self._trace("scalar", build)
+        vector_events, vector_metrics = self._trace("vector", build)
         assert scalar_events == vector_events
+        assert scalar_metrics == vector_metrics
 
 
 class TestEscapeCounters:

@@ -1,16 +1,15 @@
 """Unit tests for the batched escape tier's building blocks.
 
 The end-to-end guarantees (bit-identical metrics, identical trace record
-streams) live in test_engine_equivalence.py; these tests pin the
-:class:`WalkTraceBuffer` mechanics directly — exact replay calls, clock
-behaviour, reset semantics — and the inlined TLB probe of
-:meth:`EscapeRunner.run` against :meth:`TlbHierarchy.lookup`.
+streams) live in test_engine_equivalence.py; these tests pin the inlined
+TLB probe of :meth:`EscapeRunner.run` against :meth:`TlbHierarchy.lookup`
+and its inlined walk path, traced and untraced, against ``walk_one``.
 :class:`TestFinalHardwareState` extends the probe's check to whole runs:
 the TLB state both tiers leave behind once batched hit runs are mixed in,
-and :class:`TestFaultPathException` the state both leave when the fault
-path raises mid-span. :class:`TestDeferredReplay` pins where the vector tier replays a batched
-range's LRU promotions: before the escape that follows it, and at slice
-end.
+and :class:`TestFaultPathException` the state and trace events both leave
+when the fault path raises mid-span. :class:`TestDeferredReplay` pins
+where the vector tier replays a batched range's LRU promotions: before
+the escape that follows it, and at slice end.
 """
 
 import itertools
@@ -38,83 +37,13 @@ from repro.sim.engine import (
     _ResidencyLut,
     _ThreadExecution,
 )
-from repro.sim.escape import EscapeRunner, WalkTraceBuffer
+from repro.sim.escape import EscapeRunner
 from repro.sim.metrics import RunMetrics, ThreadMetrics
 from repro.tlb.mmu_cache import MmuCacheConfig, MmuCaches
 from repro.tlb.tlb import TlbConfig, TlbHierarchy
 from repro.trace.session import TraceSession, tracing
 from repro.units import GIB, HUGE_PAGE_SIZE, KIB, MIB, PAGE_SHIFT, PAGE_SIZE
 from repro.workloads.base import Workload, WorkloadProfile
-
-
-def _buffer_with_two_walks(session):
-    buf = WalkTraceBuffer(session, track=3, socket=1)
-    # Walk 1: two levels (an L2-resumed walk), not faulted.
-    buf.l_levels.extend([2, 1])
-    buf.l_nodes.extend([0, 1])
-    buf.l_hits.extend([True, False])
-    buf.l_costs.extend([20.0, 150.25])
-    buf.walk(va=0x1000, faulted=False, dur=170.25, n_levels=2)
-    # Walk 2: one level, faulted then re-walked.
-    buf.l_levels.append(1)
-    buf.l_nodes.append(1)
-    buf.l_hits.append(False)
-    buf.l_costs.append(300.0)
-    buf.walk(va=0x2000, faulted=True, dur=300.0, n_levels=1)
-    return buf
-
-
-class TestWalkTraceBuffer:
-    def test_flush_replays_walk_spans_in_order(self):
-        session = TraceSession(sinks=())
-        buf = _buffer_with_two_walks(session)
-        assert len(buf) == 2
-        buf.flush()
-        events = list(session.events)
-        assert [e.name for e in events] == ["walk", "walk"]
-        first, second = events
-        assert first.args["va"] == 0x1000
-        assert first.args["faulted"] is False
-        assert first.dur == 170.25
-        assert first.args["levels"] == [
-            {"level": 2, "node": 0, "remote": True, "llc_hit": True, "cycles": 20.0},
-            {"level": 1, "node": 1, "remote": False, "llc_hit": False, "cycles": 150.2},
-        ]
-        assert second.args["va"] == 0x2000
-        assert second.args["faulted"] is True
-        assert second.args["levels"] == [
-            {"level": 1, "node": 1, "remote": False, "llc_hit": False, "cycles": 300.0}
-        ]
-        # track/socket attribution carried per buffer, not per walk.
-        assert first.track == 3 and second.track == 3
-        assert first.args["socket"] == 1
-
-    def test_flush_advances_clock_like_inline_emission(self):
-        """complete() ticks once per span and advances by dur — the flush
-        must reproduce that exact tick/advance sequence."""
-        session = TraceSession(sinks=())
-        buf = _buffer_with_two_walks(session)
-        buf.flush()
-        first, second = list(session.events)
-        assert second.ts == first.ts + 1.0 + first.dur
-        assert session.clock.now == second.ts + second.dur
-
-    def test_flush_feeds_walk_cycles_histogram(self):
-        session = TraceSession(sinks=())
-        buf = _buffer_with_two_walks(session)
-        buf.flush()
-        histogram = session.metrics.histograms["walker.walk_cycles"]
-        assert histogram.count == 2
-
-    def test_flush_resets_and_is_idempotent(self):
-        session = TraceSession(sinks=())
-        buf = _buffer_with_two_walks(session)
-        buf.flush()
-        assert len(buf) == 0
-        assert not buf.l_levels
-        emitted = len(session.events)
-        buf.flush()  # empty flush: no-op, no clock activity
-        assert len(session.events) == emitted
 
 
 #: Small enough that a few thousand accesses fill, hit, evict and re-fill
@@ -187,7 +116,6 @@ class TestInlinedProbe:
             bounds = [n * k // spans for k in range(spans + 1)]
             for lo, hi in zip(bounds, bounds[1:]):
                 runner.run(vas, reads, reads, reads, lo, hi, 0)
-            runner.close()
 
         reference = TlbHierarchy(TINY_TLB)
         for va in vas:
@@ -351,7 +279,6 @@ class TestInlinedWalkPath:
                         skipping = not (tlb.l1_2m.occupancy() or tlb.l2_2m.occupancy())
                         assert skipping == (lo == 0)
                         runner.run(*stream, lo, hi, 0)
-                    runner.close()
             states[tier] = _walk_path_state(ex, llc)
 
         assert states["runner"] == states["reference"]
@@ -396,7 +323,6 @@ class TestInlinedWalkPath:
             else:
                 runner = EscapeRunner(ex)
                 runner.run(*stream, 0, len(stream[0]), 0)
-                runner.close()
             states[tier] = _walk_path_state(ex, llc)
         assert states["runner"] == states["reference"]
         assert states["reference"]["psc_stats"].hits_at_level.get(1)
@@ -546,22 +472,40 @@ class TestFaultPathException:
     fault path in the middle of an escape span. The span adds its
     counters to the stat blocks in ``finally``, so both tiers leave the
     same hardware state behind the exception: in the verdict span
-    (access 100) and past it (300, 2000)."""
+    (access 100) and past it (300, 2000). Traced, both tiers leave the
+    same session events: every walk before the faulting access emitted
+    its span where it ended, and the faulting walk none."""
 
-    @pytest.mark.parametrize("bad", [100, 300, 2000])
-    def test_segfault_leaves_hardware_state_like_scalar(self, bad):
-        state = {}
+    @pytest.mark.parametrize(
+        "bad, traced",
+        [
+            pytest.param(bad, traced, id=f"traced-{bad}" if traced else str(bad))
+            for traced in (False, True)
+            for bad in (100, 300, 2000)
+        ],
+    )
+    def test_segfault_leaves_hardware_state_like_scalar(self, bad, traced):
+        state, events = {}, {}
         for engine in ("scalar", "vector"):
             kernel, process, huge_base, small_base = _mixed_process()
             vas = _stream(5, huge_base, small_base)
             hole = small_base + SMALL_PAGES * PAGE_SIZE
             assert process.mm.vmas.find(hole) is None
             vas[bad] = hole
-            with pytest.raises(SegmentationFault) as exc:
-                _run_stream(kernel, process, vas, engine)
+            session = TraceSession(sinks=()) if traced else None
+            with tracing(session) if traced else nullcontext():
+                with pytest.raises(SegmentationFault) as exc:
+                    _run_stream(kernel, process, vas, engine)
             assert exc.value.vaddr == hole
             state[engine] = _hardware_state(kernel)
+            if traced:
+                events[engine] = [
+                    (e.name, e.ts, e.dur, e.track, e.args) for e in session.events
+                ]
         assert state["vector"] == state["scalar"]
+        if traced:
+            assert sum(name == "walk" for name, *_ in events["scalar"]) > 1
+            assert events["vector"] == events["scalar"]
 
 
 class TestDeferredReplay:

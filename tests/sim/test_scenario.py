@@ -1,10 +1,12 @@
 """Scenario harnesses: Table 2/3 configurations end-to-end (small sizes)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.mem.allocator import HUGE_ORDER
+from repro.paging import dump as dump_module
 from repro.paging.dump import dump_tree
-from repro.sim import scenario as scenario_module
 from repro.sim.engine import EngineConfig
 from repro.sim.scenario import (
     MIGRATION_CONFIGS,
@@ -125,18 +127,23 @@ class TestMultisocketSetups:
 
     @pytest.mark.parametrize("config, dumps", [("F", 1), ("F+M", 4), ("I", 1), ("I+M", 4)])
     def test_observed_remote_leaf_dumps_each_root_once(self, monkeypatch, config, dumps):
+        """Each distinct CR3 root is walked once, and the fractions are
+        those of a Fig. 3 dump of every socket's CR3."""
         setup = setup_multisocket("canneal", config, **FAST)
-        calls = []
+        walks = Counter()
+        census = dump_module._leaf_entries_per_node
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["socket"])
-            return dump_tree(*args, **kwargs)
+        def counted(registry, root_pfn, n_sockets):
+            walks[root_pfn] += 1
+            return census(registry, root_pfn, n_sockets)
 
-        monkeypatch.setattr(scenario_module, "dump_tree", counted)
+        monkeypatch.setattr(dump_module, "_leaf_entries_per_node", counted)
         observed = setup.observed_remote_leaf()
-        assert len(calls) == dumps
         tree, physmem = setup.process.mm.tree, setup.kernel.physmem
         n = setup.kernel.machine.n_sockets
+        roots = {tree.ops.root_pfn_for_socket(tree, socket) for socket in range(n)}
+        assert walks == Counter(dict.fromkeys(roots, 1))
+        assert len(walks) == dumps
         assert observed == {
             socket: dump_tree(tree, physmem, n, socket=socket).remote_leaf_fraction(socket)
             for socket in range(n)

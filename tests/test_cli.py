@@ -503,6 +503,48 @@ class TestTrace:
         with pytest.raises(SystemExit):
             run(capsys, "trace", "--out", str(tmp_path / "t.json"))
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_capacity_below_one_is_usage_error(self, capsys, tmp_path, value):
+        out_path = tmp_path / "t.json"
+        code, errors = exit_and_errors(
+            capsys, "trace", "--out", str(out_path), "--capacity", value, "chaos",
+        )
+        assert code == 2
+        assert len(errors) == 1
+        assert "argument --capacity: must be at least 1" in errors[0]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("export", ["chrome", "jsonl"])
+    def test_out_in_missing_directory_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, export
+    ):
+        import repro.cli as cli
+
+        ran = []
+        monkeypatch.setitem(cli.COMMANDS, "chaos", lambda args: ran.append(args) or 0)
+        out_path = tmp_path / "missing" / "t.json"
+        code, errors = exit_and_errors(
+            capsys, "trace", "--out", str(out_path), "--export", export, "chaos",
+        )
+        assert code == 2
+        assert errors == [f"error: --out {out_path}: no such directory: {out_path.parent}"]
+        assert not ran  # rejected before the traced command ran
+
+    @pytest.mark.parametrize("export", ["chrome", "jsonl"])
+    def test_out_that_is_a_directory_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, export
+    ):
+        import repro.cli as cli
+
+        ran = []
+        monkeypatch.setitem(cli.COMMANDS, "chaos", lambda args: ran.append(args) or 0)
+        code, errors = exit_and_errors(
+            capsys, "trace", "--out", str(tmp_path), "--export", export, "chaos",
+        )
+        assert code == 2
+        assert errors == [f"error: --out {tmp_path}: is a directory"]
+        assert not ran
+
 
 class TestLint:
     def test_repo_is_clean_with_baseline(self, capsys):

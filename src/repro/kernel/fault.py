@@ -131,7 +131,7 @@ class PageFaultHandler:
         swapped in, mapped pages are spurious faults (write-protection
         check only), and every fresh page is one fault with its own
         placement decision and data frame, allocated in the same order.
-        The difference is cost: THP eligibility is scanned once per 2 MiB
+        The difference is cost: THP eligibility is decided once per 2 MiB
         window, each leaf table is descended to once under one
         ``mm.lock()``, and each run of fresh pages in it gets its
         placement from one policy call, its frames from one
@@ -215,8 +215,8 @@ class PageFaultHandler:
                     run: list[Frame] = []
                     if table is None:
                         # The first fresh page keeps handle()'s order: the
-                        # THP decision (the window is empty here, so one
-                        # scan decides it), its data frame, then the descent.
+                        # THP decision (one descent that allocates nothing),
+                        # its data frame, then the descent that may allocate.
                         self.faults_handled += 1
                         node = policy.choose_node(socket)
                         if try_huge and self.thp.eligible(mm, vma, pos):
@@ -282,13 +282,20 @@ class PageFaultHandler:
             self.physmem.free(frame)
             raise
 
-    @staticmethod
-    def _map_huge(mm: MemoryDescriptor, vma: Vma, va: int, frame: Frame, socket: int) -> None:
-        """Map the 2 MiB window around ``va`` to ``frame``."""
+    def _map_huge(self, mm: MemoryDescriptor, vma: Vma, va: int, frame: Frame, socket: int) -> None:
+        """Map the 2 MiB window around ``va`` to ``frame`` and count it in
+        ``ThpStats.huge_mapped``. If the descent fails (a page-table OOM),
+        the frame goes back before the error propagates, as in
+        :meth:`_leaf_table_for`, and nothing is counted."""
         base = va & ~(HUGE_PAGE_SIZE - 1)
-        with mm.lock():
-            mm.tree.map_page(base, frame.pfn, vma.prot, huge=True, node_hint=socket)
+        try:
+            with mm.lock():
+                mm.tree.map_page(base, frame.pfn, vma.prot, huge=True, node_hint=socket)
+        except BaseException:
+            self.physmem.free(frame)
+            raise
         mm.frames[base] = frame
+        self.thp.stats.huge_mapped += 1
 
     @staticmethod
     def _map_leaves(

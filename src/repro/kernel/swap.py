@@ -190,17 +190,28 @@ class SwapManager:
         return cycles
 
     def swap_in(self, process: Process, va: int, socket: int) -> float:
-        """Service a major fault: bring a swapped page back."""
+        """Service a major fault: bring a swapped page back.
+
+        If the frame allocation or the mapping fails (an OOM, possibly of
+        a page table), the page stays swapped out in the same slot and
+        the frame goes back before the error propagates, so a retry is
+        again a major fault.
+        """
         mm = process.mm
-        entry = mm.swapped.pop(va, None)
+        entry = mm.swapped.get(va)
         if entry is None:
             raise InvalidMappingError(f"va 0x{va:x} is not swapped out")
         vma = mm.vmas.find(va)
         assert vma is not None, "swapped page outside any VMA"
         policy = vma.data_policy or mm.data_policy
         frame = self.physmem.alloc_frame_fallback(policy.choose_node(socket))
-        with mm.lock():
-            mm.tree.map_page(va, frame.pfn, entry.prot, node_hint=socket)
+        try:
+            with mm.lock():
+                mm.tree.map_page(va, frame.pfn, entry.prot, node_hint=socket)
+        except BaseException:
+            self.physmem.free(frame)
+            raise
+        del mm.swapped[va]
         mm.frames[va] = frame
         self.device.free_slot(entry.slot)
         self.stats.pages_swapped_in += 1

@@ -17,6 +17,8 @@ from repro.kernel.process import MemoryDescriptor
 from repro.kernel.vma import Vma
 from repro.mem.frame import Frame, FrameKind
 from repro.mem.physmem import PhysicalMemory
+from repro.paging.levels import LEAF_LEVEL
+from repro.paging.pte import PTE_PRESENT
 from repro.units import HUGE_PAGE_SIZE, PAGE_SIZE
 
 
@@ -47,27 +49,40 @@ class ThpController:
         """Can the 2 MiB window around ``va`` be THP-backed?
 
         Requires the VMA to cover the whole aligned window, THP allowed on
-        the VMA, and no 4 KiB page of the window already mapped or swapped
-        out (a huge mapping would cover the swapped page's swap-in).
+        the VMA, nothing of the window mapped, and no 4 KiB page of it
+        swapped out (a huge mapping would cover the swapped page's
+        swap-in).
+
+        One descent of the primary tree, which allocates nothing, decides
+        the mapped part: the window is unmapped when its L2 entry is
+        absent or points at a leaf table with no present entry, since a
+        mapped page is exactly a present leaf entry. Swapped pages are
+        probed only when the process has some.
         """
         if not vma.use_huge:
             return False
         window = va & ~(HUGE_PAGE_SIZE - 1)
         if window < vma.start or window + HUGE_PAGE_SIZE > vma.end:
             return False
-        frames, swapped = mm.frames, mm.swapped
-        for page in range(window, window + HUGE_PAGE_SIZE, PAGE_SIZE):
-            if page in frames or page in swapped:
+        table, index = mm.tree.walk_path(window)[-1]
+        if table.level == LEAF_LEVEL:
+            if table.valid_count:
                 return False
+        elif table.entries[index] & PTE_PRESENT:
+            return False  # a 2 MiB leaf: the descent stops at one or at a hole
+        swapped = mm.swapped
+        if swapped:
+            for page in range(window, window + HUGE_PAGE_SIZE, PAGE_SIZE):
+                if page in swapped:
+                    return False
         return True
 
     def alloc(self, node: int) -> Frame | None:
         """Try to grab a 2 MiB block on ``node``; ``None`` -> fall back to
-        4 KiB (fragmentation, Fig. 11)."""
+        4 KiB (fragmentation, Fig. 11). The caller counts ``huge_mapped``
+        once the window is mapped."""
         try:
-            frame = self.physmem.alloc_huge_frame(node, kind=FrameKind.DATA)
+            return self.physmem.alloc_huge_frame(node, kind=FrameKind.DATA)
         except OutOfMemoryError:
             self.stats.fallbacks += 1
             return None
-        self.stats.huge_mapped += 1
-        return frame

@@ -20,8 +20,22 @@ from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.accessed_dirty import clear_ad_everywhere, read_entry_or_ad
 from repro.mitosis.ring import link_ring, local_copy, ring_members, unlink_ring
 from repro.paging.levels import LEAF_LEVEL
-from repro.paging.pagetable import PageTablePage, PageTableTree, PagingOps, present_runs
-from repro.paging.pte import make_pte, pte_flags, pte_huge, pte_pfn, pte_present
+from repro.paging.pagetable import (
+    PageTablePage,
+    PageTableTree,
+    PagingOps,
+    occupied_slots,
+    present_runs,
+)
+from repro.paging.pte import (
+    PTE_HUGE,
+    PTE_PRESENT,
+    make_pte,
+    pte_flags,
+    pte_huge,
+    pte_pfn,
+    pte_present,
+)
 from repro.trace.session import current_session
 
 
@@ -106,7 +120,9 @@ class MitosisPagingOps(PagingOps):
     ) -> None:
         """Copy ``primary``'s entries into the ``fresh`` copies and point
         every member's table entries at the child's local copy. A leaf
-        table's runs of present entries go to each copy as one run store."""
+        table's runs of present entries go to each copy as one run store;
+        an upper-level table's present entries are visited in slot order,
+        skipping empty slots."""
         entries = primary.entries
         if primary.level == LEAF_LEVEL:
             for first, last in present_runs(entries, 0, len(entries)):
@@ -116,10 +132,11 @@ class MitosisPagingOps(PagingOps):
                 self.stats.pte_writes += len(fresh) * len(values)
             return
         apply = self.apply_entry_write
-        for index, entry in enumerate(entries):
-            if not pte_present(entry):
+        for index in occupied_slots(entries):
+            entry = entries[index]
+            if not entry & PTE_PRESENT:
                 continue
-            if pte_huge(entry):
+            if entry & PTE_HUGE:
                 for member in fresh:
                     apply(member, index, entry)
                 self.stats.pte_writes += len(fresh)
@@ -172,8 +189,10 @@ class MitosisPagingOps(PagingOps):
             if not keep or keep[0].level == LEAF_LEVEL:
                 continue
             for member in keep:
-                for index, entry in enumerate(member.entries):
-                    if not pte_present(entry) or pte_huge(entry):
+                entries = member.entries
+                for index in occupied_slots(entries):
+                    entry = entries[index]
+                    if entry & (PTE_PRESENT | PTE_HUGE) != PTE_PRESENT:
                         continue
                     child_ring = survivors.get(pte_pfn(entry))
                     if child_ring is not None:

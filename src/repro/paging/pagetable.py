@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Iterator, NamedTuple
 
 from repro.errors import InvalidMappingError
@@ -570,8 +571,10 @@ class PageTableTree:
             yield page
             if page.level == LEAF_LEVEL:
                 continue
-            for entry in page.entries:
-                if pte_present(entry) and not pte_huge(entry):
+            entries = page.entries
+            for index in occupied_slots(entries):
+                entry = entries[index]
+                if entry & (PTE_PRESENT | PTE_HUGE) == PTE_PRESENT:
                     # A copy may point at one of the child's replicas.
                     child = self.registry[pte_pfn(entry)]
                     queue.append(child.primary or child)
@@ -598,6 +601,20 @@ class PageTableTree:
     def total_table_count(self) -> int:
         """All table pages including replicas."""
         return len(self.registry)
+
+
+#: Every slot number of one table, for :func:`occupied_slots`.
+_SLOTS = tuple(range(PTES_PER_TABLE))
+
+
+def occupied_slots(entries: list[int]) -> Iterator[int]:
+    """The slots of a table's ``entries`` that are not zero, in order.
+
+    Empty slots are skipped without a Python step each, which is what
+    makes a scan of a sparse upper-level table cheap. Every present entry
+    is non-zero, but a non-zero entry need not be present: callers test
+    the present bit of each slot they get."""
+    return compress(_SLOTS, entries)
 
 
 def present_runs(entries: list[int], start: int, stop: int) -> Iterator[tuple[int, int]]:

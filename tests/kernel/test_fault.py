@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import OutOfMemoryError, ProtectionFault, SegmentationFault
-from repro.inject.plan import FaultPlan, install_fault_plan
+from repro.inject.plan import FaultPlan, install_fault_plan, uninstall_fault_plan
 from repro.kernel.policy import FixedNodePolicy, InterleavePolicy
 from repro.kernel.vma import PROT_DEFAULT
 from repro.mem.allocator import HUGE_ORDER
@@ -151,14 +151,20 @@ def _used_frames(kernel) -> int:
 class TestPageTableOomKeepsNoFrame:
     """A page-table OOM during a fault maps nothing, so it must leave no
     data frame allocated either: the frame taken before the descent goes
-    back before the error propagates."""
+    back before the error propagates. That holds for a 4 KiB fault and
+    for a THP fault's 2 MiB frame, which is counted as mapped only once
+    its window is."""
 
     @staticmethod
-    def _arena(kernel2):
-        """A fresh 4 KiB VMA, then a plan that fails the next page-table
-        page-cache refill: the first fault's descent."""
+    def _arena(kernel2, huge=False):
+        """A fresh VMA (4 KiB, or two 2 MiB windows with THP on), then a
+        plan that fails the next page-table page-cache refill: the first
+        fault's descent."""
+        if huge:
+            kernel2.sysctl.thp_enabled = True
         process = kernel2.create_process("oom", socket=0)
-        va = kernel2.sys_mmap(process, 16 * PAGE_SIZE, use_huge=False).value
+        size = 2 * HUGE_PAGE_SIZE if huge else 16 * PAGE_SIZE
+        va = kernel2.sys_mmap(process, size, use_huge=huge).value
         plan = FaultPlan(seed=1)
         plan.pagecache_oom(on_calls={1})
         install_fault_plan(kernel2, plan)
@@ -183,3 +189,37 @@ class TestPageTableOomKeepsNoFrame:
         assert _used_frames(kernel2) == used
         assert not process.mm.frames
         assert kernel2.fault_handler.faults_handled == 1
+
+    @staticmethod
+    def _assert_huge_fault_undone(kernel2, process, plan, used):
+        assert plan.log, "the plan never fired"
+        assert _used_frames(kernel2) == used
+        assert not process.mm.frames
+        assert kernel2.thp.stats.huge_mapped == 0
+        assert kernel2.thp.stats.fallbacks == 0
+        assert kernel2.fault_handler.faults_handled == 1
+
+    @staticmethod
+    def _assert_retry_maps_huge(kernel2, process, va):
+        uninstall_fault_plan(kernel2)
+        result = kernel2.touch(process, va, is_write=True)
+        assert result.huge and result.mapped_bytes == HUGE_PAGE_SIZE
+        assert process.mm.frames[va].order == HUGE_ORDER
+        assert process.mm.tree.translate(va).level == 2
+        assert kernel2.thp.stats.huge_mapped == 1
+
+    def test_failed_huge_touch(self, kernel2):
+        process, va, plan = self._arena(kernel2, huge=True)
+        used = _used_frames(kernel2)
+        with pytest.raises(OutOfMemoryError):
+            kernel2.touch(process, va, is_write=True)
+        self._assert_huge_fault_undone(kernel2, process, plan, used)
+        self._assert_retry_maps_huge(kernel2, process, va)
+
+    def test_failed_huge_populate(self, kernel2):
+        process, va, plan = self._arena(kernel2, huge=True)
+        used = _used_frames(kernel2)
+        with pytest.raises(OutOfMemoryError):
+            kernel2.fault_handler.populate(process, va, va + HUGE_PAGE_SIZE, socket=0)
+        self._assert_huge_fault_undone(kernel2, process, plan, used)
+        self._assert_retry_maps_huge(kernel2, process, va)

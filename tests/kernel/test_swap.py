@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import InvalidMappingError
+from repro.errors import InvalidMappingError, OutOfMemoryError
+from repro.inject.plan import FaultPlan, install_fault_plan, uninstall_fault_plan
 from repro.kernel.swap import SwapDevice
 from repro.mem.allocator import HUGE_ORDER
 from repro.paging.pte import PTE_ACCESSED
@@ -19,6 +20,10 @@ def proc(kernel2):
 
 def touch(kernel, process, va, socket=0, is_write=False):
     HardwareWalker(process.mm.tree).walk(va, socket, is_write=is_write)
+
+
+def _used_frames(kernel) -> int:
+    return sum(kernel.physmem.stats(node).used_frames for node in kernel.machine.node_ids())
 
 
 class TestSwapDevice:
@@ -129,6 +134,35 @@ class TestSwapOutIn:
         evicted = kernel2.swap.reclaim(proc, target_pages=8)
         assert evicted == 8
         assert len(proc.mm.swapped) == 8
+
+    def test_failed_swap_in_keeps_the_page_swapped(self, kernel2):
+        """A swap-in whose page-table descent runs out of memory maps
+        nothing: the page stays swapped out in its slot and its new frame
+        goes back, so the retry is again a major fault."""
+        process = kernel2.create_process("oom", socket=0)
+        va = kernel2.sys_mmap(process, 16 * PAGE_SIZE).value
+        kernel2.touch(process, va, is_write=True)
+        kernel2.swap.swap_out(process, va)  # releases the emptied leaf table
+        slot = process.mm.swapped[va].slot
+        used = _used_frames(kernel2)
+        plan = FaultPlan(seed=1)
+        plan.pagecache_oom(on_calls={1})
+        install_fault_plan(kernel2, plan)
+        with pytest.raises(OutOfMemoryError):
+            kernel2.touch(process, va, is_write=True)
+        assert plan.log, "the plan never fired"
+        assert process.mm.swapped[va].slot == slot
+        assert not process.mm.frames
+        assert _used_frames(kernel2) == used
+        assert kernel2.swap.device.used_slots == 1
+        assert kernel2.swap.stats.pages_swapped_in == 0
+
+        uninstall_fault_plan(kernel2)
+        result = kernel2.touch(process, va, is_write=True)
+        assert result.major
+        assert va not in process.mm.swapped and va in process.mm.frames
+        assert kernel2.swap.device.used_slots == 0
+        assert kernel2.swap.stats.pages_swapped_in == 1
 
 
 class TestReplicationCorrectness:

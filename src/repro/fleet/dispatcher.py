@@ -76,7 +76,7 @@ from repro.fleet.report import (
 from repro.inject.plan import SITE_WORKER_CRASH, FaultPlan
 from repro.sim.engine import resolve_engine
 from repro.trace.integrate import publish_fleet_report
-from repro.trace.session import current_session
+from repro.trace.session import trace_count, trace_instant, trace_span
 
 
 def _now() -> float:
@@ -189,22 +189,18 @@ class Fleet:
         # cache keys and the report name what was actually computed.
         report = FleetReport(engine=resolve_engine(), code_version=config.code_version)
         report.dispatch_mode = "inline" if config.workers == 0 else "pooled"
-        session = current_session()
         start = _now()
-        if session is None:
+        with trace_span(
+            "fleet.run", category="fleet", jobs=len(specs), workers=config.workers
+        ) as span:
             self._dispatch(specs, report, progress)
-        else:
-            with session.span(
-                "fleet.run", category="fleet", jobs=len(specs), workers=config.workers
-            ) as span:
-                self._dispatch(specs, report, progress)
-                span.set(
-                    cached=report.cached,
-                    computed=report.computed,
-                    quarantined=report.quarantined,
-                    interrupted=report.interrupted,
-                )
-            publish_fleet_report(session, report)
+            span.set(
+                cached=report.cached,
+                computed=report.computed,
+                quarantined=report.quarantined,
+                interrupted=report.interrupted,
+            )
+        publish_fleet_report(report)
         report.wall_seconds = _now() - start
         report.cache = self.cache.stats.to_dict()
         return report
@@ -398,7 +394,6 @@ class Fleet:
         self, state, outcome: AttemptOutcome, pending, report, progress
     ) -> None:
         config = self.config
-        session = current_session()
         if outcome.status == OUTCOME_OK:
             payload = outcome.payload if isinstance(outcome.payload, dict) else {}
             self.cache.put(state.key, payload)
@@ -434,13 +429,12 @@ class Fleet:
             report.injected_crashes += 1
 
         if state.attempts >= config.max_attempts:
-            if session is not None:
-                session.instant(
-                    "fleet-quarantine",
-                    category="fleet",
-                    label=state.spec.label(),
-                    attempts=state.attempts,
-                )
+            trace_instant(
+                "fleet-quarantine",
+                category="fleet",
+                label=state.spec.label(),
+                attempts=state.attempts,
+            )
             self._terminal(
                 report,
                 JobOutcome(
@@ -460,8 +454,7 @@ class Fleet:
 
         # Transient failure: back off and requeue.
         report.retries += 1
-        if session is not None:
-            session.count("fleet.retries")
+        trace_count("fleet.retries")
         delay = min(
             config.backoff_cap, config.backoff_base * (2 ** (state.attempts - 1))
         )
@@ -487,17 +480,15 @@ class Fleet:
 
     def _terminal(self, report, outcome: JobOutcome, progress) -> None:
         report.outcomes.append(outcome)
-        session = current_session()
-        if session is not None:
-            session.count(f"fleet.{outcome.status}")
-            session.instant(
-                "fleet-job",
-                category="fleet",
-                label=outcome.label,
-                status=outcome.status,
-                attempts=outcome.attempts,
-                ok=outcome.ok,
-            )
+        trace_count(f"fleet.{outcome.status}")
+        trace_instant(
+            "fleet-job",
+            category="fleet",
+            label=outcome.label,
+            status=outcome.status,
+            attempts=outcome.attempts,
+            ok=outcome.ok,
+        )
         if progress is not None:
             progress(report, outcome)
 

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.trace.session import current_session
+from repro.trace.session import trace_count, trace_instant
 
 #: Strict per-node frame allocation (``NodeAllocator``) fails with OOM.
 SITE_ALLOCATOR_OOM = "mem.allocator.oom"
@@ -229,20 +229,18 @@ class FaultPlan:
             self.log.append(
                 InjectedFault(seq=self.stats.total, site=site, context=scalars)
             )
-            session = current_session()
-            if session is not None:
-                session.count(f"inject.{site}")
-                session.instant(
-                    "fault",
-                    category="inject",
-                    site=site,
-                    seq=self.stats.total,
-                    seed=self.seed,
-                    **{
-                        k: v for k, v in scalars
-                        if k not in ("name", "category", "track", "site", "seq", "seed")
-                    },
-                )
+            trace_count(f"inject.{site}")
+            trace_instant(
+                "fault",
+                category="inject",
+                site=site,
+                seq=self.stats.total,
+                seed=self.seed,
+                **{
+                    k: v for k, v in scalars
+                    if k not in ("name", "category", "track", "site", "seq", "seed")
+                },
+            )
             return rule
         return None
 

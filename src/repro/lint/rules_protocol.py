@@ -239,8 +239,8 @@ class SpanPairingRule(ObligationRule):
     name = "SPAN001"
     description = (
         "start_tracing must reach stop_tracing on all paths (including "
-        "exceptional ones), and span()/tracing() context managers must "
-        "be entered with `with`"
+        "exceptional ones), and span()/trace_span()/tracing() context "
+        "managers must be entered with `with`"
     )
     spec = ProtocolSpec(
         key="trace-session",
@@ -250,7 +250,7 @@ class SpanPairingRule(ObligationRule):
 
     #: (class, method-or-function name) pairs whose return value is a
     #: context manager that MUST be entered (or delegated) to close.
-    _CM_FACTORIES = (("TraceSession", "span"), (None, "tracing"))
+    _CM_FACTORIES = (("TraceSession", "span"), (None, "trace_span"), (None, "tracing"))
 
     def run(self, index: ProjectIndex) -> list[Finding]:
         findings = super().run(index)

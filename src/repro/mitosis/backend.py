@@ -36,7 +36,7 @@ from repro.paging.pte import (
     pte_pfn,
     pte_present,
 )
-from repro.trace.session import current_session
+from repro.trace.session import trace_count, trace_instant
 
 
 class MitosisPagingOps(PagingOps):
@@ -100,9 +100,8 @@ class MitosisPagingOps(PagingOps):
         link_ring(members)
         if primary.valid_count:
             self._fill(tree, primary, members, fresh)
-        session = current_session()
-        if session is not None and new_table:
-            session.instant(
+        if new_table:
+            trace_instant(
                 "replicate-table",
                 category="mitosis",
                 level=level,
@@ -215,14 +214,7 @@ class MitosisPagingOps(PagingOps):
         self.stats.ring_hops += len(members)
         freed, _ = self.remove_copies(tree, [members], members)
         self.stats.tables_released += freed
-        session = current_session()
-        if session is not None:
-            session.instant(
-                "teardown-table",
-                category="mitosis",
-                level=page.level,
-                copies=len(members),
-            )
+        trace_instant("teardown-table", category="mitosis", level=page.level, copies=len(members))
 
     # -- updates ---------------------------------------------------------------
 
@@ -266,10 +258,8 @@ class MitosisPagingOps(PagingOps):
         self.stats.pte_writes += writes
         # The eager-propagation hot path: counters only, no event objects
         # (see docs/observability.md on event volume).
-        session = current_session()
-        if session is not None:
-            session.count("mitosis.set_pte", float(len(values)))
-            session.count("mitosis.set_pte_replica_writes", float(writes))
+        trace_count("mitosis.set_pte", float(len(values)))
+        trace_count("mitosis.set_pte_replica_writes", float(writes))
 
     def read_pte(self, tree: PageTableTree, page: PageTablePage, index: int) -> int:
         """OS-visible read: first copy's entry with all replicas' A/D bits

@@ -26,7 +26,7 @@ from repro.kernel.costs import TABLE_ALLOC_CYCLES
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.backend import MitosisPagingOps
 from repro.paging.pagetable import PageTablePage, PageTableTree
-from repro.trace.session import current_session
+from repro.trace.session import trace_instant, trace_span
 from repro.units import PTES_PER_TABLE
 
 
@@ -74,44 +74,30 @@ class ReplicationJob:
                 ``kernel`` to degrade through (legacy strict mode); the job
                 stays consistent and resumable — free memory and call again.
         """
-        session = current_session()
-        if session is None:
-            return self._step(max_tables)
-        before = self.tables_copied
-        with session.span(
-            "replication.step", category="mitosis", remaining=self.remaining
-        ) as span:
-            cycles = self._step(max_tables)
-            span.set(
-                copied=self.tables_copied - before,
-                remaining=self.remaining,
-                cycles=round(cycles, 1),
-            )
-            return cycles
-
-    def _step(self, max_tables: int) -> float:
-        cycles = 0.0
-        copied = 0
-        while self._pending and copied < max_tables:
-            pfn = self._pending[-1]
-            primary = self.tree.registry.get(pfn)
-            if primary is None or primary.is_replica:
-                self._pending.pop()  # table was freed meanwhile
-                continue
-            try:
-                cycles += self._copy(primary)
-            except OutOfMemoryError as exc:
-                if self.kernel is None or exc.node is None or exc.node not in self.mask:
-                    raise
-                rescued, extra = self._rescue(primary, exc.node)
-                cycles += extra
-                if not rescued:
-                    continue  # mask shrank; retry this ring under the new mask
-            self._pending.pop()
-            copied += 1
-            self.tables_copied += 1
-        if self.done and self.mm is not None:
-            self._record_outcome()
+        with trace_span("replication.step", category="mitosis", remaining=self.remaining) as span:
+            cycles = 0.0
+            copied = 0
+            while self._pending and copied < max_tables:
+                pfn = self._pending[-1]
+                primary = self.tree.registry.get(pfn)
+                if primary is None or primary.is_replica:
+                    self._pending.pop()  # table was freed meanwhile
+                    continue
+                try:
+                    cycles += self._copy(primary)
+                except OutOfMemoryError as exc:
+                    if self.kernel is None or exc.node is None or exc.node not in self.mask:
+                        raise
+                    rescued, extra = self._rescue(primary, exc.node)
+                    cycles += extra
+                    if not rescued:
+                        continue  # mask shrank; retry this ring under the new mask
+                self._pending.pop()
+                copied += 1
+                self.tables_copied += 1
+            if self.done and self.mm is not None:
+                self._record_outcome()
+            span.set(copied=copied, remaining=self.remaining, cycles=round(cycles, 1))
         return cycles
 
     def _copy(self, primary: PageTablePage) -> float:
@@ -140,14 +126,7 @@ class ReplicationJob:
                 self.kernel.resilience.degradations += 1
             self.mask = self.mask - {node}
             self.degraded_sockets.add(node)
-            session = current_session()
-            if session is not None:
-                session.instant(
-                    "job-degraded",
-                    category="mitosis",
-                    socket=node,
-                    mask=sorted(self.mask),
-                )
+            trace_instant("job-degraded", category="mitosis", socket=node, mask=sorted(self.mask))
             if not self.mask:
                 raise
             if isinstance(self.tree.ops, MitosisPagingOps):

@@ -31,7 +31,7 @@ from repro.mitosis.degrade import enable_replication_resilient
 from repro.mitosis.manager import MitosisManager
 from repro.mitosis.replication import replica_sockets
 from repro.sim.metrics import RunMetrics
-from repro.trace.session import current_session
+from repro.trace.session import trace_complete, trace_instant
 
 
 @dataclass
@@ -56,15 +56,13 @@ class MitosisDaemon:
     def _record(self, decision: DaemonDecision) -> None:
         """Append a decision and mirror it onto the trace timeline."""
         self.decisions.append(decision)
-        session = current_session()
-        if session is not None:
-            session.instant(
-                "daemon-decision",
-                category="daemon",
-                epoch=decision.epoch,
-                action=decision.action,
-                detail=decision.detail,
-            )
+        trace_instant(
+            "daemon-decision",
+            category="daemon",
+            epoch=decision.epoch,
+            action=decision.action,
+            detail=decision.detail,
+        )
 
     def observe(self, epoch: int, metrics: RunMetrics) -> bool:
         """Inspect counters after an epoch; returns True if it acted."""
@@ -144,18 +142,16 @@ class MitosisDaemon:
                 f"backing off to epoch {mm.degraded.next_retry_epoch}",
             )
         )
-        session = current_session()
-        if session is not None:
-            # The backoff window as a span: its extent on the timeline is
-            # the epochs the daemon will stay quiet for.
-            session.complete(
-                "daemon.backoff",
-                category="daemon",
-                dur=float(delay),
-                epoch=epoch,
-                until_epoch=mm.degraded.next_retry_epoch,
-                missing=sorted(mm.degraded.missing),
-            )
+        # The backoff window as a span: its extent on the timeline is the
+        # epochs the daemon will stay quiet for.
+        trace_complete(
+            "daemon.backoff",
+            category="daemon",
+            dur=float(delay),
+            epoch=epoch,
+            until_epoch=mm.degraded.next_retry_epoch,
+            missing=sorted(mm.degraded.missing),
+        )
         return True
 
     def callback(self):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.errors import OutOfMemoryError
 from repro.mitosis.replication import enable_replication
 from repro.mitosis.ring import ring_members
-from repro.trace.session import current_session
+from repro.trace.session import trace_instant
 
 
 @dataclass
@@ -130,28 +130,21 @@ def enable_replication_resilient(kernel, process, mask) -> frozenset[int]:
             state.backoff = prior.backoff
             state.next_retry_epoch = prior.next_retry_epoch
         mm.degraded = state
-        session = current_session()
-        if session is not None:
-            session.instant(
-                "degraded",
-                category="mitosis",
-                requested=sorted(requested),
-                achieved=sorted(achieved),
-                missing=sorted(missing),
-                new=is_new,
-            )
+        trace_instant(
+            "degraded",
+            category="mitosis",
+            requested=sorted(requested),
+            achieved=sorted(achieved),
+            missing=sorted(missing),
+            new=is_new,
+        )
     else:
         recovered = prior is not None and prior.requested_mask == requested
         if recovered:
             stats.recoveries += 1
-            session = current_session()
-            if session is not None:
-                session.instant(
-                    "recovered",
-                    category="mitosis",
-                    mask=sorted(achieved),
-                    after_retries=prior.retries,
-                )
+            trace_instant(
+                "recovered", category="mitosis", mask=sorted(achieved), after_retries=prior.retries
+            )
         mm.degraded = None
     kernel.shootdown.flush_all(kernel.cpu_contexts)
     return achieved

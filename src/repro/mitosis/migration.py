@@ -18,7 +18,7 @@ from repro.mitosis.replication import (
     enable_replication,
     replica_sockets,
 )
-from repro.trace.session import current_session
+from repro.trace.session import trace_span
 
 
 @dataclass(frozen=True)
@@ -49,49 +49,37 @@ def migrate_page_tables(
     Returns the work done; the process ends with a local page-table on the
     target socket either way.
     """
-    session = current_session()
-    if session is None:
-        return _migrate_page_tables(kernel, process, target_socket, free_origin)
-    with session.span(
+    with trace_span(
         "migrate-pt",
         category="mitosis",
         target_socket=target_socket,
         free_origin=free_origin,
     ) as span:
-        result = _migrate_page_tables(kernel, process, target_socket, free_origin)
+        kernel.machine.socket(target_socket)
+        mm = process.mm
+        tree = mm.tree
+        before = tree.ops.stats.snapshot()
+        already = replica_sockets(tree)
+
+        enable_replication(tree, kernel.pagecache, frozenset({target_socket}) | (already if not free_origin else frozenset()))
+        if free_origin:
+            collapse_replicas(tree, kernel.pagecache, target_socket)
+            mm.replication_mask = None
+        else:
+            mm.replication_mask = frozenset({target_socket}) | already
+        shoot = kernel.shootdown.flush_all(kernel.cpu_contexts)
+        delta = tree.ops.stats.delta(before)
+
+        from repro.kernel.costs import WorkCounters, syscall_cycles
+
+        result = PtMigrationResult(
+            target_socket=target_socket,
+            tables_copied=delta.tables_allocated,
+            origin_freed=free_origin,
+            cycles=syscall_cycles(delta, WorkCounters(), shoot),
+        )
         span.set(tables_copied=result.tables_copied, cycles=round(result.cycles, 1))
-        return result
-
-
-def _migrate_page_tables(
-    kernel: Kernel,
-    process: Process,
-    target_socket: int,
-    free_origin: bool,
-) -> PtMigrationResult:
-    kernel.machine.socket(target_socket)
-    mm = process.mm
-    tree = mm.tree
-    before = tree.ops.stats.snapshot()
-    already = replica_sockets(tree)
-
-    enable_replication(tree, kernel.pagecache, frozenset({target_socket}) | (already if not free_origin else frozenset()))
-    if free_origin:
-        collapse_replicas(tree, kernel.pagecache, target_socket)
-        mm.replication_mask = None
-    else:
-        mm.replication_mask = frozenset({target_socket}) | already
-    shoot = kernel.shootdown.flush_all(kernel.cpu_contexts)
-    delta = tree.ops.stats.delta(before)
-
-    from repro.kernel.costs import WorkCounters, syscall_cycles
-
-    return PtMigrationResult(
-        target_socket=target_socket,
-        tables_copied=delta.tables_allocated,
-        origin_freed=free_origin,
-        cycles=syscall_cycles(delta, WorkCounters(), shoot),
-    )
+    return result
 
 
 def migrate_process_with_pagetables(

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from repro.errors import InvalidMappingError
 from repro.mem.frame import Frame
-from repro.trace.session import current_session
+from repro.trace.session import trace_count
 from repro.paging.levels import (
     GEOMETRY_4LEVEL,
     HUGE_LEAF_LEVEL,
@@ -207,15 +207,14 @@ class PagingOps(abc.ABC):
         :meth:`apply_entry_run`, which makes them the one place a
         ``pvops.entry_writes`` trace counter can observe them all.
         Counter-only (no event objects): this site is far too hot for
-        per-write events, and with tracing disabled it costs exactly one
-        ``is None`` test.
+        per-write events, and with tracing disabled it costs one
+        :func:`~repro.trace.session.trace_count` call and its ``is None``
+        test.
         """
         old = page.entries[index]
         page.entries[index] = value
         page.valid_count += int(pte_present(value)) - int(pte_present(old))
-        session = current_session()
-        if session is not None:
-            session.count("pvops.entry_writes")
+        trace_count("pvops.entry_writes")
         return old
 
     @staticmethod
@@ -240,9 +239,7 @@ class PagingOps(abc.ABC):
         old = entries[start:stop]
         entries[start:stop] = values
         page.valid_count += count_present(values) - count_present(old)
-        session = current_session()
-        if session is not None:
-            session.count("pvops.entry_writes", float(len(values)))
+        trace_count("pvops.entry_writes", float(len(values)))
 
 
 class PageTableTree:
@@ -270,6 +267,17 @@ class PageTableTree:
 
     # -- lookup helpers -------------------------------------------------------
 
+    def _child(self, entry: int) -> PageTablePage:
+        """The primary copy of the table an upper-level ``entry`` points at.
+
+        A copy's entry names the child's copy on the copy's own socket,
+        which can be a replica that a lazy backend has not updated yet;
+        software descents read primaries only, which every backend writes
+        at once.
+        """
+        child = self.registry[pte_pfn(entry)]
+        return child.primary or child
+
     def walk_path(self, va: int) -> list[PteLocation]:
         """Primary-copy path from the root towards ``va``'s leaf entry.
 
@@ -285,7 +293,7 @@ class PageTableTree:
             entry = page.entries[index]
             if level == LEAF_LEVEL or not pte_present(entry) or pte_huge(entry):
                 break
-            page = self.registry[pte_pfn(entry)]
+            page = self._child(entry)
         return path
 
     def leaf_location(self, va: int) -> PteLocation | None:
@@ -365,7 +373,7 @@ class PageTableTree:
                     f"va 0x{va:x} already covered by a 2 MiB mapping at L{level}"
                 )
             else:
-                page = self.registry[pte_pfn(entry)]
+                page = self._child(entry)
         return page
 
     def map_run(self, table: PageTablePage, va: int, data_pfns: list[int], flags: int) -> None:
@@ -575,9 +583,7 @@ class PageTableTree:
             for index in occupied_slots(entries):
                 entry = entries[index]
                 if entry & (PTE_PRESENT | PTE_HUGE) == PTE_PRESENT:
-                    # A copy may point at one of the child's replicas.
-                    child = self.registry[pte_pfn(entry)]
-                    queue.append(child.primary or child)
+                    queue.append(self._child(entry))
 
     def iter_mappings(self) -> Iterator[tuple[int, Translation]]:
         """All leaf mappings as ``(va, translation)`` in VA order."""
@@ -592,7 +598,7 @@ class PageTableTree:
             if page.level == LEAF_LEVEL or pte_huge(entry):
                 yield va, Translation(pfn=pte_pfn(entry), flags=pte_flags(entry), level=page.level)
             else:
-                yield from self._iter_mappings(self.registry[pte_pfn(entry)], va)
+                yield from self._iter_mappings(self._child(entry), va)
 
     def table_count(self) -> int:
         """Number of primary table pages (Table 4's "PT size" numerator)."""

@@ -47,7 +47,7 @@ from repro.machine.topology import Machine
 from repro.mitosis.daemon import MitosisDaemon
 from repro.sim.metrics import RunMetrics
 from repro.trace.integrate import publish_chaos_report
-from repro.trace.session import current_session
+from repro.trace.session import trace_span
 from repro.units import KIB, MIB
 
 SCENARIOS: tuple[str, ...] = ("replication-oom", "shootdown-storm", "swap-stall")
@@ -185,40 +185,32 @@ def run_chaos(scenario: str, seed: int = 7, intensity: float = 1.0) -> ChaosRepo
         raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
     if intensity <= 0:
         raise ValueError("intensity must be positive")
-    session = current_session()
-    if session is None:
-        return _run_chaos(scenario, seed, intensity)
-    with session.span(
-        f"chaos.{scenario}", category="chaos", seed=seed, intensity=intensity
-    ) as span:
-        report = _run_chaos(scenario, seed, intensity)
-        span.set(ok=report.ok, faults_injected=report.faults_injected)
-    publish_chaos_report(session, report)
-    return report
-
-
-def _run_chaos(scenario: str, seed: int, intensity: float = 1.0) -> ChaosReport:
     runner = {
         "replication-oom": _run_replication_oom,
         "shootdown-storm": _run_shootdown_storm,
         "swap-stall": _run_swap_stall,
     }[scenario]
-    report = ChaosReport(scenario=scenario, seed=seed, intensity=intensity)
-    kernel, plan = runner(report, seed, intensity)
-    report.faults_injected = plan.stats.total
-    report.faults_by_site = dict(plan.stats.by_site)
-    report.retries = kernel.resilience.retries
-    report.reclaim_rescues = kernel.resilience.reclaim_rescues
-    report.degradations = kernel.resilience.degradations
-    report.recoveries = kernel.resilience.recoveries
-    for pid, process in sorted(kernel.processes.items()):
-        mask = process.mm.replication_mask
-        report.final_masks[pid] = sorted(mask) if mask else []
-        if process.mm.degraded is not None:
-            report.events.append(
-                f"pid {pid} still degraded: {process.mm.degraded.describe()}"
-            )
-    report.verify = verify_kernel(kernel)
+    with trace_span(
+        f"chaos.{scenario}", category="chaos", seed=seed, intensity=intensity
+    ) as span:
+        report = ChaosReport(scenario=scenario, seed=seed, intensity=intensity)
+        kernel, plan = runner(report, seed, intensity)
+        report.faults_injected = plan.stats.total
+        report.faults_by_site = dict(plan.stats.by_site)
+        report.retries = kernel.resilience.retries
+        report.reclaim_rescues = kernel.resilience.reclaim_rescues
+        report.degradations = kernel.resilience.degradations
+        report.recoveries = kernel.resilience.recoveries
+        for pid, process in sorted(kernel.processes.items()):
+            mask = process.mm.replication_mask
+            report.final_masks[pid] = sorted(mask) if mask else []
+            if process.mm.degraded is not None:
+                report.events.append(
+                    f"pid {pid} still degraded: {process.mm.degraded.describe()}"
+                )
+        report.verify = verify_kernel(kernel)
+        span.set(ok=report.ok, faults_injected=report.faults_injected)
+    publish_chaos_report(report)
     return report
 
 

@@ -622,7 +622,7 @@ class Simulator:
         for node in sorted(llcs):
             registry.count("llc.pt_hits", llcs[node].stats.hits)
             registry.count("llc.pt_misses", llcs[node].stats.misses)
-        publish_run_metrics(session, metrics)
+        publish_run_metrics(metrics)
 
     def _sync_robustness(self, metrics: RunMetrics) -> None:
         """Mirror the kernel's fault-injection and resilience counters into

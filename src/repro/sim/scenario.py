@@ -30,7 +30,7 @@ from repro.paging.dump import PageTableDump, dump_tree, remote_leaf_fractions
 from repro.paging.levels import PagingGeometry
 from repro.sim.engine import EngineConfig, Simulator
 from repro.sim.metrics import RunMetrics
-from repro.units import MIB
+from repro.units import MIB, PAGE_SIZE
 from repro.workloads.base import Workload
 from repro.workloads.registry import WORKLOADS, create
 
@@ -146,8 +146,9 @@ def _populate(kernel: Kernel, process: Process, workload: Workload, va_base: int
     for thread in process.threads:
         start, end = workload.init_partition(thread.tid, n_threads)
         populate(process, va_base + start, va_base + end, thread.socket, allow_huge)
-    # Partition rounding can leave a page unpopulated at region edges.
-    populate(process, va_base, va_base + workload.footprint, process.threads[0].socket, allow_huge)
+    # The partitions cover whole pages; thread 0 touches a partial last page.
+    tail = workload.n_pages * PAGE_SIZE
+    populate(process, va_base + tail, va_base + workload.footprint, process.threads[0].socket, allow_huge)
 
 
 def setup_multisocket(

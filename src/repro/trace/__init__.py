@@ -13,8 +13,13 @@ archaeology:
 * pluggable sinks — :class:`InMemorySink` for test assertions,
   :class:`JsonlSink` for streaming logs, :class:`ChromeTraceSink` for
   Perfetto / ``chrome://tracing`` timelines;
-* **zero overhead when disabled**: instrumented sites cost one
-  ``current_session() is None`` check, hoisted out of inner loops.
+* one emission idiom: :func:`trace_span`, :func:`trace_instant`,
+  :func:`trace_complete` and :func:`trace_count` act on the installed
+  session and do nothing when tracing is off (``trace_span`` then yields
+  a handle whose ``set`` does nothing);
+* **zero overhead when disabled**: a helper call costs one ``is None``
+  test; the engine, which emits per walk and per level, hoists
+  :func:`current_session` out of its loops instead.
 
 Quickstart::
 
@@ -47,6 +52,10 @@ from repro.trace.session import (
     start_tracing,
     stop_tracing,
     trace_active,
+    trace_complete,
+    trace_count,
+    trace_instant,
+    trace_span,
     tracing,
 )
 from repro.trace.sinks import ChromeTraceSink, InMemorySink, JsonlSink, Sink
@@ -71,6 +80,10 @@ __all__ = [
     "start_tracing",
     "stop_tracing",
     "trace_active",
+    "trace_complete",
+    "trace_count",
+    "trace_instant",
+    "trace_span",
     "tracing",
     *_INTEGRATE_NAMES,
 ]

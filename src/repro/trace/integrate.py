@@ -7,15 +7,17 @@ about :class:`~repro.sim.metrics.RunMetrics` and the perf-counter
 renderer, so robustness counters (faults injected, degradations,
 retries, recoveries) and the perf-event view of a run flow into the same
 :class:`~repro.trace.metrics.MetricsRegistry` as the live trace counters.
+Like the ``trace_*`` helpers, each bridge acts on the installed session
+and does nothing when tracing is off.
 """
 
 from __future__ import annotations
 
-from repro.trace.session import TraceSession
+from repro.trace.session import current_session
 
 
-def publish_run_metrics(session: TraceSession, metrics, prefix: str = "perf") -> None:
-    """Fold one finished run's counters into ``session``'s registry.
+def publish_run_metrics(metrics, prefix: str = "perf") -> None:
+    """Fold one finished run's counters into the session's registry.
 
     Every counter of :func:`repro.sim.perfcounters.perf_stat` — the
     hardware-shaped events *and* the ``mitosis.*`` robustness software
@@ -25,6 +27,9 @@ def publish_run_metrics(session: TraceSession, metrics, prefix: str = "perf") ->
     the whole publication is wrapped in a ``trace.publish`` span so its
     cost is attributable on the timeline like any other phase.
     """
+    session = current_session()
+    if session is None:
+        return
     from repro.sim.perfcounters import perf_stat
 
     with session.span("trace.publish", category="metrics", prefix=prefix) as span:
@@ -44,8 +49,8 @@ def publish_run_metrics(session: TraceSession, metrics, prefix: str = "perf") ->
         span.set(counters=len(report.counters))
 
 
-def publish_chaos_report(session: TraceSession, report) -> None:
-    """Fold a :class:`~repro.sim.chaos.ChaosReport` into ``session``.
+def publish_chaos_report(report) -> None:
+    """Fold a :class:`~repro.sim.chaos.ChaosReport` into the session.
 
     The resilience arc (degradations/retries/rescues/recoveries) lands
     under ``chaos.``; the verifier verdict is both a counter
@@ -54,6 +59,9 @@ def publish_chaos_report(session: TraceSession, report) -> None:
     counters are *not* re-added here — :meth:`repro.inject.FaultPlan.fire`
     already counts each injection live as it happens.
     """
+    session = current_session()
+    if session is None:
+        return
     session.metrics.count("chaos.faults_injected", float(report.faults_injected))
     session.metrics.count("chaos.degradations", float(report.degradations))
     session.metrics.count("chaos.retries", float(report.retries))
@@ -72,8 +80,8 @@ def publish_chaos_report(session: TraceSession, report) -> None:
     )
 
 
-def publish_fleet_report(session: TraceSession, report) -> None:
-    """Fold a :class:`~repro.fleet.report.FleetReport` into ``session``.
+def publish_fleet_report(report) -> None:
+    """Fold a :class:`~repro.fleet.report.FleetReport` into the session.
 
     Terminal-status counts, supervision counters (retries / timeouts /
     crashes / errors) and the self-injected fault totals land under
@@ -82,6 +90,9 @@ def publish_fleet_report(session: TraceSession, report) -> None:
     emitted by the dispatcher as each cell settles — this publishes only
     the end-of-run aggregates.
     """
+    session = current_session()
+    if session is None:
+        return
     session.metrics.count("fleet.jobs", float(report.jobs))
     session.metrics.count("fleet.retries_total", float(report.retries))
     session.metrics.count("fleet.timeouts", float(report.timeouts))

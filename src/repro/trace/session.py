@@ -2,25 +2,31 @@
 
 One :class:`TraceSession` owns the ring buffer of events, the metric
 registry, the virtual clock and the attached sinks. At most one session
-is *installed* at a time; instrumented code asks for it with
-:func:`current_session`:
+is *installed* at a time. Instrumented code emits through four helpers
+that act on the installed session and do nothing when none is
+installed:
 
 ::
 
-    from repro.trace.session import current_session
+    from repro.trace import trace_count, trace_instant, trace_span
 
-    session = current_session()          # hoist out of hot loops
-    if session is not None:
-        session.instant("fault", category="inject", site=site)
+    trace_instant("fault", category="inject", site=site)
+    trace_count("pvops.entry_writes")
+    with trace_span("mitosis.enable", category="mitosis") as span:
+        ...
+        span.set(tables_allocated=n)   # a no-op with tracing off
+
+:func:`trace_complete` records an already-measured span. With tracing
+off :func:`trace_span` returns a shared handle whose ``set`` does
+nothing, so a traced block runs exactly once either way.
 
 **The zero-overhead-when-disabled guarantee.** With no session installed
-:func:`current_session` returns ``None`` from a module global — the
-entire cost of a disabled trace site is one function call and one
-``is None`` test, and the hot paths (the engine's access loop, the
-walker) hoist even that out of their inner loops. No event objects, no
-dict lookups, no string formatting happen while tracing is off;
-``benchmarks/test_fig09_multisocket.py`` is the enforcement point for
-the < 3 % wall-time budget.
+each helper costs one function call and one ``is None`` test on a module
+global: no event objects, no dict lookups, no string formatting. The
+engine emits per walk and per level, so it reads :func:`current_session`
+once per run and tests the hoisted local instead;
+``benchmarks/perf/test_tracing_overhead.py`` holds each engine tier's
+tracing-off cost under 2 %.
 
 Spans nest: :meth:`TraceSession.span` is a context manager that tracks a
 per-track stack, so a ``mitosis.enable`` span opened inside a
@@ -33,7 +39,7 @@ and advances the clock by its duration.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from typing import Any, Iterator
 
 from repro.trace.clock import TraceClock
@@ -53,6 +59,36 @@ def current_session() -> "TraceSession | None":
 def trace_active() -> bool:
     """True when a session is installed."""
     return _SESSION is not None
+
+
+def trace_span(
+    name: str, category: str = "", track: int = 0, **args: Any
+) -> "AbstractContextManager[_SpanHandle | _NullSpan]":
+    """:meth:`TraceSession.span` on the installed session; with tracing
+    off, a context manager whose handle's ``set`` does nothing."""
+    if _SESSION is None:
+        return _NULL_SPAN
+    return _SESSION.span(name, category, track, **args)
+
+
+def trace_instant(name: str, category: str = "", track: int = 0, **args: Any) -> None:
+    """:meth:`TraceSession.instant` on the installed session, if any."""
+    if _SESSION is not None:
+        _SESSION.instant(name, category, track, **args)
+
+
+def trace_complete(
+    name: str, category: str = "", dur: float = 0.0, track: int = 0, **args: Any
+) -> None:
+    """:meth:`TraceSession.complete` on the installed session, if any."""
+    if _SESSION is not None:
+        _SESSION.complete(name, category, dur, track, **args)
+
+
+def trace_count(name: str, delta: float = 1.0) -> None:
+    """:meth:`TraceSession.count` on the installed session, if any."""
+    if _SESSION is not None:
+        _SESSION.count(name, delta)
 
 
 # protocol: begins[trace-session] -- a session is now live; every path must stop it
@@ -107,6 +143,25 @@ class _SpanHandle:
     def set(self, **args: Any) -> None:
         """Merge ``args`` into the span's payload."""
         self.args.update(args)
+
+
+class _NullSpan:
+    """What :func:`trace_span` returns with tracing off: a context
+    manager that yields itself, with a :meth:`set` that does nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
+    def set(self, **args: Any) -> None:
+        """Drop ``args``: no span records them."""
+
+
+_NULL_SPAN = _NullSpan()
 
 
 # concurrency: not-fork-inheritable -- sinks hold open file handles; a forked

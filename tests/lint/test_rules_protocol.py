@@ -15,9 +15,8 @@ from pathlib import Path
 from repro.lint import lint_paths
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-TLB_SOURCE = (
-    Path(__file__).resolve().parents[2] / "src" / "repro" / "tlb" / "tlb.py"
-)
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+TLB_SOURCE = SRC / "tlb" / "tlb.py"
 
 
 def _findings(path, rule):
@@ -63,10 +62,11 @@ class TestFixturesFire:
 
     def test_span001_leak_and_never_entered(self):
         found = _findings(FIXTURES / "span_left_open.py", "SPAN001")
-        assert len(found) == 2  # traced_safely must stay clean
+        assert len(found) == 3  # traced_safely, helper_entered stay clean
         messages = " | ".join(f.message for f in found)
         assert "traced_run" in messages  # exception-path leak
-        assert "never entered" in messages  # fire_and_forget
+        assert "fire_and_forget" in messages  # session.span() never entered
+        assert "helper_forgotten" in messages  # trace_span() never entered
 
     def test_fixtures_trip_nothing_else(self):
         """The seeded bugs are surgical: the only per-file finding is the
@@ -118,6 +118,58 @@ class TestRealCodeRegression:
         names = " | ".join(f.message for f in found)
         assert "TlbHierarchy.invalidate_page" in names
         assert "TlbHierarchy.flush" in names
+
+
+class TestTraceHelperRegression:
+    """The ``repro.trace`` helpers stay visible to the whole-program
+    rules: linted with the session module, a daemon that never enters a
+    ``trace_span`` trips SPAN001, and a wall-clock ``trace_instant``
+    argument is followed into ``TraceSession._record`` by DETFLOW001."""
+
+    RECORD = (
+        "        self.decisions.append(decision)\n"
+        "        trace_instant(\n"
+        '            "daemon-decision",\n'
+        '            category="daemon",\n'
+        "            epoch=decision.epoch,\n"
+    )
+    SEEDED = (
+        "        self.decisions.append(decision)\n"
+        '        trace_span("daemon.record", category="daemon")\n'
+        "        trace_instant(\n"
+        '            "daemon-decision",\n'
+        '            category="daemon",\n'
+        "            epoch=time.time(),\n"
+    )
+    IMPORT = "from repro.trace.session import trace_complete, trace_instant\n"
+
+    def _lint_pair(self, tmp_path, daemon_source):
+        (tmp_path / "session.py").write_text((SRC / "trace" / "session.py").read_text())
+        (tmp_path / "daemon.py").write_text(daemon_source)
+        result = lint_paths(
+            [tmp_path / "session.py", tmp_path / "daemon.py"], whole_program=True
+        )
+        return result.findings
+
+    def test_pristine_daemon_and_session_are_clean(self, tmp_path):
+        source = (SRC / "mitosis" / "daemon.py").read_text()
+        assert self._lint_pair(tmp_path, source) == []
+
+    def test_unentered_span_and_wall_clock_instant_are_caught(self, tmp_path):
+        source = (SRC / "mitosis" / "daemon.py").read_text()
+        assert source.count(self.RECORD) == 1 and source.count(self.IMPORT) == 1
+        broken = (
+            source.replace(self.RECORD, self.SEEDED)
+            .replace(self.IMPORT, self.IMPORT.replace("\n", ", trace_span\nimport time\n"))
+        )
+        found = self._lint_pair(tmp_path, broken)
+        span = [f for f in found if f.rule == "SPAN001"]
+        flow = [f for f in found if f.rule == "DETFLOW001"]
+        assert len(span) == 1 and len(flow) == 1
+        assert "MitosisDaemon._record" in span[0].message
+        assert "trace_span()" in span[0].message
+        assert "time.time()" in flow[0].message
+        assert "TraceSession._record" in flow[0].message
 
 
 class TestEngineSemantics:

@@ -4,8 +4,10 @@ eager destructive updates."""
 import pytest
 
 from repro.errors import InvalidMappingError
+from repro.kernel.kernel import Kernel
 from repro.kernel.policy import FixedNodePolicy
 from repro.kernel.pvops import NativePagingOps
+from repro.kernel.sysctl import MitosisMode, Sysctl
 from repro.mem.pagecache import PageTablePageCache
 from repro.mitosis.lazy import LazyMitosisPagingOps, make_lazy
 from repro.mitosis.replication import enable_replication
@@ -201,3 +203,50 @@ class TestHomeOffThePrimarySocket:
         tree.ops.handle_stale_fault(tree, socket=1)
         walk = HardwareWalker(tree).walk(0x300000, socket=1, set_ad_bits=False)
         assert walk.translation is not None and walk.translation.pfn == pfn
+
+
+class TestSoftwareWalksReadPrimaries:
+    """Primaries on socket 1, home socket 0: the primary root's entries
+    name socket 1's copies of new tables, which are replicas whose writes
+    wait in socket 1's queue. The kernel's software walks must still see
+    every mapping the home socket made."""
+
+    FAR = 1 << 39  # a fresh top-level slot: every table below it is new
+
+    @pytest.fixture
+    def far_page(self, machine2):
+        kernel = Kernel(machine2, sysctl=Sysctl(mitosis_mode=MitosisMode.PER_PROCESS))
+        process = kernel.create_process("p", socket=0, pt_policy=FixedNodePolicy(1))
+        va = kernel.sys_mmap(process, PAGE_SIZE).value
+        kernel.touch(process, va, is_write=True)
+        kernel.mitosis.set_replication_mask(process, MASK)
+        ops = make_lazy(process.mm.tree, kernel.pagecache)
+        ops.home_socket = 0
+        kernel.sys_mmap(process, PAGE_SIZE, fixed_va=self.FAR)
+        kernel.touch(process, self.FAR, is_write=True)
+        assert ops.pending(1) > 0  # socket 1's copies of the new tables lag
+        return kernel, process
+
+    def test_translate_finds_the_mapped_page(self, far_page):
+        kernel, process = far_page
+        translation = process.mm.tree.translate(self.FAR)
+        assert translation is not None
+        assert translation.pfn == process.mm.frames[self.FAR].pfn
+
+    def test_second_touch_is_a_spurious_fault(self, far_page):
+        kernel, process = far_page
+        frame = process.mm.frames[self.FAR]
+        kernel.touch(process, self.FAR, is_write=True)
+        assert process.mm.frames[self.FAR] is frame
+        assert process.mm.tree.translate(self.FAR).pfn == frame.pfn
+
+    def test_munmap_unmaps_and_frees_the_page(self, far_page):
+        kernel, process = far_page
+        used = kernel.physmem.total_used_bytes()
+        kernel.sys_munmap(process, self.FAR, PAGE_SIZE)
+        assert self.FAR not in process.mm.frames
+        walker = HardwareWalker(process.mm.tree)
+        for socket in (0, 1):
+            assert walker.walk(self.FAR, socket, set_ad_bits=False).faulted
+        # The data page and both copies of the three tables below the root.
+        assert used - kernel.physmem.total_used_bytes() == 7 * PAGE_SIZE

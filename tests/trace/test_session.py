@@ -16,6 +16,10 @@ from repro.trace import (
     start_tracing,
     stop_tracing,
     trace_active,
+    trace_complete,
+    trace_count,
+    trace_instant,
+    trace_span,
     tracing,
 )
 
@@ -127,6 +131,46 @@ class TestSessionLifecycle:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             TraceSession(capacity=0)
+
+
+class TestHelpers:
+    """The four emission helpers act on the installed session and do
+    nothing without one."""
+
+    def _emit(self):
+        ran = []
+        with trace_span("outer", category="mitosis", mask=[0, 1]) as span:
+            trace_instant("inside", category="mitosis", copies=2)
+            trace_complete("backoff", category="daemon", dur=4.0, epoch=1)
+            trace_count("pvops.entry_writes", 3.0)
+            span.set(tables=5)
+            ran.append(True)
+        return ran
+
+    def test_without_a_session_the_body_runs_once(self):
+        assert current_session() is None
+        assert self._emit() == [True]
+
+    def test_with_a_session_they_match_the_session_methods(self):
+        with tracing() as session:
+            self._emit()
+        inside, backoff, outer = session.events
+        assert (inside.kind, inside.args) == (KIND_INSTANT, {"copies": 2})
+        assert (backoff.kind, backoff.dur, backoff.args) == (KIND_SPAN, 4.0, {"epoch": 1})
+        assert outer.name == "outer" and outer.category == "mitosis"
+        assert outer.args == {"mask": [0, 1], "depth": 0, "tables": 5}
+        assert session.metrics.get("pvops.entry_writes") == 3.0
+
+    def test_a_raise_propagates_and_closes_the_span(self):
+        with pytest.raises(KeyError):
+            with trace_span("failing"):
+                raise KeyError("untraced")
+        with tracing() as session:
+            with pytest.raises(KeyError):
+                with trace_span("failing"):
+                    raise KeyError("traced")
+        (failing,) = session.events
+        assert (failing.name, failing.kind, failing.args) == ("failing", KIND_SPAN, {"depth": 0})
 
 
 class TestRecording:

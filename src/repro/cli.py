@@ -257,18 +257,8 @@ def _add_lint_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--stats", default=None, metavar="FILE",
         help="write run statistics to FILE as JSON: dataflow-engine "
-        "counters (modules analyzed, summary cache hits/misses) plus the "
-        "wall-clock phase breakdown under 'timings'",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental dataflow summary cache (re-extract "
-        "every module)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="dataflow summary cache directory (default: $REPRO_LINT_CACHE_DIR "
-        "or .lint-cache at the repo root)",
+        "counters (modules and functions analyzed) plus the wall-clock "
+        "phase breakdown under 'timings'",
     )
     parser.add_argument(
         "--baseline", default=None,
@@ -611,6 +601,23 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _unwritable(flag: str, value: str) -> bool:
+    """Whether output file ``value`` names a directory or sits in a
+    missing one; if so, print one ``error:`` line naming ``flag``.
+    Commands check before they run, because they write after it."""
+    from pathlib import Path
+
+    path = Path(value)
+    if path.is_dir():
+        problem = "is a directory"
+    elif not path.parent.is_dir():
+        problem = f"no such directory: {path.parent}"
+    else:
+        return False
+    print(f"error: {flag} {value}: {problem}", file=sys.stderr)
+    return True
+
+
 #: Rule-module suffix -> human-readable analysis layer, for --explain.
 _RULE_LAYERS = {
     "rules_pvops": "per-file",
@@ -659,7 +666,7 @@ def _explain_rule(name: str) -> int:
     cls = RULE_REGISTRY.get(name) or WHOLE_PROGRAM_REGISTRY.get(name)
     if cls is None:
         known = ", ".join(sorted(set(RULE_REGISTRY) | set(WHOLE_PROGRAM_REGISTRY)))
-        print(f"unknown rule {name!r} (known: {known})", file=sys.stderr)
+        print(f"error: unknown rule {name!r} (known: {known})", file=sys.stderr)
         return 2
     scope = "whole-program" if name in WHOLE_PROGRAM_REGISTRY else "per-file"
     print(f"{name} ({scope}): {cls.description}")
@@ -680,7 +687,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.lint import (
-        default_cache_dir,
         filter_baseline,
         iter_python_files,
         lint_paths,
@@ -711,22 +717,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"error: no Python files in {', '.join(map(str, paths))}",
               file=sys.stderr)
         return 2
+    if args.stats and _unwritable("--stats", args.stats):
+        return 2
     rules = [r.strip() for r in args.rules.split(",")] if args.rules else None
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir:
-        cache_dir = Path(args.cache_dir)
-    else:
-        cache_dir = default_cache_dir()
     try:
-        result = lint_paths(
-            paths,
-            rules=rules,
-            whole_program=args.whole_program,
-            dataflow_cache_dir=cache_dir,
-        )
+        result = lint_paths(paths, rules=rules, whole_program=args.whole_program)
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
     if args.stats:
@@ -829,20 +826,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     code is preserved; a summary of event volume and counters is printed
     unless ``--no-summary``.
     """
-    from pathlib import Path
-
     from repro.trace import ChromeTraceSink, JsonlSink, TraceSession, start_tracing, stop_tracing
 
-    # Checked before the traced command runs: the Chrome sink writes only
-    # when the session closes, after the whole run.
-    out = Path(args.out)
-    problem = None
-    if out.is_dir():
-        problem = "is a directory"
-    elif not out.parent.is_dir():
-        problem = f"no such directory: {out.parent}"
-    if problem:
-        print(f"error: --out {args.out}: {problem}", file=sys.stderr)
+    # The Chrome sink writes only when the session closes.
+    if _unwritable("--out", args.out):
         return 2
     if args.export == "chrome":
         sink: ChromeTraceSink | JsonlSink = ChromeTraceSink(args.out)

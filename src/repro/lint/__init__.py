@@ -17,11 +17,11 @@ This package is that tooling, in two halves:
   (:mod:`repro.lint.flow`), interprocedural dataflow rules
   (``DETFLOW001``/``DETFLOW002`` determinism taint, ``RES001``/``RES002``
   resource lifecycles, ``RES001`` the one proof that pipe ends close)
-  solved by :mod:`repro.lint.dataflow` with an incremental,
-  content-hash-keyed summary cache, and concurrency / process-lifecycle
-  rules (``FORK001``/``FORK002`` fork-safety, ``SIG001`` signal-handler
-  safety, ``PIPE001`` Process-target parameters and message pairing,
-  ``PIPE002`` pipe typestate — :mod:`repro.lint.concurrency`); run via
+  solved in memory by :mod:`repro.lint.dataflow`, and concurrency /
+  process-lifecycle rules (``FORK001``/``FORK002`` fork-safety,
+  ``SIG001`` signal-handler safety, ``PIPE001`` Process-target parameters
+  and message pairing, ``PIPE002`` pipe typestate —
+  :mod:`repro.lint.concurrency`); run via
   ``python -m repro.cli lint`` (``--whole-program`` for the cross-module
   pass) and gated in CI against a committed baseline
   (:mod:`repro.lint.baseline`);
@@ -57,12 +57,7 @@ from repro.lint.core import (
     rule_names,
     whole_program_rule_names,
 )
-from repro.lint.dataflow import (
-    ProjectDataflow,
-    SummaryCache,
-    default_cache_dir,
-    get_dataflow,
-)
+from repro.lint.dataflow import ProjectDataflow, get_dataflow
 from repro.lint.report import render_json, render_sarif, render_text
 
 __all__ = [
@@ -73,10 +68,8 @@ __all__ = [
     "ParsedModule",
     "ProjectDataflow",
     "Rule",
-    "SummaryCache",
     "WholeProgramRule",
     "clear_parse_cache",
-    "default_cache_dir",
     "filter_baseline",
     "get_dataflow",
     "iter_python_files",

@@ -38,6 +38,7 @@ annotation above them.
 from __future__ import annotations
 
 import ast
+import gc
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,8 +84,7 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     rules_run: tuple[str, ...] = ()
-    #: Incremental-analysis cache stats from the dataflow layer
-    #: (modules, functions, summary_hits, summary_misses, cache_dir);
+    #: Counters from the dataflow layer (modules, functions analyzed);
     #: ``None`` when no dataflow rule ran.
     dataflow_stats: dict | None = None
     #: Wall-clock phase breakdown in seconds (parse, per_file, index,
@@ -507,7 +507,6 @@ def lint_paths(
     rules: Iterable[str] | None = None,
     *,
     whole_program: bool = False,
-    dataflow_cache_dir: Path | str | None = None,
 ) -> LintResult:
     """Lint every python file under ``paths``.
 
@@ -515,11 +514,28 @@ def lint_paths(
     files and runs every whole-program rule; explicitly naming a
     whole-program rule in ``rules`` opts in for that rule alone.
 
-    ``dataflow_cache_dir`` enables the dataflow layer's incremental
-    summary cache (per-module IR keyed by content hash — see
-    :mod:`repro.lint.dataflow`). ``None`` analyzes in memory only; the
-    CLI passes :func:`repro.lint.dataflow.default_cache_dir` by default.
+    The cyclic garbage collector is paused for the run and then left as
+    the caller had it, also when the run raises. Most of what a run
+    allocates (trees, CFGs, taint sets) lives until it returns, so a
+    collection would mostly rescan live objects; reference counting
+    still frees the rest. ``gc.freeze()`` would also skip the rescans,
+    but it is process-wide and permanent: it would pin every tree a
+    long-lived caller ever lints.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _lint_paths(paths, rules, whole_program)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _lint_paths(
+    paths: Iterable[Path | str],
+    rules: Iterable[str] | None,
+    whole_program: bool,
+) -> LintResult:
     per_file_selected, whole_selected = split_rule_names(rules)
     if whole_selected is None:
         whole_selected = list(whole_program_rule_names()) if whole_program else []
@@ -558,8 +574,6 @@ def lint_paths(
 
         phase = _clock()
         index = build_index(parsed_modules)
-        if dataflow_cache_dir is not None:
-            index.dataflow_cache_dir = Path(dataflow_cache_dir)  # type: ignore[attr-defined]
         timings["index"] = _clock() - phase
 
         # Dataflow-backed rules all read one shared solved analysis;

@@ -52,56 +52,32 @@ helpers); ``source[nondet]`` introduces it at every call site;
 ``sink[determinism]`` makes a function a sink — every argument flowing
 in and every value flowing out of its return must be deterministic.
 
-**The incremental cache.** Whole-program taint costs one CFG + one taint
-graph per function, every run. Because module IR depends only on that
-module's source plus the *resolution environment* (the class hierarchy
-and marker set of the whole project), each module's extracted IR is
-cached on disk keyed by ``sha256(module source)`` and validated against
-a project-wide **ABI digest** (classes, bases, methods, attribute types,
-markers, function signatures). A warm ``lint --whole-program`` re-extracts
-only modules whose content changed — everything else loads from cache.
-Cache entries are published atomically exactly like the fleet's
-``ResultCache``: write to ``<key>.tmp.<pid>``, fsync, ``os.replace``,
-then sweep stale tmps; a checksum field detects torn writes. Stats
-(hits/misses per run) surface in ``lint --format json`` and
-``lint --stats FILE`` and are asserted in CI (warm runs must hit ≥90%).
+**No on-disk state.** Every run lowers every function afresh, one
+taint graph over the function's CFG from the shared
+:class:`~repro.lint.callgraph.ProjectIndex`, and keeps the IR in memory
+only. Stats (modules and functions analyzed) surface in
+``lint --format json`` and ``lint --stats FILE``.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.lint.callgraph import FunctionInfo, ProjectIndex, parse_annotation
 from repro.lint.concurrency import _is_pipe_ctor
 from repro.lint.core import (
     Finding,
-    ParsedModule,
     WholeProgramRule,
     register_whole_program_rule,
 )
 from repro.lint.flow import (
-    Cfg,
     executed_exprs,
     find_unprotected_path,
     iter_statements,
 )
 from repro.lint.rules_determinism import _BANNED_CALLS, _is_unordered_expr
-
-#: Cache entry schema — part of every entry and of the ABI digest, so an
-#: engine change invalidates every cached summary at once.
-IR_SCHEMA = "repro-lint-dataflow/2"
-
-#: Environment override for the summary-cache directory.
-CACHE_ENV = "REPRO_LINT_CACHE_DIR"
-
-#: Default cache directory name, created next to ``lint-baseline.json``.
-CACHE_DIRNAME = ".lint-cache"
 
 _FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -220,7 +196,7 @@ def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, Any]
 
 
 class _FunctionExtractor:
-    """Lowers one function body into the serializable taint/resource IR."""
+    """Lowers one function body into the taint/resource IR."""
 
     def __init__(
         self, index: ProjectIndex, fn: FunctionInfo, aliases: dict[str, str]
@@ -472,11 +448,10 @@ class _FunctionExtractor:
             "line": self.fn.lineno,
             "params": params,
             "edges": {dst: sorted(srcs) for dst, srcs in sorted(self.edges.items())},
-            "kills": sorted(self.kills),
+            "kills": self.kills,
             "calls": self.calls,
             "sources": self.sources,
             "returns": self.returns,
-            "cfg": self.cfg.to_dict(),
             "res": self.res,
         }
 
@@ -791,110 +766,6 @@ def _container_names(expr: ast.AST) -> set[str]:
     return set()
 
 
-# -- the on-disk summary cache ------------------------------------------------
-
-
-class SummaryCache:
-    """Content-addressed per-module IR cache with atomic publication.
-
-    Same discipline as the fleet's ``ResultCache``, restated here so the
-    linter never imports the simulator: write ``<key>.tmp.<pid>``, fsync,
-    ``os.replace`` to ``<key>.json``, sweep stale tmps for that key.
-    Entries embed a sha256 checksum over their canonical payload; a torn
-    or corrupt entry reads as a miss and is rewritten.
-    """
-
-    def __init__(self, root: Path):
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def get(self, key: str, abi: str) -> dict | None:
-        path = self._path(key)
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        checksum = entry.pop("checksum", None)
-        digest = hashlib.sha256(
-            json.dumps(entry, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
-        if (
-            checksum != digest
-            or entry.get("schema") != IR_SCHEMA
-            or entry.get("abi") != abi
-        ):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
-
-    def put(self, key: str, entry: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = dict(entry)
-        payload["checksum"] = hashlib.sha256(
-            json.dumps(entry, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
-        path = self._path(key)
-        tmp = path.parent / f"{key}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        for stale in path.parent.glob(f"{key}.tmp.*"):
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-
-
-def default_cache_dir(anchor: Path | None = None) -> Path | None:
-    """``$REPRO_LINT_CACHE_DIR`` if set, else ``<repo root>/.lint-cache``
-    when a repo root (a directory holding ``pyproject.toml`` or ``.git``)
-    is findable from ``anchor``/cwd; ``None`` otherwise."""
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    probe = (anchor or Path.cwd()).resolve()
-    for candidate in (probe, *probe.parents):
-        if (candidate / "pyproject.toml").exists() or (candidate / ".git").exists():
-            return candidate / CACHE_DIRNAME
-    return None
-
-
-def abi_digest(index: ProjectIndex) -> str:
-    """Project-wide resolution-environment digest.
-
-    Module IR bakes in call resolutions and attribute types, which depend
-    on *other* modules (the class hierarchy, markers, basenames). Any
-    change to that environment invalidates every cached entry at once —
-    coarse, but sound, and the common warm case (no change at all) still
-    hits on every module.
-    """
-    shape: dict[str, Any] = {"engine": IR_SCHEMA, "classes": {}, "functions": {}}
-    for qualname, cls in sorted(index.classes.items()):
-        shape["classes"][qualname] = {
-            "bases": sorted(cls.bases),
-            "methods": sorted(cls.methods),
-            "attrs": {k: repr(v) for k, v in sorted(cls.attr_types.items())},
-            "flags": sorted(cls.flags),
-        }
-    for qualname, fn in sorted(index.functions.items()):
-        shape["functions"][qualname] = {
-            "params": _param_names(fn.node),
-            "markers": sorted((m.verb, m.key) for m in fn.markers),
-            "returns": ast.unparse(fn.node.returns) if fn.node.returns else "",
-            "flags": sorted(fn.flags),
-        }
-    blob = json.dumps(shape, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 # -- the interprocedural solver -----------------------------------------------
 
 # Taint tokens: ("nondet", path, line, desc) | ("order", path, line, desc)
@@ -925,9 +796,8 @@ class _Summary:
 class ProjectDataflow:
     """The solved whole-program analysis: IRs, summaries, findings."""
 
-    def __init__(self, index: ProjectIndex, cache_dir: Path | None = None):
+    def __init__(self, index: ProjectIndex):
         self.index = index
-        self.cache = SummaryCache(cache_dir) if cache_dir is not None else None
         self.irs: dict[str, dict] = {}
         self.summaries: dict[str, _Summary] = {}
         self.attr_env: dict[str, set[tuple]] = {}
@@ -937,14 +807,7 @@ class ProjectDataflow:
             "RES001": [],
             "RES002": [],
         }
-        self.stats: dict[str, Any] = {
-            "modules": 0,
-            "functions": 0,
-            "summary_hits": 0,
-            "summary_misses": 0,
-            "cache_dir": str(cache_dir) if cache_dir else None,
-        }
-        self.abi = abi_digest(index)
+        self.stats: dict[str, int] = {"modules": 0, "functions": 0}
         self._extract_all()
         self._order = _scc_order(
             {
@@ -955,52 +818,20 @@ class ProjectDataflow:
         self._solve_summaries()
         self._collect_findings()
 
-    # -- extraction / cache ---------------------------------------------------
+    # -- extraction -----------------------------------------------------------
 
     def _extract_all(self) -> None:
         by_path: dict[str, list[FunctionInfo]] = {}
         for fn in self.index.functions.values():
             by_path.setdefault(fn.path, []).append(fn)
-        # Every cache probe runs before any miss is extracted and
-        # published.
-        misses: list[tuple[str, ParsedModule, list[FunctionInfo]]] = []
         for parsed in sorted(self.index.modules, key=lambda m: m.path):
             self.stats["modules"] += 1
-            fns = sorted(by_path.get(parsed.path, []), key=lambda f: f.qualname)
-            key = hashlib.sha256(parsed.source.encode()).hexdigest()
-            entry = self.cache.get(key, self.abi) if self.cache is not None else None
-            if entry is not None:
-                self.stats["summary_hits"] += 1
-                for ir in entry["functions"]:
-                    self.irs[ir["qualname"]] = _thaw_ir(ir)
-                self.stats["functions"] += len(entry["functions"])
-                continue
-            self.stats["summary_misses"] += 1
-            misses.append((key, parsed, fns))
-
-        for key, parsed, fns in misses:
             aliases = _tracked_aliases(parsed.tree)
-            extracted = [
-                _FunctionExtractor(self.index, fn, aliases).extract()
-                for fn in fns
-            ]
-            self.stats["functions"] += len(extracted)
-            if self.cache is not None:
-                self.cache.put(
-                    key,
-                    {
-                        "schema": IR_SCHEMA,
-                        "abi": self.abi,
-                        "module": parsed.module,
-                        "path": parsed.path,
-                        "functions": extracted,
-                    },
-                )
-            for ir in extracted:
-                self.irs[ir["qualname"]] = _thaw_ir(ir)
-        if self.cache is not None:
-            self.stats["summary_hits"] = self.cache.hits
-            self.stats["summary_misses"] = self.cache.misses
+            for fn in sorted(by_path.get(parsed.path, []), key=lambda f: f.qualname):
+                self.irs[fn.qualname] = _FunctionExtractor(
+                    self.index, fn, aliases
+                ).extract()
+                self.stats["functions"] += 1
 
     # -- markers --------------------------------------------------------------
 
@@ -1285,7 +1116,7 @@ class ProjectDataflow:
     def _resource_findings(self, qualname: str, ir: dict) -> None:
         if not ir["res"]["acquires"] and not ir["res"]["terminates"]:
             return
-        cfg = Cfg.from_dict(ir["cfg"])
+        cfg = self.index.cfg(self.index.functions[qualname])
         params = set(ir["params"]["pos"] + ir["params"]["kwonly"])
         by_var_sinks: dict[str, set[int]] = {}
 
@@ -1405,13 +1236,6 @@ def _callpass_target(rec: dict, callee_ir: dict) -> str | None:
     return None
 
 
-def _thaw_ir(ir: dict) -> dict:
-    """Normalize a (possibly JSON-roundtripped) IR record in place."""
-    ir["kills"] = set(ir["kills"])
-    ir["edges"] = {dst: list(srcs) for dst, srcs in ir["edges"].items()}
-    return ir
-
-
 def _scc_order(graph: dict[str, list[str]]) -> list[list[str]]:
     """Tarjan SCCs of the call graph, callees-first (reverse topological),
     iteratively (no recursion limit surprises on deep call chains)."""
@@ -1462,17 +1286,10 @@ def _scc_order(graph: dict[str, list[str]]) -> list[list[str]]:
 
 
 def get_dataflow(index: ProjectIndex) -> ProjectDataflow:
-    """The (memoized) solved analysis for ``index``. The cache directory
-    is read from ``index.dataflow_cache_dir`` when
-    :func:`repro.lint.core.lint_paths` set one; direct API users get a
-    cacheless in-memory run."""
+    """The (memoized) solved analysis for ``index``."""
     analysis = getattr(index, "_dataflow", None)
     if analysis is None:
-        cache_dir = getattr(index, "dataflow_cache_dir", None)
-        analysis = ProjectDataflow(
-            index, Path(cache_dir) if cache_dir is not None else None
-        )
-        index._dataflow = analysis  # type: ignore[attr-defined]
+        analysis = index._dataflow = ProjectDataflow(index)  # type: ignore[attr-defined]
     return analysis
 
 

@@ -10,10 +10,8 @@ synthetic terminals (``EXIT`` for falling off the end or returning,
 sink?"* and returns the offending path for the finding message.
 
 Every path question the linter asks — protocol obligations, resource
-leaks (on live or cached graphs, via :meth:`Cfg.to_dict` /
-:meth:`Cfg.from_dict`), locks held across a spawn, pipe use after close
-— goes through the one blocker-aware depth-first search,
-:func:`iter_paths`.
+leaks, locks held across a spawn, pipe use after close — goes through
+the one blocker-aware depth-first search, :func:`iter_paths`.
 
 Design notes, in decreasing order of importance:
 
@@ -62,8 +60,7 @@ class Cfg:
     #: ``id(ast stmt)`` -> node ids (finally duplication means one
     #: statement can appear as several nodes).
     stmt_nodes: dict[int, list[int]] = field(default_factory=dict)
-    #: node id -> source line: what a path description needs, and all
-    #: that :meth:`to_dict` keeps of the nodes.
+    #: node id -> source line: what a path description needs.
     lines: dict[int, int] = field(default_factory=dict)
 
     def successors(self, node: int, *, include_raise: bool = True) -> set[int]:
@@ -84,27 +81,6 @@ class Cfg:
 
     def describe_path(self, path: list[int]) -> str:
         return " -> ".join(self.describe(node) for node in path)
-
-    def to_dict(self) -> dict:
-        """Edges and line numbers as JSON data. Keys are strings already,
-        so the form is the same before and after a JSON round trip."""
-        return {
-            "entry": self.entry,
-            "lines": {str(nid): line for nid, line in self.lines.items()},
-            "normal": {str(s): sorted(d) for s, d in self.normal.items()},
-            "raises": {str(s): sorted(d) for s, d in self.raises.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Cfg":
-        """A searchable graph from :meth:`to_dict` output: every path
-        query and description works; the AST maps stay empty."""
-        return cls(
-            normal={int(k): set(v) for k, v in data["normal"].items()},
-            raises={int(k): set(v) for k, v in data["raises"].items()},
-            entry=data["entry"],
-            lines={int(k): v for k, v in data["lines"].items()},
-        )
 
 
 @dataclass(frozen=True)

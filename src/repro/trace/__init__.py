@@ -51,7 +51,6 @@ from repro.trace.session import (
     current_session,
     start_tracing,
     stop_tracing,
-    trace_active,
     trace_complete,
     trace_count,
     trace_instant,
@@ -79,7 +78,6 @@ __all__ = [
     "current_session",
     "start_tracing",
     "stop_tracing",
-    "trace_active",
     "trace_complete",
     "trace_count",
     "trace_instant",

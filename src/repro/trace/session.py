@@ -56,11 +56,6 @@ def current_session() -> "TraceSession | None":
     return _SESSION
 
 
-def trace_active() -> bool:
-    """True when a session is installed."""
-    return _SESSION is not None
-
-
 def trace_span(
     name: str, category: str = "", track: int = 0, **args: Any
 ) -> "AbstractContextManager[_SpanHandle | _NullSpan]":

@@ -201,10 +201,6 @@ class TestStaticAnalysisPage:
             "sanitizes[nondet]",
             "--explain",
             "--stats",
-            "--no-cache",
-            "--cache-dir",
-            "REPRO_LINT_CACHE_DIR",
-            ".lint-cache",
         ):
             assert required in page, f"static-analysis.md lost: {required}"
 

@@ -1,22 +1,13 @@
-"""The interprocedural dataflow engine: taint propagation, summaries,
-resource lifecycles, and the incremental summary cache
-(:mod:`repro.lint.dataflow`)."""
+"""The interprocedural dataflow engine: taint propagation, summaries
+and resource lifecycles (:mod:`repro.lint.dataflow`)."""
 
 from __future__ import annotations
 
-import json
 import textwrap
-from pathlib import Path
 
 from repro.lint.callgraph import build_index
 from repro.lint.core import parse_source
-from repro.lint.dataflow import (
-    ProjectDataflow,
-    SummaryCache,
-    _scc_order,
-    abi_digest,
-    default_cache_dir,
-)
+from repro.lint.dataflow import ProjectDataflow, _scc_order
 
 SINK = (
     "# dataflow: sink[determinism] -- replayed payload: same seed, same bytes\n"
@@ -35,8 +26,8 @@ def _index(*sources: str):
     return build_index(modules)
 
 
-def _analyze(*sources: str, cache_dir: Path | None = None) -> ProjectDataflow:
-    return ProjectDataflow(_index(*sources), cache_dir=cache_dir)
+def _analyze(*sources: str) -> ProjectDataflow:
+    return ProjectDataflow(_index(*sources))
 
 
 def _with_sink(body: str) -> str:
@@ -289,75 +280,6 @@ class TestResourceLifecycles:
         (finding,) = analysis.findings["RES001"]
         assert "join" in finding.message
         assert "terminate" in finding.message
-
-
-class TestSummaryCache:
-    SRC = SINK + (
-        "import time\n"
-        "def emit():\n"
-        "    return record({'stamp': time.time()})\n"
-    )
-
-    def test_cold_then_warm_run_is_bit_identical(self, tmp_path):
-        cold = _analyze(self.SRC, cache_dir=tmp_path)
-        assert cold.stats["summary_misses"] == 1
-        assert cold.stats["summary_hits"] == 0
-        warm = _analyze(self.SRC, cache_dir=tmp_path)
-        assert warm.stats["summary_hits"] == 1
-        assert warm.stats["summary_misses"] == 0
-        assert [f.fingerprint() for f in warm.findings["DETFLOW001"]] == [
-            f.fingerprint() for f in cold.findings["DETFLOW001"]
-        ]
-
-    def test_editing_one_module_misses_only_that_module(self, tmp_path):
-        other = "def untouched():\n    return 1\n"
-        _analyze(self.SRC, other, cache_dir=tmp_path)
-        warm = _analyze(self.SRC, other + "# changed\n", cache_dir=tmp_path)
-        assert warm.stats["summary_hits"] == 1
-        assert warm.stats["summary_misses"] == 1
-
-    def test_corrupt_entry_reads_as_a_miss_and_is_rewritten(self, tmp_path):
-        _analyze(self.SRC, cache_dir=tmp_path)
-        (entry_path,) = tmp_path.glob("*.json")
-        entry = json.loads(entry_path.read_text())
-        entry["module"] = "tampered"
-        entry_path.write_text(json.dumps(entry))
-        rerun = _analyze(self.SRC, cache_dir=tmp_path)
-        assert rerun.stats["summary_misses"] == 1
-        assert len(rerun.findings["DETFLOW001"]) == 1
-        # ...and the rewritten entry checksums clean again.
-        assert _analyze(self.SRC, cache_dir=tmp_path).stats["summary_hits"] == 1
-
-    def test_abi_change_invalidates_entries(self, tmp_path):
-        index = _index(self.SRC)
-        key = "0" * 64
-        cache = SummaryCache(tmp_path)
-        cache.put(
-            key, {"schema": "repro-lint-dataflow/1", "abi": "old", "functions": []}
-        )
-        assert cache.get(key, abi_digest(index)) is None
-        assert cache.misses == 1
-
-    def test_publication_is_atomic_and_sweeps_tmps(self, tmp_path):
-        cache = SummaryCache(tmp_path)
-        key = "a" * 64
-        stale = tmp_path / f"{key}.tmp.99999"
-        stale.parent.mkdir(parents=True, exist_ok=True)
-        stale.write_text("torn half-write")
-        cache.put(
-            key, {"schema": "repro-lint-dataflow/1", "abi": "x", "functions": []}
-        )
-        assert not list(tmp_path.glob("*.tmp.*"))
-        assert (tmp_path / f"{key}.json").exists()
-
-    def test_default_cache_dir_prefers_the_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LINT_CACHE_DIR", str(tmp_path / "elsewhere"))
-        assert default_cache_dir() == tmp_path / "elsewhere"
-        monkeypatch.delenv("REPRO_LINT_CACHE_DIR")
-        repo = tmp_path / "repo" / "pkg"
-        repo.mkdir(parents=True)
-        (tmp_path / "repo" / "pyproject.toml").write_text("")
-        assert default_cache_dir(repo) == tmp_path / "repo" / ".lint-cache"
 
 
 class TestSccOrder:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import json
 import textwrap
 
 from repro.lint.flow import (
@@ -241,57 +240,6 @@ class TestReachability:
             is None
         )
 
-
-    def test_cfg_rebuilt_from_dict_finds_the_same_paths(self):
-        """The dataflow summary cache stores ``Cfg.to_dict()`` as JSON;
-        the graph ``Cfg.from_dict`` rebuilds answers every path query,
-        and describes every path, exactly as the live one does."""
-        _, cfg = _cfg(
-            """
-            def f(acquire, work, release, cond):
-                handle = acquire()
-                try:
-                    if cond:
-                        return work(handle)
-                    for item in handle:
-                        if item:
-                            break
-                        work(item)
-                finally:
-                    release(handle)
-                work(None)
-            """
-        )
-        cached = Cfg.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert cached.to_dict() == cfg.to_dict()
-        assert cached.nodes == {}  # edges and lines only, no AST
-        starts = [cfg.entry, *sorted(cfg.nodes)]
-        compared = 0
-        for sink_line in (None, 6, 10, 12):
-            sinks = set() if sink_line is None else _nodes_at(cfg, sink_line)
-            for start in starts:
-                for inclusive in (False, True):
-                    for count in (False, True):
-                        live = find_unprotected_path(
-                            cfg, start, sinks,
-                            inclusive=inclusive, count_exception_paths=count,
-                        )
-                        again = find_unprotected_path(
-                            cached, start, sinks,
-                            inclusive=inclusive, count_exception_paths=count,
-                        )
-                        assert again == live
-                        if live is not None:
-                            compared += 1
-                            assert cached.describe_path(live) == (
-                                cfg.describe_path(live)
-                            )
-            goals = _nodes_at(cfg, 10) | _nodes_at(cfg, 13)
-            for start in starts:
-                assert list(iter_paths(cached, start, goals, sinks)) == list(
-                    iter_paths(cfg, start, goals, sinks)
-                )
-        assert compared > 0
 
     def test_goals_and_blockers_end_their_branch(self):
         _, cfg = _cfg(

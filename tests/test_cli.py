@@ -590,7 +590,7 @@ class TestLint:
     def test_unknown_rule_is_usage_error(self, capsys):
         code, _, err = run(capsys, "lint", "--rules", "NOPE999")
         assert code == 2
-        assert "unknown rule" in err
+        assert err.startswith("error: unknown rule(s) NOPE999")
 
     def test_missing_directory_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "lint", str(tmp_path / "no-such-dir"))
@@ -627,9 +627,10 @@ class TestLint:
     def test_explain_unknown_rule_is_usage_error(self, capsys):
         code, _, err = run(capsys, "lint", "--explain", "NOPE999")
         assert code == 2
+        assert err.startswith("error: unknown rule 'NOPE999'")
         assert "DETFLOW001" in err  # the message lists the vocabulary
 
-    def test_stats_and_cache_warm_on_the_second_run(self, capsys, tmp_path):
+    def test_stats_file_holds_counters_and_timings(self, capsys, tmp_path):
         import json
 
         bad = tmp_path / "bad.py"
@@ -641,34 +642,60 @@ class TestLint:
             "def emit():\n"
             "    return record({'pid': os.getpid()})\n"
         )
-        cache = tmp_path / "cache"
         stats = tmp_path / "stats.json"
         args = (
             "lint", str(bad), "--whole-program", "--no-baseline",
-            "--cache-dir", str(cache), "--stats", str(stats),
+            "--stats", str(stats),
         )
-        code, cold_out, _ = run(capsys, *args)
-        assert code == 1 and "DETFLOW001" in cold_out
-        cold = json.loads(stats.read_text())
-        assert cold["summary_misses"] == 1 and cold["summary_hits"] == 0
-        code, warm_out, _ = run(capsys, *args)
-        assert code == 1 and warm_out == cold_out
-        warm = json.loads(stats.read_text())
-        assert warm["summary_hits"] == 1 and warm["summary_misses"] == 0
-
-    def test_no_cache_disables_the_summary_cache(self, capsys, tmp_path):
-        import json
-
-        stats = tmp_path / "stats.json"
-        bad = tmp_path / "bad.py"
-        bad.write_text("x = 1\n")
-        code, _, _ = run(
-            capsys, "lint", str(bad), "--whole-program", "--no-baseline",
-            "--no-cache", "--stats", str(stats),
-        )
-        assert code == 0
+        code, first_out, _ = run(capsys, *args)
+        assert code == 1 and "DETFLOW001" in first_out
         document = json.loads(stats.read_text())
-        assert document["cache_dir"] is None
+        assert document["modules"] == 1 and document["functions"] == 2
+        assert set(document["timings"]) == {
+            "parse", "per_file", "index", "dataflow", "whole_program", "total",
+        }
+        code, second_out, _ = run(capsys, *args)
+        assert code == 1 and second_out == first_out
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_stats_is_usage_error_before_the_run(
+        self, capsys, tmp_path, monkeypatch, where
+    ):
+        import repro.lint
+
+        ran = []
+        monkeypatch.setattr(
+            repro.lint, "lint_paths", lambda *a, **k: ran.append(a)
+        )
+        bad = tmp_path / "bad.py"
+        bad.write_text("page.entries[0] = 0\n")
+        if where == "directory":
+            stats, problem = tmp_path, "is a directory"
+        else:
+            stats = tmp_path / "missing" / "s.json"
+            problem = f"no such directory: {stats.parent}"
+        code, out, err = run(
+            capsys, "lint", str(bad), "--whole-program", "--stats", str(stats)
+        )
+        assert code == 2
+        assert err.splitlines() == [f"error: --stats {stats}: {problem}"]
+        assert out == ""
+        assert not ran  # rejected before linting
+
+    def test_whole_program_run_writes_no_file_in_cwd(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        checkout = tmp_path / "checkout"
+        (checkout / "pkg").mkdir(parents=True)
+        (checkout / "pyproject.toml").write_text("")
+        (checkout / "pkg" / "mod.py").write_text("def f():\n    return 1\n")
+        monkeypatch.chdir(checkout)
+        before = sorted(p.relative_to(checkout) for p in checkout.rglob("*"))
+        code, out, _ = run(
+            capsys, "lint", "pkg", "--whole-program", "--no-baseline"
+        )
+        assert code == 0 and "0 finding(s)" in out
+        assert sorted(p.relative_to(checkout) for p in checkout.rglob("*")) == before
 
     def test_json_report_carries_dataflow_stats(self, capsys, tmp_path):
         import json
@@ -677,11 +704,11 @@ class TestLint:
         bad.write_text("x = 1\n")
         code, out, _ = run(
             capsys, "lint", str(bad), "--whole-program", "--no-baseline",
-            "--no-cache", "--format", "json",
+            "--format", "json",
         )
         assert code == 0
         document = json.loads(out)
-        assert document["dataflow"]["modules"] == 1
+        assert document["dataflow"] == {"modules": 1, "functions": 0}
 
     def test_write_baseline_round_trip(self, capsys, tmp_path):
         bad = tmp_path / "bad.py"

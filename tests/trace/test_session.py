@@ -15,7 +15,6 @@ from repro.trace import (
     current_session,
     start_tracing,
     stop_tracing,
-    trace_active,
     trace_complete,
     trace_count,
     trace_instant,
@@ -100,12 +99,10 @@ class TestMetrics:
 class TestSessionLifecycle:
     def test_disabled_by_default(self):
         assert current_session() is None
-        assert not trace_active()
 
     def test_start_stop_install_uninstall(self):
         session = start_tracing()
         assert current_session() is session
-        assert trace_active()
         returned = stop_tracing()
         assert returned is session
         assert current_session() is None
